@@ -2,16 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/gemm_mapper.hpp"
 #include "noc/link_load_model.hpp"
 #include "sa/systolic_array.hpp"
-#include "util/assert.hpp"
 #include "util/bits.hpp"
 #include "vm/matlb.hpp"
 #include "vm/tlb.hpp"
 
 namespace maco::core {
+namespace {
+
+// TimingOptions come from user input (scenario knobs, lowered manifests), so
+// a value no run can use is a typed error the sweep runner turns into an
+// error row, not an abort.
+void validate_options(const TimingOptions& options, unsigned node_count) {
+  const auto reject = [](const std::string& field, std::uint64_t value,
+                         const std::string& rule) {
+    throw std::invalid_argument("timing model: " + field + " = " +
+                                std::to_string(value) + " " + rule);
+  };
+  if (options.active_nodes < 1 || options.active_nodes > node_count) {
+    reject("active_nodes", options.active_nodes,
+           "is outside [1, node_count = " + std::to_string(node_count) +
+               "]");
+  }
+  const std::pair<const char*, std::uint64_t> positive[] = {
+      {"shape.m", options.shape.m}, {"shape.n", options.shape.n},
+      {"shape.k", options.shape.k}, {"inner", options.inner},
+      {"page_bytes", options.page_bytes}};
+  for (const auto& [field, value] : positive) {
+    if (value == 0) reject(field, value, "must be positive");
+  }
+}
+
+}  // namespace
 
 SystemTimingModel::SystemTimingModel(const SystemConfig& config)
     : config_(config) {}
@@ -81,14 +109,49 @@ std::uint64_t SystemTimingModel::aggregate_sa_cycles(
   return total;
 }
 
+SystemTimingModel::TranslationKey SystemTimingModel::translation_key(
+    const TimingOptions& options, const sa::TileShape& node_shape) const {
+  TranslationKey key;
+  key.m = node_shape.m;
+  key.n = node_shape.n;
+  key.k = node_shape.k;
+  key.inner = options.inner;
+  key.elem_bytes = sa::element_bytes(options.precision);
+  key.page_bytes = options.page_bytes;
+  key.tlb_entries = options.tlb_entries_override
+                        ? options.tlb_entries_override
+                        : config_.cpu.mmu.l2_tlb_entries;
+  key.pte_always_cold = options.pte_always_cold;
+  key.pte_walks_warm = options.pte_walks_warm;
+  return key;
+}
+
 TranslationEstimate SystemTimingModel::estimate_translation(
     const TimingOptions& options, const sa::TileShape& node_shape) const {
+  return simulate_translation(translation_key(options, node_shape));
+}
+
+TranslationEstimate SystemTimingModel::memoized_translation(
+    const TranslationKey& key) const {
+  {
+    const std::lock_guard<std::mutex> lock(translations_mutex_);
+    const auto it = translations_.find(key);
+    if (it != translations_.end()) return it->second;
+  }
+  // Simulated outside the lock so callers on other shapes never wait on it;
+  // a racing caller on the same key computes the same value.
+  const TranslationEstimate estimate = simulate_translation(key);
+  const std::lock_guard<std::mutex> lock(translations_mutex_);
+  translations_.emplace(key, estimate);
+  return estimate;
+}
+
+TranslationEstimate SystemTimingModel::simulate_translation(
+    const TranslationKey& key) const {
   TranslationEstimate estimate;
-  const std::uint64_t i = options.inner;
-  const std::uint64_t elem = sa::element_bytes(options.precision);
-  const std::size_t tlb_entries =
-      options.tlb_entries_override ? options.tlb_entries_override
-                                   : config_.cpu.mmu.l2_tlb_entries;
+  const std::uint64_t i = key.inner;
+  const std::uint64_t elem = key.elem_bytes;
+  const sa::TileShape node_shape{key.m, key.n, key.k};
 
   // Synthetic address space: bases far apart so pages never alias.
   const vm::MatrixDesc a{0x100000000000ull, node_shape.m, node_shape.k, elem,
@@ -98,7 +161,7 @@ TranslationEstimate SystemTimingModel::estimate_translation(
   const vm::MatrixDesc c{0x300000000000ull, node_shape.m, node_shape.n, elem,
                          0};
 
-  vm::Tlb stlb("estimate.stlb", tlb_entries);
+  vm::Tlb stlb("estimate.stlb", key.tlb_entries);
   const vm::Asid asid = 1;
 
   std::uint64_t tiles_seen = 0;
@@ -123,15 +186,14 @@ TranslationEstimate SystemTimingModel::estimate_translation(
 
   auto touch_region = [&](const vm::MatrixDesc& m, const vm::TileDesc& t,
                           bool measure) {
-    const auto pages = vm::predict_page_entries(m, t, options.page_bytes);
-    for (const vm::VirtAddr va : pages) {
-      const std::uint64_t vpn = va / options.page_bytes;
+    vm::for_each_page_entry(m, t, key.page_bytes, [&](vm::VirtAddr va) {
+      const std::uint64_t vpn = va / key.page_bytes;
       if (measure) ++measured_pages;
       if (!stlb.lookup(asid, vpn)) {
         stlb.insert(asid, vpn, vpn);  // identity fill: only reach matters
         if (measure) ++measured_walks;
       }
-    }
+    });
   };
 
   bool done = false;
@@ -167,9 +229,9 @@ TranslationEstimate SystemTimingModel::estimate_translation(
   // default the leaf is cold once walks recur enough that the data stream
   // evicts the page-table lines from L3.
   sim::TimePs per_walk;
-  if (options.pte_always_cold) {
+  if (key.pte_always_cold) {
     per_walk = config_.pte_cold_latency_ps;
-  } else if (options.pte_walks_warm) {
+  } else if (key.pte_walks_warm) {
     per_walk = config_.pte_warm_latency_ps;
   } else {
     per_walk = estimate.walks_per_tile > 4.0 ? config_.pte_cold_latency_ps
@@ -181,10 +243,7 @@ TranslationEstimate SystemTimingModel::estimate_translation(
 }
 
 SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
-  MACO_ASSERT(options.active_nodes >= 1 &&
-              options.active_nodes <= config_.node_count);
-  MACO_ASSERT(options.shape.m > 0 && options.shape.n > 0 &&
-              options.shape.k > 0);
+  validate_options(options, config_.node_count);
 
   // Per-node shape.
   sa::TileShape node_shape = options.shape;
@@ -220,7 +279,7 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
 
   // ---- Translation behaviour ----
   const TranslationEstimate translation =
-      estimate_translation(options, node_shape);
+      memoized_translation(translation_key(options, node_shape));
 
   // ---- L3 / DRAM sourcing ----
   // Panel working set per node vs its L3 share decides how much of the tile
@@ -387,7 +446,9 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
 
 SystemTiming SystemTimingModel::run_layers(
     const std::vector<sa::TileShape>& layers, TimingOptions options) const {
-  MACO_ASSERT(!layers.empty());
+  if (layers.empty()) {
+    throw std::invalid_argument("run_layers: empty layer list");
+  }
   options.cooperative = true;
   double total_ps = 0.0;
   double total_flops = 0.0;

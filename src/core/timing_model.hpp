@@ -8,9 +8,17 @@
 // X-Y link-load model validated against the flit-level mesh; DRAM pressure
 // from the channel bandwidth model. Baselines parameterize the same model
 // (coupling, overlap, translation policy) rather than hard-coding ratios.
+//
+// A model instance memoizes run()'s translation estimates: the sTLB
+// simulation is a pure function of the node shape and the translation
+// options it reads, and a DNN repeats few shapes over many layers, so each
+// distinct estimate is simulated once and later calls reuse it. run() stays
+// const and safe to call from several threads on one shared model.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "core/config.hpp"
@@ -122,14 +130,18 @@ class SystemTimingModel {
  public:
   explicit SystemTimingModel(const SystemConfig& config);
 
+  // Throws std::invalid_argument naming the field when `options` cannot
+  // describe a run (no or too many active nodes, a zero GEMM dimension,
+  // inner or page size).
   SystemTiming run(const TimingOptions& options) const;
 
   // Runs a sequence of GEMM layers (a DNN) back to back; cooperative across
   // the active nodes. Returns aggregate throughput over the whole network.
+  // Throws std::invalid_argument on an empty list or a bad layer.
   SystemTiming run_layers(const std::vector<sa::TileShape>& layers,
                           TimingOptions options) const;
 
-  // Exposed for tests: the sTLB/page-geometry simulation.
+  // Exposed for tests: the sTLB/page-geometry simulation, uncached.
   TranslationEstimate estimate_translation(const TimingOptions& options,
                                            const sa::TileShape& node_shape)
       const;
@@ -141,10 +153,34 @@ class SystemTimingModel {
   const SystemConfig& config() const noexcept { return config_; }
 
  private:
+  // Every input the translation estimate reads besides config_, resolved:
+  // the per-node shape, the sTLB size after the override and the element
+  // size of the precision.
+  struct TranslationKey {
+    std::uint64_t m = 0;
+    std::uint64_t n = 0;
+    std::uint64_t k = 0;
+    std::uint64_t inner = 0;
+    std::uint64_t elem_bytes = 0;
+    std::uint64_t page_bytes = 0;
+    std::size_t tlb_entries = 0;
+    bool pte_always_cold = false;
+    bool pte_walks_warm = false;
+    auto operator<=>(const TranslationKey&) const = default;
+  };
+
   unsigned effective_ways(const TimingOptions& options) const noexcept;
   sa::SaConfig sa_config_for(const TimingOptions& options) const noexcept;
+  TranslationKey translation_key(const TimingOptions& options,
+                                 const sa::TileShape& node_shape) const;
+  TranslationEstimate simulate_translation(const TranslationKey& key) const;
+  TranslationEstimate memoized_translation(const TranslationKey& key) const;
 
   SystemConfig config_;
+  // run()'s translation estimates. config_ never changes, so an estimate is
+  // a pure function of its key and a hit equals a fresh simulation.
+  mutable std::mutex translations_mutex_;
+  mutable std::map<TranslationKey, TranslationEstimate> translations_;
 };
 
 }  // namespace maco::core

@@ -9,31 +9,9 @@ namespace maco::vm {
 std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
                                            const TileDesc& tile,
                                            std::uint64_t page_bytes) {
-  MACO_ASSERT(page_bytes > 0);
-  validate_tile(matrix, tile);
   std::vector<VirtAddr> entries;
-  std::uint64_t last_vpn = ~0ull;
-  for (std::uint64_t r = 0; r < tile.rows; ++r) {
-    const VirtAddr row_start = matrix.element_addr(tile.row0 + r, tile.col0);
-    const VirtAddr row_end = row_start + tile.cols * matrix.elem_bytes;
-    // First touch in the row's first page, then each page boundary crossed.
-    VirtAddr addr = row_start;
-    while (addr < row_end) {
-      if (addr / page_bytes != last_vpn) {
-        entries.push_back(addr);
-        last_vpn = addr / page_bytes;
-      }
-      // Advance to the first element of the next page touched by this row.
-      const VirtAddr next_page = (addr / page_bytes + 1) * page_bytes;
-      if (next_page >= row_end) break;
-      // Elements are contiguous within the row, so the first element in the
-      // next page starts at the first element boundary >= next_page.
-      const std::uint64_t into_row = next_page - row_start;
-      const std::uint64_t elem_index =
-          (into_row + matrix.elem_bytes - 1) / matrix.elem_bytes;
-      addr = row_start + elem_index * matrix.elem_bytes;
-    }
-  }
+  for_each_page_entry(matrix, tile, page_bytes,
+                      [&](VirtAddr addr) { entries.push_back(addr); });
   return entries;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 #include "vm/layout.hpp"
 #include "vm/page_table.hpp"
 #include "vm/tlb.hpp"
@@ -22,15 +23,45 @@
 
 namespace maco::vm {
 
-// Enumerates, in DMA stream order (row-major over the tile), the first
-// address the stream touches in each page. Consecutive duplicates are
-// collapsed; a page revisited by a later row appears again, matching the
-// stream-ordered retirement policy of the hardware buffer.
+// Calls visit(addr) for the first address the tile's DMA stream touches in
+// each page of `page_bytes`, in stream order (row-major over the tile).
+// Consecutive duplicates are collapsed; a page revisited by a later row is
+// visited again, matching the stream-ordered retirement policy of the
+// hardware buffer.
+template <typename Visit>
+void for_each_page_entry(const MatrixDesc& matrix, const TileDesc& tile,
+                         std::uint64_t page_bytes, Visit&& visit) {
+  MACO_ASSERT(page_bytes > 0);
+  validate_tile(matrix, tile);
+  std::uint64_t last_vpn = ~0ull;
+  for (std::uint64_t r = 0; r < tile.rows; ++r) {
+    const VirtAddr row_start = matrix.element_addr(tile.row0 + r, tile.col0);
+    const VirtAddr row_end = row_start + tile.cols * matrix.elem_bytes;
+    // First touch in the row's first page, then each page boundary crossed.
+    VirtAddr addr = row_start;
+    while (addr < row_end) {
+      if (addr / page_bytes != last_vpn) {
+        visit(addr);
+        last_vpn = addr / page_bytes;
+      }
+      // Advance to the first element of the next page touched by this row.
+      const VirtAddr next_page = (addr / page_bytes + 1) * page_bytes;
+      if (next_page >= row_end) break;
+      // Elements are contiguous within the row, so the first element in the
+      // next page starts at the first element boundary >= next_page.
+      const std::uint64_t into_row = next_page - row_start;
+      const std::uint64_t elem_index =
+          (into_row + matrix.elem_bytes - 1) / matrix.elem_bytes;
+      addr = row_start + elem_index * matrix.elem_bytes;
+    }
+  }
+}
+
+// The for_each_page_entry addresses, collected. The hardware mATLB always
+// works at kPageSize; other page sizes serve what-if studies (64 KiB /
+// 2 MiB pages).
 std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
                                            const TileDesc& tile);
-
-// Page-size-parameterized variant (what-if studies: 64 KiB / 2 MiB pages).
-// The hardware mATLB always works at kPageSize.
 std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
                                            const TileDesc& tile,
                                            std::uint64_t page_bytes);

@@ -2,10 +2,21 @@
 // (the Fig. 6/7 mechanisms).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/config.hpp"
 #include "core/gemm_mapper.hpp"
 #include "core/gemm_plus.hpp"
 #include "core/timing_model.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 
 namespace maco::core {
 namespace {
@@ -211,6 +222,209 @@ TEST_F(TimingModelTest, LayersAggregateThroughput) {
 
 namespace maco::core {
 namespace {
+
+// ---------------- translation memo ----------------
+
+// A memo hit must return exactly what a fresh model computes.
+void expect_identical(const SystemTiming& got, const SystemTiming& want,
+                      const std::string& what) {
+  EXPECT_EQ(got.makespan_ps, want.makespan_ps) << what;
+  EXPECT_EQ(got.total_gflops, want.total_gflops) << what;
+  EXPECT_EQ(got.mean_efficiency, want.mean_efficiency) << what;
+  EXPECT_EQ(got.translation.pages_per_tile, want.translation.pages_per_tile)
+      << what;
+  EXPECT_EQ(got.translation.walks_per_tile, want.translation.walks_per_tile)
+      << what;
+  EXPECT_EQ(got.translation.stall_per_tile_ps,
+            want.translation.stall_per_tile_ps)
+      << what;
+}
+
+std::string shape_name(const sa::TileShape& shape) {
+  return std::to_string(shape.m) + "x" + std::to_string(shape.n) + "x" +
+         std::to_string(shape.k);
+}
+
+TEST(TimingModelMemo, LongLivedModelMatchesFreshModels) {
+  // One model serves every builtin manifest, both phases, and the gemm
+  // grid, so its memo holds every earlier workload's shapes when the next
+  // one runs. Each distinct shape is checked once against a model that has
+  // seen nothing else; one layer list shares shapes that differ only in k,
+  // so the reference for a shape must not have seen its siblings.
+  const SystemConfig config = SystemConfig::maco_default();
+  const SystemTimingModel shared(config);
+  for (const graph::BuiltinManifest& manifest : graph::builtin_manifests()) {
+    for (const graph::Phase phase :
+         {graph::Phase::kPrefill, graph::Phase::kDecode}) {
+      graph::LoweringOptions lowering;
+      lowering.phase = phase;
+      const graph::LoweredModel lowered =
+          graph::lower(graph::builtin_graph(manifest.name), lowering);
+      const std::vector<sa::TileShape> layers =
+          lowered.workload.expanded_shapes();
+      TimingOptions options;
+      options.precision = lowered.workload.precision;
+      options.active_nodes = config.node_count;
+      options.cooperative = true;
+      const std::string what =
+          std::string(manifest.name) + " " + graph::phase_name(phase);
+      std::set<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> seen;
+      for (const sa::TileShape& layer : layers) {
+        if (!seen.emplace(layer.m, layer.n, layer.k).second) continue;
+        options.shape = layer;
+        expect_identical(shared.run(options),
+                         SystemTimingModel(config).run(options),
+                         what + " " + shape_name(layer));
+      }
+      expect_identical(shared.run_layers(layers, options),
+                       SystemTimingModel(config).run_layers(layers, options),
+                       what);
+    }
+  }
+  for (const std::uint64_t size : {256, 1024, 4096, 9216}) {
+    for (const unsigned nodes : {1u, 16u}) {
+      TimingOptions options;
+      options.shape = sa::TileShape{size, size, size};
+      options.active_nodes = nodes;
+      const std::string what =
+          "gemm " + std::to_string(size) + " x" + std::to_string(nodes);
+      const SystemTiming first = shared.run(options);
+      expect_identical(first, SystemTimingModel(config).run(options), what);
+      expect_identical(shared.run(options), first, what + " (repeat)");
+    }
+  }
+}
+
+TEST(TimingModelMemo, EveryTranslationInputIsPartOfTheKey) {
+  // Each variant differs from its base in one input the sTLB simulation
+  // reads, and the base runs on the same instance just before it, so a key
+  // missing that input would serve the base's estimate to the variant.
+  const SystemConfig config = SystemConfig::maco_default();
+  const SystemTimingModel model(config);
+  using Tweak = void (*)(TimingOptions&);
+  const std::pair<const char*, Tweak> variants[] = {
+      // Doubling m repeats the per-tile-row page pattern; one tile row
+      // (m = 64) changes it.
+      {"shape.m", [](TimingOptions& o) { o.shape.m = 64; }},
+      {"shape.n", [](TimingOptions& o) { o.shape.n *= 2; }},
+      {"shape.k", [](TimingOptions& o) { o.shape.k *= 2; }},
+      {"page_bytes", [](TimingOptions& o) { o.page_bytes = 65536; }},
+      {"tlb_entries_override",
+       [](TimingOptions& o) { o.tlb_entries_override = 4096; }},
+      {"inner", [](TimingOptions& o) { o.inner = 128; }},
+      {"precision",
+       [](TimingOptions& o) { o.precision = sa::Precision::kFp32; }},
+      {"pte_always_cold", [](TimingOptions& o) { o.pte_always_cold = true; }},
+      {"pte_walks_warm", [](TimingOptions& o) { o.pte_walks_warm = true; }},
+  };
+  // 512³ defaults to warm leaf PTEs (2 walks per tile), 640³ to cold (4.16),
+  // so each PTE policy flag changes the stall on one of the two bases.
+  constexpr std::size_t kVariants = std::size(variants);
+  bool changed[kVariants] = {};
+  for (const std::uint64_t size : {512, 640}) {
+    TimingOptions base;
+    base.shape = sa::TileShape{size, size, size};
+    const SystemTiming want_base = SystemTimingModel(config).run(base);
+    for (std::size_t v = 0; v < kVariants; ++v) {
+      const auto& [name, tweak] = variants[v];
+      const std::string what =
+          std::string(name) + " at " + std::to_string(size);
+      expect_identical(model.run(base), want_base, what + " (base)");
+      TimingOptions variant = base;
+      tweak(variant);
+      const SystemTiming got = model.run(variant);
+      expect_identical(got, SystemTimingModel(config).run(variant), what);
+      const TranslationEstimate& a = got.translation;
+      const TranslationEstimate& b = want_base.translation;
+      changed[v] |= a.stall_per_tile_ps != b.stall_per_tile_ps ||
+                    a.walks_per_tile != b.walks_per_tile ||
+                    a.pages_per_tile != b.pages_per_tile;
+    }
+  }
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    EXPECT_TRUE(changed[v]) << variants[v].first
+                            << " never changes the estimate";
+  }
+}
+
+TEST(TimingModelMemo, SharedModelGivesEveryThreadTheSameResults) {
+  const SystemConfig config = SystemConfig::maco_default();
+  std::vector<TimingOptions> points;
+  for (const std::uint64_t size : {256, 512, 640, 1024}) {
+    for (const unsigned nodes : {1u, 16u}) {
+      TimingOptions options;
+      options.shape = sa::TileShape{size, size, size};
+      options.active_nodes = nodes;
+      options.cooperative = nodes > 1;
+      points.push_back(options);
+    }
+  }
+  std::vector<SystemTiming> want;
+  for (const TimingOptions& options : points) {
+    want.push_back(SystemTimingModel(config).run(options));
+  }
+
+  const SystemTimingModel shared(config);
+  constexpr unsigned kThreads = 4;
+  std::vector<std::vector<SystemTiming>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Threads 0 and 1 walk the points in one order and race on the same
+      // key; threads 2 and 3 start halfway, inserting other keys meanwhile.
+      const std::size_t start = t / 2 * points.size() / 2;
+      got[t].resize(points.size());
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::size_t p = (start + i) % points.size();
+        got[t][p] = shared.run(points[p]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      expect_identical(got[t][p], want[p],
+                       "thread " + std::to_string(t) + " point " +
+                           std::to_string(p));
+    }
+  }
+}
+
+TEST(TimingModelErrors, UserInputValuesThrowTypedErrors) {
+  const SystemTimingModel model(SystemConfig::maco_default());
+  const auto message = [&](const TimingOptions& options) -> std::string {
+    try {
+      (void)model.run(options);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  TimingOptions options;
+  options.shape = sa::TileShape{64, 64, 64};
+
+  TimingOptions bad = options;
+  bad.shape.m = 0;
+  EXPECT_NE(message(bad).find("shape.m = 0"), std::string::npos);
+  bad = options;
+  bad.shape.k = 0;
+  EXPECT_NE(message(bad).find("shape.k = 0"), std::string::npos);
+  bad = options;
+  bad.active_nodes = 0;
+  EXPECT_NE(message(bad).find("active_nodes = 0"), std::string::npos);
+  bad.active_nodes = 17;
+  EXPECT_NE(message(bad).find("active_nodes = 17"), std::string::npos);
+  bad = options;
+  bad.inner = 0;
+  EXPECT_NE(message(bad).find("inner = 0"), std::string::npos);
+  bad = options;
+  bad.page_bytes = 0;
+  EXPECT_NE(message(bad).find("page_bytes = 0"), std::string::npos);
+
+  EXPECT_THROW((void)model.run_layers({}, options), std::invalid_argument);
+  EXPECT_THROW((void)model.run_layers({sa::TileShape{64, 0, 64}}, options),
+               std::invalid_argument);
+}
 
 TEST(PageSizeAblation, HugePagesEraseThePredictionGap) {
   const SystemTimingModel model(SystemConfig::maco_default());

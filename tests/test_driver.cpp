@@ -7,11 +7,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "driver/cli.hpp"
 #include "driver/hardware_knobs.hpp"
 #include "driver/scenario_registry.hpp"
 #include "driver/sweep_runner.hpp"
+#include "graph/builtin_models.hpp"
 #include "store/campaign_store.hpp"
 
 namespace maco::driver {
@@ -979,6 +982,43 @@ TEST(Sweep, CrossSchemaViolationFailsThePointWithTheRuleText) {
   ASSERT_FALSE(results.rows[2].ok());
   EXPECT_NE(results.rows[2].error.find("nodes <= node_count"),
             std::string::npos);
+}
+
+TEST(Sweep, ZeroDimensionManifestIsOneErrorRowNotAnAbort) {
+  // batch = seq_len = 2^32 makes tokens wrap to 0, so the manifest lowers
+  // to layers with M = 0. The timing model rejects them with a typed error,
+  // which the sweep records in that point's row; the valid point still runs.
+  std::string manifest = graph::builtin_manifest("gpt3-block");
+  const std::string defaults = R"("defaults": {"batch": 1, "seq_len": 2048})";
+  const std::size_t at = manifest.find(defaults);
+  ASSERT_NE(at, std::string::npos);
+  manifest.replace(
+      at, defaults.size(),
+      R"("defaults": {"batch": 4294967296, "seq_len": 4294967296})");
+  const std::string path = ::testing::TempDir() + "/zero_dim_manifest.json";
+  std::ofstream(path) << manifest;
+
+  SweepRequest request;
+  request.scenario = "graph";
+  request.axes = {{"model_file", {path, "tiny"}}};
+  const SweepResults results =
+      run_sweep(ScenarioRegistry::builtin(), request);
+  ASSERT_EQ(results.rows.size(), 2u);
+  ASSERT_FALSE(results.rows[0].ok());
+  EXPECT_NE(results.rows[0].error.find("shape.m = 0"), std::string::npos)
+      << results.rows[0].error;
+  EXPECT_TRUE(results.rows[1].ok()) << results.rows[1].error;
+
+  std::ostringstream out;
+  write_csv(out, results);
+  std::vector<std::string> lines;
+  std::istringstream csv(out.str());
+  for (std::string line; std::getline(csv, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 3u);  // header + one error row + one good row
+  EXPECT_NE(lines[1].find("shape.m = 0"), std::string::npos);
+  EXPECT_EQ(lines[2].rfind("tiny,1,16,16,", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[2].back(), ',');  // empty error column
+  std::remove(path.c_str());
 }
 
 TEST(Sweep, UnsetNodesStillFollowsNodeCountUnderTheCrossRule) {

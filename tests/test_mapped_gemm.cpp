@@ -3,6 +3,9 @@
 // shapes, tilings and accumulate modes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/mapped_gemm.hpp"
 #include "util/rng.hpp"
 
@@ -44,17 +47,21 @@ sa::HostMatrix expected_of(const Operands& ops, bool accumulate) {
   return expected;
 }
 
+// Every field is 64-bit so the struct has no padding: gtest prints the
+// parameter's raw bytes into the test name, and padding bytes are
+// indeterminate, which would make the names differ from build to build.
 struct MappedCase {
-  unsigned nodes;
+  std::uint64_t nodes;
   std::uint64_t m, n, k;
   std::uint64_t tile;  // tile_rows == tile_cols
 };
+static_assert(std::has_unique_object_representations_v<MappedCase>);
 
 class MappedSweep : public ::testing::TestWithParam<MappedCase> {};
 
 TEST_P(MappedSweep, MatchesReference) {
   const MappedCase c = GetParam();
-  MacoSystem system(config_with(c.nodes));
+  MacoSystem system(config_with(static_cast<unsigned>(c.nodes)));
   Process& process = system.create_process();
   util::Rng rng(1000 + c.nodes + c.m);
   const Operands ops = make_operands(system, process, rng, c.m, c.n, c.k);

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <list>
+#include <optional>
+#include <random>
+#include <string>
+
 #include "vm/page_table.hpp"
 #include "vm/tlb.hpp"
 #include "vm/walker.hpp"
@@ -126,6 +133,120 @@ TEST(Tlb, CapacityIsRespected) {
   Tlb tlb("t", 16);
   for (std::uint64_t i = 0; i < 100; ++i) tlb.insert(1, i, i);
   EXPECT_EQ(tlb.size(), 16u);
+}
+
+// The textbook LRU the flat Tlb must match operation for operation.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<std::uint64_t> lookup(Asid asid, std::uint64_t vpn) {
+    const auto it = find(asid, vpn);
+    if (it == entries_.end()) {
+      ++misses;
+      return std::nullopt;
+    }
+    ++hits;
+    entries_.splice(entries_.begin(), entries_, it);
+    return it->ppn;
+  }
+  bool contains(Asid asid, std::uint64_t vpn) {
+    return find(asid, vpn) != entries_.end();
+  }
+  void insert(Asid asid, std::uint64_t vpn, std::uint64_t ppn) {
+    if (const auto it = find(asid, vpn); it != entries_.end()) {
+      it->ppn = ppn;
+      entries_.splice(entries_.begin(), entries_, it);
+      return;
+    }
+    if (entries_.size() == capacity_) {
+      entries_.pop_back();
+      ++evictions;
+    }
+    entries_.push_front(Entry{asid, vpn, ppn});
+  }
+  void invalidate(Asid asid, std::uint64_t vpn) {
+    if (const auto it = find(asid, vpn); it != entries_.end()) {
+      entries_.erase(it);
+    }
+  }
+  void invalidate_asid(Asid asid) {
+    entries_.remove_if([&](const Entry& e) { return e.asid == asid; });
+  }
+  void invalidate_all() { entries_.clear(); }
+  std::size_t size() const { return entries_.size(); }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+
+ private:
+  struct Entry {
+    Asid asid;
+    std::uint64_t vpn;
+    std::uint64_t ppn;
+  };
+  std::list<Entry>::iterator find(Asid asid, std::uint64_t vpn) {
+    return std::find_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
+      return e.asid == asid && e.vpn == vpn;
+    });
+  }
+  std::size_t capacity_;
+  std::list<Entry> entries_;  // front = most recent
+};
+
+TEST(Tlb, MatchesReferenceLruOnRandomOperations) {
+  for (const std::size_t capacity : {1, 2, 48, 1024}) {
+    Tlb tlb("t", capacity);
+    ReferenceLru ref(capacity);
+    std::mt19937_64 rng(capacity);
+    // Keys from 3 ASIDs over ~2x capacity, so hits, evictions and
+    // re-inserts of resident keys all happen often; the flushes are rare
+    // enough for the TLB to refill between them.
+    constexpr unsigned kAsids = 3;
+    const std::uint64_t vpns = 2 * capacity / 3 + 4;
+    std::uint64_t resident_reinserts = 0;
+    const std::size_t ops = 16 * capacity + 2000;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const Asid asid = static_cast<Asid>(rng() % kAsids);
+      const std::uint64_t vpn = 1000 + rng() % vpns;
+      const unsigned roll = static_cast<unsigned>(rng() % 100);
+      std::string what = "op " + std::to_string(op) + " cap " +
+                         std::to_string(capacity) + ": ";
+      if (rng() % (4 * capacity + 64) == 0) {
+        what += "invalidate_asid";
+        tlb.invalidate_asid(asid);
+        ref.invalidate_asid(asid);
+      } else if (rng() % (16 * capacity + 256) == 0) {
+        what += "invalidate_all";
+        tlb.invalidate_all();
+        ref.invalidate_all();
+      } else if (roll < 40) {
+        what += "lookup";
+        ASSERT_EQ(tlb.lookup(asid, vpn), ref.lookup(asid, vpn)) << what;
+      } else if (roll < 80) {
+        what += "insert";
+        resident_reinserts += ref.contains(asid, vpn) ? 1 : 0;
+        const std::uint64_t ppn = rng();
+        tlb.insert(asid, vpn, ppn);
+        ref.insert(asid, vpn, ppn);
+      } else if (roll < 88) {
+        what += "contains";
+        ASSERT_EQ(tlb.contains(asid, vpn), ref.contains(asid, vpn)) << what;
+      } else {
+        what += "invalidate";
+        tlb.invalidate(asid, vpn);
+        ref.invalidate(asid, vpn);
+      }
+      ASSERT_EQ(tlb.size(), ref.size()) << what;
+      ASSERT_EQ(tlb.hits(), ref.hits) << what;
+      ASSERT_EQ(tlb.misses(), ref.misses) << what;
+      ASSERT_EQ(tlb.evictions(), ref.evictions) << what;
+    }
+    EXPECT_GT(ref.hits, 0u) << capacity;
+    EXPECT_GT(ref.evictions, 0u) << capacity;
+    EXPECT_GT(resident_reinserts, 0u) << capacity;
+  }
 }
 
 TEST(Walker, ChargesPerLevelLatency) {
