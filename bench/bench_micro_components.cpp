@@ -16,9 +16,8 @@
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/dram.hpp"
-#include "noc/mesh.hpp"
 #include "sa/systolic_array.hpp"
-#include "sim/engine.hpp"
+#include "sim/time.hpp"
 #include "util/rng.hpp"
 #include "vm/matlb.hpp"
 #include "vm/tlb.hpp"
@@ -79,26 +78,6 @@ void BM_MatlbPrediction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MatlbPrediction);
-
-// Flit-level mesh: single-flit packets across the 4x4 mesh diagonal.
-void BM_MeshFlitTraffic(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::SimEngine engine;
-    noc::MeshNetwork mesh(engine, noc::MeshConfig{});
-    mesh.register_endpoint(15, [](const noc::Packet&) {});
-    for (int i = 0; i < 64; ++i) {
-      noc::Packet pkt;
-      pkt.src = 0;
-      pkt.dst = 15;
-      pkt.payload_bytes = 24;
-      mesh.inject(pkt);
-    }
-    engine.run();
-    benchmark::DoNotOptimize(mesh.packets_delivered());
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_MeshFlitTraffic);
 
 // Set-associative cache stream (hit path).
 void BM_CacheHitStream(benchmark::State& state) {

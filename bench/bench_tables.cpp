@@ -153,7 +153,7 @@ void appendix_fidelity_ladder() {
       "  analytic  closed forms + contention models; any shape,\n"
       "            microseconds per point");
   std::printf(
-      "  detailed  flit-level MacoSystem end to end; independent GEMMs,\n"
+      "  detailed  MacoSystem machine end to end; independent GEMMs,\n"
       "            each dimension <= %llu\n",
       static_cast<unsigned long long>(maco::core::kDetailedMaxDim));
   std::printf(

@@ -4,17 +4,6 @@
 
 namespace maco::core {
 
-const char* exec_mode_name(ExecMode mode) noexcept {
-  return mode == ExecMode::kLockstep ? "lockstep" : "event";
-}
-
-ExecMode parse_exec_mode(const std::string& name) {
-  if (name == "event") return ExecMode::kEventDriven;
-  if (name == "lockstep") return ExecMode::kLockstep;
-  throw std::invalid_argument("unknown exec mode '" + name +
-                              "' (expected event|lockstep)");
-}
-
 const char* profile_mode_name(ProfileMode mode) noexcept {
   return mode == ProfileMode::kCounters ? "counters" : "off";
 }

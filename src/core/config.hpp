@@ -18,19 +18,6 @@
 
 namespace maco::core {
 
-// How the detailed machine advances time. Both modes produce bit-identical
-// makespans (pinned by tests/test_equivalence.cpp):
-//  - kEventDriven (default): the engine jumps the clock to the next pending
-//    event or clock-domain edge (quiescence fast-forward), and the systolic
-//    array evaluates its result directly in the array's accumulation order;
-//  - kLockstep: the reference drive — per-cycle mesh self-scheduling and
-//    register-level PE simulation. ~10-25× slower; kept for equivalence
-//    testing and as the baseline of the `speed` scenario / perf gate.
-enum class ExecMode : unsigned { kEventDriven = 0, kLockstep = 1 };
-
-const char* exec_mode_name(ExecMode mode) noexcept;
-ExecMode parse_exec_mode(const std::string& name);
-
 // Observability level of the detailed machine. kOff (default) records
 // nothing beyond what components count anyway and is bit-identical in
 // timing to a build without the knob; kCounters additionally enables
@@ -47,14 +34,13 @@ struct SystemConfig {
   unsigned node_count = 16;  // up to 16 homogeneous compute nodes
   cpu::CpuConfig cpu{};
   mmae::MmaeConfig mmae{};
-  noc::MeshConfig mesh{};            // flit-level validation network
+  noc::MeshConfig mesh{};            // NoC geometry (see icnt_config())
   noc::LinkLoadConfig link_load{};   // analytic contention model
   unsigned ccm_count = 16;           // one L3 slice per mesh node
   mem::CcmConfig ccm{};
   unsigned dram_channels = 4;
   mem::DramConfig dram{};                   // per-channel backend + timings
   noc::IcntKind icnt = noc::IcntKind::kAnalytic;  // detailed-machine NoC
-  ExecMode exec = ExecMode::kEventDriven;   // detailed-machine scheduler
   ProfileMode profile = ProfileMode::kOff;  // observability (see obs/)
 
   // Fast-model latency constants (calibrated; see DESIGN.md §5).

@@ -101,13 +101,6 @@ sim::TimePs WalkMemoryOracle::read_latency(vm::PhysAddr addr,
 // ---------------- MacoSystem ----------------
 
 MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
-  // The exec mode selects both time-advance strategies at once: the mesh's
-  // drive (clock-domain jumps vs one event per NoC cycle) and the systolic
-  // array's functional path (direct order-preserving evaluation vs
-  // register-level PE simulation). Both pairs are bit-equivalent.
-  config_.mesh.event_driven = config_.exec == ExecMode::kEventDriven;
-  config_.mmae.sa.exact_pe_sim = config_.exec == ExecMode::kLockstep;
-
   backend_ = std::make_unique<SystemMemoryBackend>(*this);
 
   drams_.reserve(config_.dram_channels);
@@ -131,7 +124,6 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
   // Per-link traffic accounting is the one observability hook that must
   // record during the run; it never feeds back into timing.
   if (config_.profile == ProfileMode::kCounters) icnt_->enable_link_stats();
-  mesh_ = std::make_unique<noc::MeshNetwork>(engine_, config_.mesh);
 
   node_port_free_.assign(config_.node_count, 0);
   nodes_.reserve(config_.node_count);

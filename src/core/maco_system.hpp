@@ -1,13 +1,12 @@
 // MacoSystem: the whole chip, detailed mode.
 //
 // Compute nodes, distributed L3/CCM slices, DRAM channels and the physical
-// backing store wired together. The memory backend charges NoC hop latency
-// and per-node injection-port serialization plus the CCM/DRAM costs for
-// every cache-line transfer; the flit-level mesh is instantiated alongside
-// for validation traffic. This mode runs real data end-to-end (MPAIS program
-// -> MTQ/STQ -> DMA -> systolic array -> memory) and is exercised by the
-// integration tests and examples; paper-scale sweeps use
-// core::SystemTimingModel instead.
+// backing store wired together. The memory backend charges NoC time through
+// the `icnt` interconnect model and per-node injection-port serialization
+// plus the CCM/DRAM costs for every cache-line transfer. This mode runs
+// real data end-to-end (MPAIS program -> MTQ/STQ -> DMA -> systolic array
+// -> memory) and is exercised by the integration tests and examples;
+// paper-scale sweeps use core::SystemTimingModel instead.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +21,6 @@
 #include "mem/physical_memory.hpp"
 #include "noc/icnt.hpp"
 #include "noc/link_load_model.hpp"
-#include "noc/mesh.hpp"
 #include "sa/host_matrix.hpp"
 #include "sim/engine.hpp"
 #include "vm/page_table.hpp"
@@ -76,7 +74,6 @@ class MacoSystem {
   const SystemConfig& config() const noexcept { return config_; }
   sim::SimEngine& engine() noexcept { return engine_; }
   mem::PhysicalMemory& memory() noexcept { return memory_; }
-  noc::MeshNetwork& mesh() noexcept { return *mesh_; }
 
   unsigned node_count() const noexcept {
     return static_cast<unsigned>(nodes_.size());
@@ -137,7 +134,6 @@ class MacoSystem {
   std::vector<std::unique_ptr<mem::DramModel>> drams_;
   std::vector<std::unique_ptr<mem::DirectoryCcm>> ccms_;
   std::unique_ptr<noc::IcntModel> icnt_;
-  std::unique_ptr<noc::MeshNetwork> mesh_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::vector<sim::TimePs> node_port_free_;
   std::unordered_map<vm::Asid, std::unique_ptr<Process>> processes_;

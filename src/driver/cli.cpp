@@ -640,7 +640,7 @@ std::string usage() {
          "dma_outstanding). Every value is validated against the typed\n"
          "schema before any run starts. Scenarios supporting it accept\n"
          "fidelity=analytic|detailed|sampled: the analytic timing model,\n"
-         "the detailed flit-level MacoSystem (<= 2048 per dimension), or\n"
+         "the detailed MacoSystem machine (<= 2048 per dimension), or\n"
          "the sampled estimator (detailed fidelity at any scale via\n"
          "stratified tile sampling, with *_ci95 error-bar columns; knobs\n"
          "sample_frac, sample_seed, ci_target, sample_workers).\n"

@@ -13,8 +13,10 @@ const exp::ParamSchema& hardware_schema() {
     const core::SystemConfig d = core::SystemConfig::maco_default();
     exp::ParamSchema s;
     s.u64("node_count", d.node_count, "compute nodes instantiated", 1, 64);
-    s.u64("mesh_width", d.mesh.width, "flit-level mesh width", 1, 32);
-    s.u64("mesh_height", d.mesh.height, "flit-level mesh height", 1, 32);
+    s.u64("mesh_width", d.mesh.width,
+          "NoC mesh width (icnt and link-load geometry)", 1, 32);
+    s.u64("mesh_height", d.mesh.height,
+          "NoC mesh height (icnt and link-load geometry)", 1, 32);
     s.u64("sa_rows", d.mmae.sa.rows, "systolic array rows per MMAE", 1,
           256);
     s.u64("sa_cols", d.mmae.sa.cols, "systolic array columns per MMAE", 1,
@@ -32,11 +34,6 @@ const exp::ParamSchema& hardware_schema() {
                 {"analytic", "flit"},
                 "interconnect backend: X-Y hop formula or flit-level "
                 "link booking (fidelity=detailed|sampled)");
-    s.enumerant("exec", std::string(core::exec_mode_name(d.exec)),
-                {"event", "lockstep"},
-                "detailed-machine time advance: event-driven with "
-                "quiescence fast-forward or the bit-equivalent lock-step "
-                "reference (fidelity=detailed|sampled)");
     s.enumerant("profile", std::string(core::profile_mode_name(d.profile)),
                 {"off", "counters"},
                 "observability: publish component counters into the "
@@ -99,9 +96,9 @@ void apply_hardware_params(const exp::ParamSet& params,
   u64_knob("node_count", [&](std::uint64_t v) {
     config.node_count = static_cast<unsigned>(v);
   });
-  // The flit-level mesh and the analytic link-load model describe the same
-  // network; resizing one without the other would silently desynchronize
-  // the two fidelities.
+  // The detailed machine's interconnect and the analytic link-load model
+  // describe the same network; resizing one without the other would
+  // silently desynchronize the two fidelities.
   u64_knob("mesh_width", [&](std::uint64_t v) {
     config.mesh.width = static_cast<unsigned>(v);
     config.link_load.width = static_cast<unsigned>(v);
@@ -151,9 +148,6 @@ void apply_hardware_params(const exp::ParamSet& params,
   }
   if (params.has("icnt")) {
     config.icnt = noc::parse_icnt_kind(params.str("icnt"));
-  }
-  if (params.has("exec")) {
-    config.exec = core::parse_exec_mode(params.str("exec"));
   }
   if (params.has("profile")) {
     config.profile = core::parse_profile_mode(params.str("profile"));

@@ -4,12 +4,9 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "baselines/comparison.hpp"
 #include "core/detailed_runner.hpp"
@@ -67,20 +64,19 @@ CrossRule nodes_fit_hardware_rule() {
       }};
 }
 
-// The dram/icnt backend traits and the exec scheduler exist on the detailed
-// machine only. For a scenario that declares `fidelity`, an analytic point
-// must keep the defaults (the closed forms have no banked-DRAM/flit/
-// scheduler terms, so a non-default choice would be silently ignored —
-// make it a typed error naming the valid combos instead).
+// The dram/icnt backend traits exist on the detailed machine only. For a
+// scenario that declares `fidelity`, an analytic point must keep the
+// defaults (the closed forms have no banked-DRAM/flit terms, so a
+// non-default choice would be silently ignored — make it a typed error
+// naming the valid combos instead).
 CrossRule backends_need_detail_rule() {
   return CrossRule{
-      "dram=queued|icnt=flit|exec=lockstep require fidelity=detailed|"
-      "sampled (fidelity=analytic supports the defaults only)",
+      "dram=queued|icnt=flit require fidelity=detailed|sampled "
+      "(fidelity=analytic supports the defaults only)",
       [](const exp::ParamSet& scenario, const exp::ParamSet& hardware) {
         return scenario.str("fidelity") != "analytic" ||
                (hardware.str("dram") == "simple" &&
-                hardware.str("icnt") == "analytic" &&
-                hardware.str("exec") == "event");
+                hardware.str("icnt") == "analytic");
       }};
 }
 
@@ -99,16 +95,14 @@ CrossRule profile_needs_detailed_rule() {
 }
 
 // The same guard for scenarios with no detailed machine at all (no
-// `fidelity` parameter): backend/scheduler/observability knobs are
-// inapplicable.
+// `fidelity` parameter): backend/observability knobs are inapplicable.
 CrossRule backends_fixed_rule() {
   return CrossRule{
-      "dram=simple, icnt=analytic, exec=event, profile=off (scenario has "
-      "no detailed machine)",
+      "dram=simple, icnt=analytic, profile=off (scenario has no detailed "
+      "machine)",
       [](const exp::ParamSet&, const exp::ParamSet& hardware) {
         return hardware.str("dram") == "simple" &&
                hardware.str("icnt") == "analytic" &&
-               hardware.str("exec") == "event" &&
                hardware.str("profile") == "off";
       }};
 }
@@ -772,11 +766,10 @@ Scenario micro_dram_scenario() {
   // hardware-schema constraint already ties the bank knobs to dram=queued;
   // reject the remaining inapplicable traits explicitly.
   s.cross_rules.push_back(CrossRule{
-      "icnt=analytic, exec=event, profile=off (micro_dram exercises the "
-      "DRAM model only)",
+      "icnt=analytic, profile=off (micro_dram exercises the DRAM model "
+      "only)",
       [](const exp::ParamSet&, const exp::ParamSet& hardware) {
         return hardware.str("icnt") == "analytic" &&
-               hardware.str("exec") == "event" &&
                hardware.str("profile") == "off";
       }});
   s.run = [](const ScenarioRequest& request) {
@@ -809,103 +802,6 @@ Scenario micro_dram_scenario() {
                  static_cast<double>(queued->row_conflicts()), "",
                  /*higher_is_better=*/false);
     }
-    return result;
-  };
-  return s;
-}
-
-// Simulator-throughput bench behind the CI perf gate (docs/PERF.md): runs
-// the SAME detailed GEMM under exec=event and exec=lockstep in one process
-// and reports the ratio of simulated-cycles-per-wall-second. The committed
-// BENCH_speed.json baseline compares against the ratio (plus the makespan
-// equality bit), not the absolute rates — absolutes vary with the host
-// machine, the ratio does not.
-Scenario speed_scenario() {
-  Scenario s;
-  s.name = "speed";
-  s.description =
-      "simulator-throughput bench: detailed GEMM under exec=event vs "
-      "exec=lockstep, reporting the speedup (wall clock; always serial)";
-  s.serial = true;
-  s.schema.u64("size", 256, "square GEMM per node", 32,
-               core::kDetailedMaxDim);
-  s.schema.u64("nodes", 4, "active compute nodes", 1, 64);
-  s.schema.u64("reps", 3, "timed repetitions per mode; best wall time kept",
-               1, 100);
-  s.cross_rules.push_back(nodes_fit_hardware_rule());
-  s.cross_rules.push_back(CrossRule{
-      "exec=event, profile=off (speed times both exec modes itself; "
-      "counter publication would skew the wall clock)",
-      [](const exp::ParamSet&, const exp::ParamSet& hardware) {
-        return hardware.str("exec") == "event" &&
-               hardware.str("profile") == "off";
-      }});
-  s.run = [](const ScenarioRequest& request) {
-    core::TimingOptions options;
-    const std::uint64_t size = request.params.u64("size");
-    options.shape = sa::TileShape{size, size, size};
-    options.precision = sa::Precision::kFp64;
-    options.active_nodes = static_cast<unsigned>(std::min<std::uint64_t>(
-        request.params.u64("nodes"), request.config.node_count));
-    const std::uint64_t reps = request.params.u64("reps");
-
-    // CI self-test hook: sleeping inside the event-mode timed region is a
-    // deliberate throughput regression, which the trajectory gate must
-    // catch with exit 3 (a step in ci.yml asserts exactly that).
-    long handicap_ms = 0;
-    if (const char* env = std::getenv("MACO_SPEED_HANDICAP_MS")) {
-      handicap_ms = std::strtol(env, nullptr, 10);
-    }
-
-    const auto time_mode = [&](core::ExecMode mode, double* best_wall_s) {
-      core::SystemConfig config = request.config;
-      config.exec = mode;
-      core::SystemTiming timing;
-      double best = std::numeric_limits<double>::infinity();
-      for (std::uint64_t rep = 0; rep < reps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        if (mode == core::ExecMode::kEventDriven && handicap_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(handicap_ms));
-        }
-        timing = core::run_detailed_gemm(config, options);
-        const auto end = std::chrono::steady_clock::now();
-        best = std::min(best,
-                        std::chrono::duration<double>(end - start).count());
-      }
-      *best_wall_s = std::max(best, 1e-9);
-      return timing;
-    };
-
-    double event_wall_s = 0.0;
-    double lockstep_wall_s = 0.0;
-    const core::SystemTiming event_timing =
-        time_mode(core::ExecMode::kEventDriven, &event_wall_s);
-    const core::SystemTiming lockstep_timing =
-        time_mode(core::ExecMode::kLockstep, &lockstep_wall_s);
-
-    // Simulated work in MMAE cycles; both modes simulate the same makespan
-    // (asserted by the makespan_match metric and tests/test_equivalence),
-    // so the throughput ratio reduces to a wall-time ratio.
-    const auto mcycles = [&](const core::SystemTiming& timing) {
-      return static_cast<double>(timing.makespan_ps) *
-             request.config.mmae.frequency_hz / 1e12 / 1e6;
-    };
-    const double event_rate = mcycles(event_timing) / event_wall_s;
-    const double lockstep_rate = mcycles(lockstep_timing) / lockstep_wall_s;
-
-    ScenarioResult result;
-    result.add("speedup_event_vs_lockstep",
-               lockstep_rate > 0.0 ? event_rate / lockstep_rate : 0.0);
-    result.add("makespan_match",
-               event_timing.makespan_ps == lockstep_timing.makespan_ps
-                   ? 1.0
-                   : 0.0);
-    result.add("event_mcycles_per_s", event_rate, "Mcyc/s");
-    result.add("lockstep_mcycles_per_s", lockstep_rate, "Mcyc/s");
-    result.add("makespan_ms",
-               static_cast<double>(event_timing.makespan_ps) / 1e9, "ms",
-               /*higher_is_better=*/false);
     return result;
   };
   return s;
@@ -1254,7 +1150,6 @@ ScenarioRegistry ScenarioRegistry::builtin() {
   registry.add(tables_scenario());
   registry.add(micro_components_scenario());
   registry.add(micro_dram_scenario());
-  registry.add(speed_scenario());
   registry.add(serve_scenario());
   registry.add(graph_scenario());
   return registry;

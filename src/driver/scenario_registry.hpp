@@ -8,7 +8,7 @@
 // exp::ParamSet; scenarios that execute the MACO machine do so through an
 // exp::ExecutionBackend selected by the `fidelity` parameter, so the same
 // experiment can run against the analytic timing model or the detailed
-// flit-level system.
+// machine.
 #pragma once
 
 #include <functional>

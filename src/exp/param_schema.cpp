@@ -34,16 +34,30 @@ bool ParamDecl::bounded() const noexcept {
 
 std::string ParamDecl::range_text() const {
   switch (type) {
-    case ParamType::kU64:
+    // Appends, not `"[" + ...` chains: gcc 12 reports a false -Wrestrict
+    // on those in Release builds.
+    case ParamType::kU64: {
       if (!bounded()) return {};
+      std::string text = "[";
+      text += std::to_string(min_u64);
+      text += ',';
       if (max_u64 == std::numeric_limits<std::uint64_t>::max()) {
-        return "[" + std::to_string(min_u64) + ",...]";
+        text += "...";
+      } else {
+        text += std::to_string(max_u64);
       }
-      return "[" + std::to_string(min_u64) + "," + std::to_string(max_u64) +
-             "]";
-    case ParamType::kF64:
+      text += ']';
+      return text;
+    }
+    case ParamType::kF64: {
       if (!bounded()) return {};
-      return "[" + format_f64(min_f64) + "," + format_f64(max_f64) + "]";
+      std::string text = "[";
+      text += format_f64(min_f64);
+      text += ',';
+      text += format_f64(max_f64);
+      text += ']';
+      return text;
+    }
     case ParamType::kEnum: {
       std::string text;
       for (const std::string& choice : choices) {

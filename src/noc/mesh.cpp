@@ -1,7 +1,5 @@
 #include "noc/mesh.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -18,11 +16,6 @@ MeshNetwork::MeshNetwork(sim::SimEngine& engine, const MeshConfig& config)
       routers_.push_back(std::make_unique<Router>(id, x, y, config.router));
     }
   }
-  if (config_.event_driven) engine.register_clock(this);
-}
-
-MeshNetwork::~MeshNetwork() {
-  if (config_.event_driven) engine().unregister_clock(this);
 }
 
 void MeshNetwork::register_endpoint(NodeId node, DeliverFn deliver) {
@@ -44,36 +37,14 @@ std::uint64_t MeshNetwork::inject(Packet packet) {
   packet.id = next_packet_id_++;
   packet.injected_at = now();
   const unsigned flits = flits_for(packet.payload_bytes);
-  Packet* slot = pool_.acquire();
-  *slot = packet;
+  Packet* slot = &packets_.emplace_back(packet);
   for (unsigned i = 0; i < flits; ++i) {
     injection_queues_[packet.src].push_back(
         Flit{slot, i == 0, i == flits - 1});
   }
-  const bool was_idle = flits_in_flight_ == 0;
   flits_in_flight_ += flits;
-  counter("packets_injected").inc();
-  if (was_idle) wake();
+  pump();
   return packet.id;
-}
-
-void MeshNetwork::wake() {
-  if (config_.event_driven) {
-    // Arm the next NoC clock edge; the engine jumps straight to it.
-    next_edge_ = util::align_up(now() + 1, config_.cycle_ps);
-  } else {
-    pump();
-  }
-}
-
-sim::TimePs MeshNetwork::next_due() const {
-  return any_activity() ? next_edge_ : sim::kNoPendingEvent;
-}
-
-void MeshNetwork::advance() {
-  move_flits();
-  try_injections();
-  if (any_activity()) next_edge_ = now() + config_.cycle_ps;
 }
 
 void MeshNetwork::pump() {
@@ -89,7 +60,7 @@ void MeshNetwork::tick() {
   tick_scheduled_ = false;
   move_flits();
   try_injections();
-  if (any_activity()) pump();
+  if (flits_in_flight_ > 0) pump();
 }
 
 void MeshNetwork::try_injections() {
@@ -181,7 +152,6 @@ void MeshNetwork::move_flits() {
     const Flit flit = q.flits.front();
     q.flits.pop_front();
     router.count_forward(mv.out_port);
-    ++flit_hops_;
 
     auto& owner = router.ownership(mv.out_port, mv.out_vc);
     if (flit.head) {
@@ -208,23 +178,10 @@ void MeshNetwork::move_flits() {
 
 void MeshNetwork::deliver(const Flit& flit) {
   if (!flit.tail) return;  // deliver the packet once, on its tail flit
-  Packet* pkt = flit.packet;
+  const Packet& pkt = *flit.packet;
   ++delivered_;
-  const std::uint64_t latency = now() - pkt->injected_at;
-  latency_sum_ps_ += static_cast<double>(latency);
-  max_latency_ps_ = std::max(max_latency_ps_, latency);
-  counter("packets_delivered").inc();
-  if (endpoints_[pkt->dst]) endpoints_[pkt->dst](*pkt);
-  // All earlier flits of the packet ejected before the tail, so no flit
-  // references the slot anymore; an endpoint injecting from inside the
-  // callback acquired a different slot (release happens after the call).
-  pool_.release(pkt);
-}
-
-void MeshNetwork::drain() {
-  while (any_activity() || tick_scheduled_) {
-    engine().run_until(now() + config_.cycle_ps);
-  }
+  latency_sum_ps_ += static_cast<double>(now() - pkt.injected_at);
+  if (endpoints_[pkt.dst]) endpoints_[pkt.dst](pkt);
 }
 
 }  // namespace maco::noc

@@ -1,15 +1,10 @@
 // Flit-level 2D-mesh network simulation.
 //
-// Two drive modes share the same per-cycle semantics (move, then inject):
-//  - event_driven=true (default): the mesh is a sim::ClockedSource — it
-//    reports its next busy NoC edge and the engine jumps straight to it, so
-//    idle cycles cost nothing and no per-cycle heap events exist;
-//  - event_driven=false: the legacy lock-step drive, self-scheduling one
-//    engine event per NoC cycle while active. Kept as the reference for the
-//    exec=lockstep equivalence tests.
-// Activity is tracked by an O(1) in-flight flit counter, and packet storage
-// is recycled through a PacketPool free-list instead of per-packet
-// allocation.
+// The reference the analytic link-load model (noc/link_load_model.hpp) is
+// validated against; the detailed machine charges NoC time through
+// noc::IcntModel instead. While any flit is queued or in flight the mesh
+// schedules one engine event per NoC cycle (move, then inject); idle, it
+// schedules nothing.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +15,6 @@
 
 #include "noc/packet.hpp"
 #include "noc/router.hpp"
-#include "sim/clocked_source.hpp"
 #include "sim/component.hpp"
 
 namespace maco::noc {
@@ -32,16 +26,13 @@ struct MeshConfig {
   unsigned header_bytes = 8;  // routing/command header in the head flit
   RouterConfig router;
   sim::TimePs cycle_ps = 500;  // 2 GHz
-  // Clock-domain drive vs legacy one-event-per-cycle drive (see above).
-  bool event_driven = true;
 };
 
-class MeshNetwork : public sim::Component, public sim::ClockedSource {
+class MeshNetwork : public sim::Component {
  public:
   using DeliverFn = std::function<void(const Packet&)>;
 
   MeshNetwork(sim::SimEngine& engine, const MeshConfig& config);
-  ~MeshNetwork() override;
 
   const MeshConfig& config() const noexcept { return config_; }
   unsigned node_count() const noexcept {
@@ -57,38 +48,16 @@ class MeshNetwork : public sim::Component, public sim::ClockedSource {
   // Number of flits a packet of `payload_bytes` occupies.
   unsigned flits_for(std::uint32_t payload_bytes) const noexcept;
 
-  // ClockedSource: next busy NoC edge while any flit is queued or in
-  // flight; quiescent otherwise.
-  sim::TimePs next_due() const override;
-  void advance() override;
-
   // Statistics.
   std::uint64_t packets_delivered() const noexcept { return delivered_; }
-  std::uint64_t flits_transferred() const noexcept { return flit_hops_; }
   double mean_packet_latency_ps() const noexcept {
     return delivered_ ? latency_sum_ps_ / static_cast<double>(delivered_)
                       : 0.0;
   }
-  std::uint64_t max_packet_latency_ps() const noexcept {
-    return max_latency_ps_;
-  }
-  // Packet slots ever allocated / recycled by the pool.
-  std::size_t packet_slots_allocated() const noexcept {
-    return pool_.allocated();
-  }
-  std::uint64_t packet_slots_reused() const noexcept {
-    return pool_.reused();
-  }
-  const Router& router(NodeId node) const { return *routers_.at(node); }
-
-  // Direct access for tests: run until all queued packets are delivered.
-  void drain();
 
  private:
-  void pump();            // legacy mode: ensure a tick event is scheduled
+  void pump();            // ensure the next cycle's tick is scheduled
   void tick();            // one NoC cycle (move, then inject)
-  bool any_activity() const noexcept { return flits_in_flight_ > 0; }
-  void wake();            // arm the next edge / tick after an injection
   void try_injections();
   void move_flits();
   void deliver(const Flit& flit);
@@ -105,16 +74,14 @@ class MeshNetwork : public sim::Component, public sim::ClockedSource {
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<DeliverFn> endpoints_;
   std::vector<std::deque<Flit>> injection_queues_;  // per node, flit-expanded
-  PacketPool pool_;
+  // Every injected packet; a deque keeps the flits' pointers stable.
+  std::deque<Packet> packets_;
   std::vector<Move> moves_;        // scratch, reused across cycles
   std::uint64_t flits_in_flight_ = 0;  // injection queues + router buffers
-  sim::TimePs next_edge_ = 0;      // valid while flits_in_flight_ > 0
-  bool tick_scheduled_ = false;    // legacy mode only
+  bool tick_scheduled_ = false;
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t delivered_ = 0;
-  std::uint64_t flit_hops_ = 0;
   double latency_sum_ps_ = 0.0;
-  std::uint64_t max_latency_ps_ = 0;
 };
 
 }  // namespace maco::noc

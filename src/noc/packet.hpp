@@ -5,10 +5,7 @@
 // quoted 128 GB/s bidirectional per compute node).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -31,37 +28,13 @@ struct Packet {
   sim::TimePs injected_at = 0;
 };
 
-// A flit references its packet without owning it. The mesh owns in-flight
-// packets through a PacketPool; standalone router tests may point flits at
-// stack-owned packets.
+// A flit references its packet without owning it. The mesh owns the packets
+// it injects; standalone router tests may point flits at stack-owned
+// packets.
 struct Flit {
   Packet* packet = nullptr;
   bool head = false;
   bool tail = false;
-};
-
-// Free-list recycler for in-flight packets: steady-state traffic reuses a
-// small working set of slots instead of allocating per packet. Slots live in
-// a deque so acquired pointers stay stable while the pool grows.
-class PacketPool {
- public:
-  Packet* acquire() {
-    if (free_.empty()) return &slabs_.emplace_back();
-    Packet* slot = free_.back();
-    free_.pop_back();
-    ++reused_;
-    return slot;
-  }
-  // The packet must have left the network (no flit references it).
-  void release(Packet* slot) { free_.push_back(slot); }
-
-  std::size_t allocated() const noexcept { return slabs_.size(); }
-  std::uint64_t reused() const noexcept { return reused_; }
-
- private:
-  std::deque<Packet> slabs_;
-  std::vector<Packet*> free_;
-  std::uint64_t reused_ = 0;
 };
 
 }  // namespace maco::noc

@@ -15,7 +15,6 @@
 #include "mem/queued_dram.hpp"
 #include "mmae/accelerator_controller.hpp"
 #include "noc/icnt.hpp"
-#include "noc/mesh.hpp"
 #include "sim/engine.hpp"
 #include "util/stats.hpp"
 #include "vm/matlb.hpp"
@@ -102,11 +101,7 @@ void publish_counters(core::MacoSystem& system) {
     }
   }
 
-  set_counter(stats, "mesh.packets", system.mesh().packets_delivered());
-  set_counter(stats, "mesh.flit_hops", system.mesh().flits_transferred());
   set_counter(stats, "engine.events", system.engine().events_executed());
-  set_counter(stats, "engine.clock_edges",
-              system.engine().clock_edges_executed());
 
   const noc::IcntModel& icnt = system.icnt();
   if (const auto* flit = dynamic_cast<const noc::FlitIcnt*>(&icnt)) {

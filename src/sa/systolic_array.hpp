@@ -14,7 +14,7 @@
 //
 // Two functional paths compute the identical result:
 //  - exact_pe_sim=true simulates every PE register every cycle (the
-//    reference, and the dominant cost of exec=lockstep detailed runs);
+//    reference the tests compare against);
 //  - exact_pe_sim=false (default) replays the same floating-point
 //    accumulation order directly — ascending k within each k-block, padded
 //    +0.0 products included — so C is bit-identical while the per-cycle
@@ -40,7 +40,7 @@ struct SaConfig {
   // the current pass; without them each pass pays a `rows`-cycle preload.
   bool double_buffered_b = true;
   // Simulate every PE register every cycle instead of the order-preserving
-  // direct evaluation. Same bits, ~25× slower; exec=lockstep sets this.
+  // direct evaluation. Same bits, ~25× slower; only tests set this.
   bool exact_pe_sim = false;
 };
 

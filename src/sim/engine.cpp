@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace maco::sim {
@@ -12,73 +10,23 @@ void SimEngine::schedule_at(TimePs at, Action action) {
   queue_.push(Event{at, next_seq_++, std::move(action)});
 }
 
-void SimEngine::register_clock(ClockedSource* source) {
-  MACO_ASSERT(source != nullptr);
-  clocks_.push_back(source);
-}
-
-void SimEngine::unregister_clock(ClockedSource* source) {
-  clocks_.erase(std::remove(clocks_.begin(), clocks_.end(), source),
-                clocks_.end());
-}
-
-std::pair<TimePs, ClockedSource*> SimEngine::next_clock_edge()
-    const noexcept {
-  TimePs best = kNoPendingEvent;
-  ClockedSource* who = nullptr;
-  for (ClockedSource* source : clocks_) {
-    const TimePs due = source->next_due();
-    if (due < best) {
-      best = due;
-      who = source;
-    }
-  }
-  return {best, who};
+void SimEngine::fire_next() {
+  // priority_queue::top returns const&; the event must be moved out before
+  // pop so the action survives, hence the const_cast idiom.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  now_ = ev.time;
+  ++events_executed_;
+  ev.action();
 }
 
 TimePs SimEngine::run() {
-  for (;;) {
-    const TimePs event_time =
-        queue_.empty() ? kNoPendingEvent : queue_.top().time;
-    const auto [edge_time, source] = next_clock_edge();
-    if (event_time == kNoPendingEvent && edge_time == kNoPendingEvent) break;
-    if (edge_time <= event_time) {
-      // The jump: now_ moves straight to the edge, skipping idle cycles.
-      now_ = edge_time;
-      ++clock_edges_executed_;
-      source->advance();
-    } else {
-      // priority_queue::top returns const&; the event must be moved out
-      // before pop so the action survives, hence the const_cast idiom.
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.time;
-      ++events_executed_;
-      ev.action();
-    }
-  }
+  while (!queue_.empty()) fire_next();
   return now_;
 }
 
 TimePs SimEngine::run_until(TimePs deadline) {
-  for (;;) {
-    const TimePs event_time =
-        queue_.empty() ? kNoPendingEvent : queue_.top().time;
-    const auto [edge_time, source] = next_clock_edge();
-    const TimePs next = std::min(event_time, edge_time);
-    if (next == kNoPendingEvent || next > deadline) break;
-    if (edge_time <= event_time) {
-      now_ = edge_time;
-      ++clock_edges_executed_;
-      source->advance();
-    } else {
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.time;
-      ++events_executed_;
-      ev.action();
-    }
-  }
+  while (!queue_.empty() && queue_.top().time <= deadline) fire_next();
   if (now_ < deadline) now_ = deadline;
   return now_;
 }

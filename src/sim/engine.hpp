@@ -2,15 +2,8 @@
 //
 // Single-threaded by design: determinism comes from the (time, sequence)
 // total order on events, so two events at the same picosecond fire in
-// scheduling order.
-//
-// Besides one-shot events, components with their own clock period can
-// register as ClockedSources: the engine advances the global clock to the
-// minimum of the queue head and every source's next busy edge, jumping over
-// idle cycles entirely (quiescence fast-forward) and letting multi-rate
-// domains step on their own periods. At a timestamp tie, clock edges fire
-// before queued events: an edge models state that was already in flight
-// when the events at that instant were scheduled.
+// scheduling order. Time advances straight from one event to the next;
+// a component with its own clock schedules an event per busy cycle.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +11,6 @@
 #include <queue>
 #include <vector>
 
-#include "sim/clocked_source.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
 
@@ -41,24 +33,15 @@ class SimEngine {
     schedule_at(now_ + delay, std::move(action));
   }
 
-  // Register/remove a clock-domain source consulted by run()/run_until().
-  // Sources must outlive the engine or unregister before destruction.
-  void register_clock(ClockedSource* source);
-  void unregister_clock(ClockedSource* source);
-
-  // Runs until the event queue drains and every clocked source is
-  // quiescent. Returns the time of the last event or edge.
+  // Runs until the event queue drains. Returns the time of the last event.
   TimePs run();
-  // Runs events/edges with time <= deadline; later work remains pending.
+  // Runs events with time <= deadline; later events remain pending.
   TimePs run_until(TimePs deadline);
-  // True if no events are pending (clocked sources may still be active).
+  // True if no events are pending.
   bool idle() const noexcept { return queue_.empty(); }
   std::size_t pending_events() const noexcept { return queue_.size(); }
 
   std::uint64_t events_executed() const noexcept { return events_executed_; }
-  std::uint64_t clock_edges_executed() const noexcept {
-    return clock_edges_executed_;
-  }
 
   util::StatRegistry& stats() noexcept { return stats_; }
   const util::StatRegistry& stats() const noexcept { return stats_; }
@@ -76,15 +59,13 @@ class SimEngine {
     }
   };
 
-  // The earliest busy clocked source, or {kNoPendingEvent, nullptr}.
-  std::pair<TimePs, ClockedSource*> next_clock_edge() const noexcept;
+  // Pops the queue head, advances now() to it and fires it.
+  void fire_next();
 
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t clock_edges_executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::vector<ClockedSource*> clocks_;
   util::StatRegistry stats_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "isa/encoding.hpp"
 #include "util/assert.hpp"
-#include "util/json.hpp"
 
 namespace maco::trace {
 
@@ -88,25 +87,6 @@ std::string Timeline::render_ascii(std::size_t width) const {
     out << "  " << track << std::string(label_width - track.size(), ' ')
         << " |" << rows[track] << "|\n";
   }
-  return out.str();
-}
-
-std::string Timeline::to_chrome_json() const {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const Span& span : spans_) {
-    if (!first) out << ",";
-    first = false;
-    // Complete event ("X"): ts/dur in microseconds.
-    out << "\n  {\"name\": \"" << util::json_escape(span.name)
-        << "\", \"cat\": \"maco\", "
-        << "\"ph\": \"X\", \"pid\": 0, \"tid\": \""
-        << util::json_escape(span.track) << "\", "
-        << "\"ts\": " << static_cast<double>(span.start) / 1e6 << ", "
-        << "\"dur\": " << static_cast<double>(span.duration()) / 1e6 << "}";
-  }
-  out << "\n]\n";
   return out.str();
 }
 

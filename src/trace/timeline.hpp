@@ -1,6 +1,6 @@
 // Execution timelines: collect per-component activity spans and render
-// them as an ASCII Gantt chart (for terminal output) or Chrome trace JSON
-// (load in chrome://tracing or Perfetto).
+// them as an ASCII Gantt chart for terminal output. Trace files for
+// chrome://tracing or Perfetto come from obs::to_perfetto_json.
 //
 // The spans come from the simulator's own bookkeeping — MMAE task reports,
 // GEMM+ schedules — so a timeline is a faithful picture of what the timing
@@ -44,9 +44,6 @@ class Timeline {
   // ASCII Gantt: one row per track, `width` columns spanning the timeline.
   // Span cells show the first letter of the span name; '.' is idle.
   std::string render_ascii(std::size_t width = 72) const;
-
-  // Chrome trace event format (complete events, microsecond timestamps).
-  std::string to_chrome_json() const;
 
  private:
   std::vector<Span> spans_;

@@ -26,6 +26,11 @@ const char* kind_name(JsonValue::Kind kind) noexcept {
                            ", expected " + kind_name(want));
 }
 
+// Containers nest at most this deep. The parser recurses once per level, so
+// an unbounded depth would let a hostile file overflow the stack; shipped
+// manifests and baselines nest 4 deep.
+constexpr unsigned kMaxDepth = 256;
+
 // Recursive-descent parser over a string_view with a cursor; every error
 // carries the byte offset where parsing stopped.
 class Parser {
@@ -75,8 +80,16 @@ class Parser {
   JsonValue parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("containers nested deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        JsonValue container = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return container;
+      }
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::boolean(true);
@@ -244,6 +257,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  // containers open around the cursor
 };
 
 }  // namespace

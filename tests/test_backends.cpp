@@ -297,6 +297,15 @@ TEST(JsonParser, ParsesDocumentsAndRejectsMalformedInput) {
   EXPECT_THROW(util::parse_json("[1] trailing"), std::runtime_error);
   EXPECT_THROW(util::parse_json("{\"a\" 1}"), std::runtime_error);
   EXPECT_THROW(util::parse_json(""), std::runtime_error);
+  // Nesting is bounded at 256 levels: the limit itself parses, one more
+  // level (or a stack-smashing 200,000) is a parse error, not a crash.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(util::parse_json(nested(256)).is_array());
+  EXPECT_THROW(util::parse_json(nested(257)), std::runtime_error);
+  EXPECT_THROW(util::parse_json(std::string(200'000, '[')),
+               std::runtime_error);
 }
 
 TEST(StoreImport, ImportedRowsAreFingerprintedAndIdempotent) {

@@ -376,7 +376,7 @@ TEST(Registry, GemmDeclaresAllThreeFidelities) {
   EXPECT_EQ(fidelity->type, exp::ParamType::kEnum);
   EXPECT_EQ(fidelity->choices,
             (std::vector<std::string>{"analytic", "detailed", "sampled"}));
-  // Scenarios that cannot run the flit-level machine whole (cooperative
+  // Scenarios that cannot run the detailed machine whole (cooperative
   // layer sequences) reject fidelity=detailed in their schema but accept
   // the sampled estimator.
   const Scenario* hpl = registry.find("hpl");

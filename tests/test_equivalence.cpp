@@ -1,22 +1,16 @@
-// Event-driven vs lock-step equivalence suite.
+// Register-level vs direct systolic-array equivalence suite.
 //
-// The event-driven scheduler (quiescence fast-forward, pooled flits, the
-// closed-form SA functional path) is a pure performance transformation:
-// every observable — C matrices bit for bit, makespans to the picosecond,
-// mesh delivery statistics — must match the lock-step reference exactly.
-// These tests pin that contract; docs/PERF.md points here as the reason
-// the perf gate's speedup ratio is trustworthy.
+// The closed-form SA functional path is a pure performance transformation:
+// C matrices bit for bit and makespans to the picosecond must match the
+// register-level PE simulation (sa::SaConfig::exact_pe_sim), both for the
+// array alone and through the whole detailed machine.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <vector>
 
 #include "core/detailed_runner.hpp"
 #include "core/timing_model.hpp"
-#include "noc/mesh.hpp"
 #include "sa/systolic_array.hpp"
-#include "sim/clocked_source.hpp"
-#include "sim/engine.hpp"
 #include "util/rng.hpp"
 
 namespace maco {
@@ -77,11 +71,11 @@ TEST(SaEquivalence, ArrayAlignedShape) {
   expect_sa_paths_bit_identical(64, 64, 64);
 }
 
-// ---------------- detailed machine: event vs lockstep ----------------
+// ---------------- detailed machine: exact vs fast SA ----------------
 
-core::SystemTiming run_mode(core::SystemConfig config, core::ExecMode mode,
-                            std::uint64_t size, unsigned nodes) {
-  config.exec = mode;
+core::SystemTiming run_sa_path(core::SystemConfig config, bool exact_pe_sim,
+                               std::uint64_t size, unsigned nodes) {
+  config.mmae.sa.exact_pe_sim = exact_pe_sim;
   core::TimingOptions options;
   options.shape = sa::TileShape{size, size, size};
   options.precision = sa::Precision::kFp64;
@@ -91,180 +85,23 @@ core::SystemTiming run_mode(core::SystemConfig config, core::ExecMode mode,
 
 TEST(DetailedEquivalence, GemmMakespanMatchesDefaultBackends) {
   const core::SystemConfig config = core::SystemConfig::maco_default();
-  const auto event =
-      run_mode(config, core::ExecMode::kEventDriven, 96, 2);
-  const auto lockstep = run_mode(config, core::ExecMode::kLockstep, 96, 2);
-  ASSERT_GT(event.makespan_ps, 0u);
-  EXPECT_EQ(event.makespan_ps, lockstep.makespan_ps);
-  EXPECT_DOUBLE_EQ(event.mean_efficiency, lockstep.mean_efficiency);
+  const auto fast = run_sa_path(config, /*exact_pe_sim=*/false, 96, 2);
+  const auto exact = run_sa_path(config, /*exact_pe_sim=*/true, 96, 2);
+  ASSERT_GT(fast.makespan_ps, 0u);
+  EXPECT_EQ(fast.makespan_ps, exact.makespan_ps);
+  EXPECT_DOUBLE_EQ(fast.mean_efficiency, exact.mean_efficiency);
 }
 
 TEST(DetailedEquivalence, GemmMakespanMatchesDetailedBackends) {
   // The high-fidelity backends (banked DRAM + flit interconnect) ride the
-  // same engine; the mode switch must not perturb them either.
+  // same machine; the SA path must not perturb them either.
   core::SystemConfig config = core::SystemConfig::maco_default();
   config.dram.kind = mem::DramKind::kQueued;
   config.icnt = noc::IcntKind::kFlit;
-  const auto event =
-      run_mode(config, core::ExecMode::kEventDriven, 96, 2);
-  const auto lockstep = run_mode(config, core::ExecMode::kLockstep, 96, 2);
-  ASSERT_GT(event.makespan_ps, 0u);
-  EXPECT_EQ(event.makespan_ps, lockstep.makespan_ps);
-}
-
-// ---------------- mesh: clocked drive vs legacy pump ----------------
-
-struct MeshRun {
-  std::uint64_t delivered = 0;
-  std::uint64_t flit_hops = 0;
-  double mean_latency_ps = 0.0;
-  std::uint64_t max_latency_ps = 0;
-  sim::TimePs end_time = 0;
-};
-
-// Drives a contended pattern (every node sends to its opposite corner,
-// mixed packet sizes, staggered injection) and returns the observable
-// statistics.
-MeshRun drive_mesh(bool event_driven) {
-  sim::SimEngine engine;
-  noc::MeshConfig config;
-  config.event_driven = event_driven;
-  noc::MeshNetwork mesh(engine, config);
-  const unsigned nodes = mesh.node_count();
-  for (unsigned n = 0; n < nodes; ++n) {
-    mesh.register_endpoint(static_cast<noc::NodeId>(n),
-                           [](const noc::Packet&) {});
-  }
-  for (unsigned wave = 0; wave < 4; ++wave) {
-    engine.schedule_at(wave * 3000, [&mesh, nodes, wave] {
-      for (unsigned n = 0; n < nodes; ++n) {
-        noc::Packet pkt;
-        pkt.src = static_cast<noc::NodeId>(n);
-        pkt.dst = static_cast<noc::NodeId>(nodes - 1 - n);
-        if (pkt.src == pkt.dst) continue;
-        pkt.payload_bytes = 16 + 48 * ((n + wave) % 4);
-        mesh.inject(pkt);
-      }
-    });
-  }
-  MeshRun run;
-  run.end_time = engine.run();
-  run.delivered = mesh.packets_delivered();
-  run.flit_hops = mesh.flits_transferred();
-  run.mean_latency_ps = mesh.mean_packet_latency_ps();
-  run.max_latency_ps = mesh.max_packet_latency_ps();
-  return run;
-}
-
-TEST(MeshEquivalence, ClockedDriveMatchesLegacyPump) {
-  const MeshRun event = drive_mesh(/*event_driven=*/true);
-  const MeshRun lockstep = drive_mesh(/*event_driven=*/false);
-  ASSERT_GT(event.delivered, 0u);
-  EXPECT_EQ(event.delivered, lockstep.delivered);
-  EXPECT_EQ(event.flit_hops, lockstep.flit_hops);
-  EXPECT_DOUBLE_EQ(event.mean_latency_ps, lockstep.mean_latency_ps);
-  EXPECT_EQ(event.max_latency_ps, lockstep.max_latency_ps);
-  EXPECT_EQ(event.end_time, lockstep.end_time);
-}
-
-// ---------------- engine: fast-forward correctness ----------------
-
-// Minimal clocked source: busy for a fixed number of edges on a period,
-// recording when each edge fires.
-class StubClock : public sim::ClockedSource {
- public:
-  StubClock(sim::SimEngine& engine, sim::TimePs period, unsigned edges)
-      : engine_(engine), period_(period), remaining_(edges) {
-    next_ = period_;
-  }
-
-  sim::TimePs next_due() const override {
-    return remaining_ ? next_ : sim::kNoPendingEvent;
-  }
-  void advance() override {
-    fired.push_back(engine_.now());
-    if (--remaining_) next_ = engine_.now() + period_;
-  }
-
-  std::vector<sim::TimePs> fired;
-
- private:
-  sim::SimEngine& engine_;
-  sim::TimePs period_;
-  sim::TimePs next_ = 0;
-  unsigned remaining_ = 0;
-};
-
-TEST(EngineFastForward, JumpsToQueuedEventWhenClocksQuiescent) {
-  // A quiescent clock must not stall — and must not be consulted —
-  // while the engine jumps straight to a far-future event (the
-  // DRAM-completion regression: a bank event scheduled megacycles out
-  // must still fire even though every clock reports kNoPendingEvent).
-  sim::SimEngine engine;
-  StubClock clock(engine, 100, 0);  // born quiescent
-  engine.register_clock(&clock);
-  bool fired = false;
-  engine.schedule_at(50'000'000, [&] { fired = true; });
-  EXPECT_EQ(engine.run(), 50'000'000u);
-  EXPECT_TRUE(fired);
-  EXPECT_TRUE(clock.fired.empty());
-  engine.unregister_clock(&clock);
-}
-
-TEST(EngineFastForward, NeverSkipsPendingEventUnderEdges) {
-  // Edges at 100,200,...; an event lands between edges and one exactly on
-  // an edge. Every firing must happen, in time order, with the same-time
-  // edge executing first (documented tie-break).
-  sim::SimEngine engine;
-  StubClock clock(engine, 100, 5);
-  engine.register_clock(&clock);
-  std::vector<std::pair<sim::TimePs, char>> order;
-  engine.schedule_at(150, [&] { order.push_back({engine.now(), 'e'}); });
-  engine.schedule_at(300, [&] { order.push_back({engine.now(), 'e'}); });
-  engine.run();
-  ASSERT_EQ(clock.fired.size(), 5u);
-  EXPECT_EQ(clock.fired,
-            (std::vector<sim::TimePs>{100, 200, 300, 400, 500}));
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], (std::pair<sim::TimePs, char>{150, 'e'}));
-  // The 300 ps event fired at 300 ps — after the 300 ps edge, which the
-  // clock's record already shows, but never earlier and never dropped.
-  EXPECT_EQ(order[1], (std::pair<sim::TimePs, char>{300, 'e'}));
-  EXPECT_EQ(engine.clock_edges_executed(), 5u);
-  engine.unregister_clock(&clock);
-}
-
-TEST(EngineFastForward, RunUntilHonoursDeadlineAcrossEdges) {
-  sim::SimEngine engine;
-  StubClock clock(engine, 100, 10);
-  engine.register_clock(&clock);
-  bool late_fired = false;
-  engine.schedule_at(450, [&] { late_fired = true; });
-  // Deadline exactly on an edge: that edge fires, nothing later does.
-  engine.run_until(300);
-  EXPECT_EQ(engine.now(), 300u);
-  EXPECT_EQ(clock.fired.size(), 3u);
-  EXPECT_FALSE(late_fired);
-  // Resume past the pending event; the remaining edges and event fire.
-  engine.run_until(600);
-  EXPECT_EQ(engine.now(), 600u);
-  EXPECT_EQ(clock.fired.size(), 6u);
-  EXPECT_TRUE(late_fired);
-  engine.unregister_clock(&clock);
-}
-
-TEST(EngineFastForward, MultiRateDomainsInterleave) {
-  sim::SimEngine engine;
-  StubClock fast(engine, 100, 6);
-  StubClock slow(engine, 250, 2);
-  engine.register_clock(&fast);
-  engine.register_clock(&slow);
-  engine.run();
-  EXPECT_EQ(fast.fired,
-            (std::vector<sim::TimePs>{100, 200, 300, 400, 500, 600}));
-  EXPECT_EQ(slow.fired, (std::vector<sim::TimePs>{250, 500}));
-  engine.unregister_clock(&fast);
-  engine.unregister_clock(&slow);
+  const auto fast = run_sa_path(config, /*exact_pe_sim=*/false, 96, 2);
+  const auto exact = run_sa_path(config, /*exact_pe_sim=*/true, 96, 2);
+  ASSERT_GT(fast.makespan_ps, 0u);
+  EXPECT_EQ(fast.makespan_ps, exact.makespan_ps);
 }
 
 }  // namespace

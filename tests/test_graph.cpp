@@ -553,6 +553,9 @@ TEST(GraphCmd, ValidateThrowsOnABadManifest) {
   const std::string path = ::testing::TempDir() + "/bad_manifest.json";
   std::ofstream(path) << R"({"model": "m"})";
   EXPECT_THROW((void)validate_manifest(path), graph::GraphError);
+  const std::string deep = ::testing::TempDir() + "/deep_manifest.json";
+  std::ofstream(deep) << std::string(200'000, '[');
+  EXPECT_THROW((void)validate_manifest(deep), graph::GraphError);
   EXPECT_THROW(
       (void)validate_manifest(::testing::TempDir() + "/missing.json"),
       util::FileError);

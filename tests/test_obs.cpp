@@ -174,17 +174,23 @@ TEST(ObsTraceWriter, EmitsValidJsonWithEscapedStrings) {
   observation.spans.push_back(
       SpanRec{"node0.mmae", "fault: \"bad\" \\ page\nretry", 1'000'000,
               3'000'000});
+  // Track names reach the file as tid and may carry quotes too.
+  observation.spans.push_back(
+      SpanRec{"track \"zero\"", "tab\there", 0, 100});
   const std::string json = to_perfetto_json(observation);
   const util::JsonValue doc = util::parse_json(json);  // throws on bad JSON
   const util::JsonValue* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->as_array().size(), 1u);
+  ASSERT_EQ(events->as_array().size(), 2u);
   const util::JsonValue& event = events->as_array()[0];
   EXPECT_EQ(event.find("name")->as_string(),
             "fault: \"bad\" \\ page\nretry");
   EXPECT_EQ(event.find("ph")->as_string(), "X");
   EXPECT_DOUBLE_EQ(event.find("ts")->as_number(), 1.0);
   EXPECT_DOUBLE_EQ(event.find("dur")->as_number(), 2.0);
+  const util::JsonValue& quoted = events->as_array()[1];
+  EXPECT_EQ(quoted.find("tid")->as_string(), "track \"zero\"");
+  EXPECT_EQ(quoted.find("name")->as_string(), "tab\there");
 }
 
 TEST(ObsTraceWriter, EmitsNocSidecarSkippingIdleLinks) {

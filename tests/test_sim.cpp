@@ -12,12 +12,15 @@ namespace {
 TEST(Engine, ExecutesInTimeOrder) {
   SimEngine engine;
   std::vector<int> order;
+  // A far-future event (a DRAM completion megacycles out) must still fire,
+  // and run() returns its time.
+  engine.schedule_at(50'000'000, [&] { order.push_back(4); });
   engine.schedule_at(300, [&] { order.push_back(3); });
   engine.schedule_at(100, [&] { order.push_back(1); });
   engine.schedule_at(200, [&] { order.push_back(2); });
-  engine.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(engine.now(), 300u);
+  EXPECT_EQ(engine.run(), 50'000'000u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(engine.now(), 50'000'000u);
 }
 
 TEST(Engine, SameTimeFifoBySchedulingOrder) {

@@ -3,7 +3,6 @@
 
 #include "core/mapped_gemm.hpp"
 #include "trace/timeline.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace maco::trace {
@@ -37,30 +36,6 @@ TEST(Timeline, AsciiMarksSpanCells) {
   const std::string chart = timeline.render_ascii(10);
   EXPECT_NE(chart.find('G'), std::string::npos);
   EXPECT_NE(chart.find('H'), std::string::npos);
-}
-
-TEST(Timeline, ChromeJsonShape) {
-  Timeline timeline;
-  timeline.add("node0.mmae", "ma_cfg", 1'000'000, 3'000'000);
-  const std::string json = timeline.to_chrome_json();
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 2"), std::string::npos);
-  EXPECT_EQ(json.front(), '[');
-}
-
-TEST(Timeline, ChromeJsonEscapesNamesAndTracks) {
-  Timeline timeline;
-  // Fault spans carry exception text that can hold quotes, backslashes
-  // and control characters; the JSON must stay parseable.
-  timeline.add("track \"zero\"", "fault: \"bad\\page\"\n\ttab", 0, 100);
-  const std::string json = timeline.to_chrome_json();
-  const util::JsonValue doc = util::parse_json(json);
-  ASSERT_TRUE(doc.is_array());
-  ASSERT_EQ(doc.as_array().size(), 1u);
-  const util::JsonValue& event = doc.as_array()[0];
-  EXPECT_EQ(event.find("name")->as_string(), "fault: \"bad\\page\"\n\ttab");
-  EXPECT_EQ(event.find("tid")->as_string(), "track \"zero\"");
 }
 
 TEST(Timeline, ImportsMmaeReportsFromARealRun) {
