@@ -7,9 +7,9 @@
 
 #include "baselines/comparison.hpp"
 #include "core/timing_model.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 #include "util/table.hpp"
-#include "workloads/dnn_models.hpp"
-#include "workloads/gemm_workload.hpp"
 
 namespace {
 
@@ -46,7 +46,8 @@ void feature_grid() {
 void bert_grid() {
   const core::SystemConfig config = core::SystemConfig::maco_default();
   const baseline::Comparator comparator(config, 16);
-  const wl::Workload bert = wl::bert_base(8, 384);
+  const wl::Workload bert =
+      graph::lower(graph::builtin_graph("bert-block")).workload;
 
   util::Table t({"mATLB", "stash+lock", "CPU/MMAE overlap",
                  "BERT (GFLOPS)"});

@@ -7,9 +7,10 @@
 // compressed preloads, and an index-select stage per pass.
 #include <iostream>
 
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 #include "sa/sparse.hpp"
 #include "util/table.hpp"
-#include "workloads/dnn_models.hpp"
 
 namespace {
 
@@ -44,8 +45,9 @@ void network_level() {
   util::Table t({"Network", "Dense SA cycles", "2:4 SA cycles",
                  "End-to-end SA speedup"});
   const sa::SparseSaConfig config{};
-  for (const auto& workload :
-       {wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)}) {
+  for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
+    const wl::Workload workload =
+        graph::lower(graph::builtin_graph(model)).workload;
     double dense = 0.0, sparse = 0.0;
     for (const auto& shape : workload.expanded_shapes()) {
       // Tile the layer as the AC does (64-wide inner tiles).

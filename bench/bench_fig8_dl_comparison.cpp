@@ -11,16 +11,19 @@
 #include <iostream>
 
 #include "baselines/comparison.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 #include "util/table.hpp"
-#include "workloads/dnn_models.hpp"
 
 int main() {
   using namespace maco;
 
   const baseline::Comparator comparator(core::SystemConfig::maco_default(),
                                         16);
-  const std::vector<wl::Workload> workloads = {
-      wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)};
+  std::vector<wl::Workload> workloads;
+  for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
+    workloads.push_back(graph::lower(graph::builtin_graph(model)).workload);
+  }
 
   util::Table t({"System", "Resnet-50", "BERT", "GPT3", "Geomean ratio"});
   std::vector<std::vector<baseline::ComparisonResult>> all;

@@ -12,7 +12,8 @@
 
 #include "baselines/comparison.hpp"
 #include "core/gemm_plus.hpp"
-#include "workloads/dnn_models.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 
 namespace {
 
@@ -37,7 +38,8 @@ void per_layer_bert() {
   const core::SystemConfig config = core::SystemConfig::maco_default();
   const baseline::Comparator comparator(config, 16);
   const core::SystemTimingModel model(config);
-  const wl::Workload bert = wl::bert_base(8, 384);
+  const wl::Workload bert =
+      graph::lower(graph::builtin_graph("bert-block")).workload;
 
   core::TimingOptions options;
   options.active_nodes = 16;
@@ -89,8 +91,9 @@ void fig8_summary() {
     std::printf(" %11s", s);
   }
   std::puts("");
-  for (const auto& workload :
-       {wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)}) {
+  for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
+    const wl::Workload workload =
+        graph::lower(graph::builtin_graph(model)).workload;
     const auto results = comparator.run_all(workload);
     std::printf("  %-10s", workload.name.c_str());
     for (const auto& r : results) std::printf(" %11.1f", r.gflops);

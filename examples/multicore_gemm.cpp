@@ -15,8 +15,10 @@
 #include "core/maco_system.hpp"
 #include "core/mapped_gemm.hpp"
 #include "core/timing_model.hpp"
+#include "driver/trace_cmd.hpp"
 #include "isa/assembler.hpp"
-#include "trace/timeline.hpp"
+#include "obs/collector.hpp"
+#include "obs/trace_writer.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -135,13 +137,14 @@ void library_mapped_gemm() {
               static_cast<double>(result.makespan_ps) / 1e6,
               result.ok && match ? "MATCH" : "MISMATCH");
 
-  // What each MMAE did, as a Gantt chart (H=stash, E=move, G=gemm).
-  trace::Timeline timeline;
+  // What each MMAE did, as a Gantt chart (H=stash, E=move, G=gemm),
+  // written and rendered as `--trace-out` and `macosim trace` do.
+  obs::RunObservation observation;
   for (unsigned node = 0; node < system.node_count(); ++node) {
-    timeline.import_reports("node" + std::to_string(node) + ".mmae",
-                            system.node(node).mmae().reports());
+    obs::append_mmae_spans(system, node, observation.spans);
   }
-  std::fputs(timeline.render_ascii(64).c_str(), stdout);
+  const std::string json = obs::to_perfetto_json(observation);
+  std::fputs(driver::render_trace(json, 64).gantt.c_str(), stdout);
   std::puts("");
 }
 

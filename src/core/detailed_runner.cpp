@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "core/maco_system.hpp"
-#include "isa/encoding.hpp"
 #include "isa/params.hpp"
 #include "obs/collector.hpp"
 #include "obs/host_profile.hpp"
@@ -289,27 +288,19 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
 
   if (observation != nullptr) {
     if (observation->want_trace) {
+      std::vector<obs::SpanRec>& spans = observation->spans;
       for (unsigned n = 0; n < nodes; ++n) {
-        const std::string track = "node" + std::to_string(n) + ".mmae";
+        const std::size_t first = spans.size();
+        obs::append_mmae_spans(system, n, spans);
         sim::TimePs job_start = ~sim::TimePs{0};
         sim::TimePs job_end = 0;
-        for (const mmae::TaskReport& report : system.node(n).mmae().reports()) {
-          obs::SpanRec span;
-          span.track = track;
-          // A repaired fault shows up as its own attempt before the retry.
-          span.name = report.exception == cpu::ExceptionType::kNone
-                          ? std::string(isa::mnemonic_name(report.op))
-                          : std::string("fault:") +
-                                cpu::exception_type_name(report.exception);
-          span.start = report.start;
-          span.end = report.end;
-          job_start = std::min(job_start, report.start);
-          job_end = std::max(job_end, report.end);
-          observation->spans.push_back(std::move(span));
+        for (std::size_t i = first; i < spans.size(); ++i) {
+          job_start = std::min(job_start, spans[i].start);
+          job_end = std::max(job_end, spans[i].end);
         }
         if (job_end > 0) {
-          observation->spans.push_back(obs::SpanRec{
-              "os", "job" + std::to_string(n), job_start, job_end});
+          spans.push_back(obs::SpanRec{"os", "job" + std::to_string(n),
+                                       job_start, job_end});
         }
       }
     }

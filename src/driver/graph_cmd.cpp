@@ -22,6 +22,18 @@ std::string gflop(std::uint64_t flops) {
 
 std::string validate_manifest(const std::string& path) {
   graph::ModelGraph graph = graph::load_model_graph(path);
+  // Parsing checks structure; dims that overflow 64 bits only surface when
+  // they resolve, so lower at the manifest's defaults in both phases.
+  for (const graph::Phase phase :
+       {graph::Phase::kPrefill, graph::Phase::kDecode}) {
+    graph::LoweringOptions options;
+    options.phase = phase;
+    try {
+      (void)graph::lower(graph, options);
+    } catch (const graph::GraphError& error) {
+      throw graph::GraphError(path + ": " + error.what());
+    }
+  }
   std::ostringstream out;
   out << path << ": ok (model " << graph.name << ", " << graph.ops.size()
       << " ops, " << graph.tensors.size() << " tensors)";

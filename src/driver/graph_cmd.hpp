@@ -12,8 +12,9 @@
 
 namespace maco::driver {
 
-// Loads and validates `path`, returning a one-line summary
-// ("<file>: ok (model NAME, N ops, M tensors)"). Invalid manifests throw.
+// Loads and validates `path` and lowers it at its defaults in both
+// phases, returning a one-line summary ("<file>: ok (model NAME, N ops,
+// M tensors)"). Invalid manifests, and ones that do not lower, throw.
 std::string validate_manifest(const std::string& path);
 
 // Loads `path`, lowers it with `options`, and renders the per-layer GEMM

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -22,7 +21,6 @@
 #include "sa/sparse.hpp"
 #include "serve/server.hpp"
 #include "util/file.hpp"
-#include "workloads/dnn_models.hpp"
 #include "workloads/gemm_workload.hpp"
 #include "workloads/hpl.hpp"
 
@@ -124,27 +122,12 @@ unsigned active_nodes_from(const ScenarioRequest& request) {
   return static_cast<unsigned>(nodes);
 }
 
-bool supports_sampled(const std::vector<std::string>& fidelities) {
-  return std::find(fidelities.begin(), fidelities.end(), "sampled") !=
-         fidelities.end();
-}
-
-// The fidelity=sampled estimator's knobs; declared by every scenario that
-// lists "sampled" among its fidelities.
-void declare_sampling_knobs(exp::ParamSchema& s) {
-  s.f64("sample_frac", 0.05, "tile fraction simulated per stratum "
-        "(fidelity=sampled)", 1e-9, 1.0);
-  s.u64("sample_seed", 1, "stratified-draw seed (fidelity=sampled)");
-  s.f64("ci_target", 0.0, "adaptive sampling until relative 95% CI <= "
-        "target; 0 disables (fidelity=sampled)", 0.0, 1.0);
-  s.u64("sample_workers", 1, "parallel tile-batch simulations "
-        "(fidelity=sampled)", 1, 64);
-}
-
+// Schema shared by the machine-workload scenarios (gemm, hpl, graph);
+// each lists "sampled" among its fidelities, so the estimator's knobs and
+// the sampled tile cap are declared here too.
 exp::ParamSchema timing_schema(const char* default_precision,
                                bool default_cooperative,
                                std::vector<std::string> fidelities) {
-  const bool sampled = supports_sampled(fidelities);
   exp::ParamSchema s;
   declare_nodes(s, "active compute nodes (defaults to node_count)");
   s.enumerant("precision", default_precision, precision_choices(),
@@ -158,28 +141,20 @@ exp::ParamSchema timing_schema(const char* default_precision,
   s.u64("page_bytes", 4096, "translation page size", 256, 1048576);
   s.enumerant("fidelity", "analytic", std::move(fidelities),
               "execution backend");
-  if (sampled) {
-    declare_sampling_knobs(s);
-    s.constrain("fidelity=sampled requires tile <= " +
-                    std::to_string(core::kDetailedMaxDim),
-                [](const exp::ParamSet& p) {
-                  return p.str("fidelity") != "sampled" ||
-                         p.u64("tile") <= core::kDetailedMaxDim;
-                });
-  }
+  s.f64("sample_frac", 0.05, "tile fraction simulated per stratum "
+        "(fidelity=sampled)", 1e-9, 1.0);
+  s.u64("sample_seed", 1, "stratified-draw seed (fidelity=sampled)");
+  s.f64("ci_target", 0.0, "adaptive sampling until relative 95% CI <= "
+        "target; 0 disables (fidelity=sampled)", 0.0, 1.0);
+  s.u64("sample_workers", 1, "parallel tile-batch simulations "
+        "(fidelity=sampled)", 1, 64);
+  s.constrain("fidelity=sampled requires tile <= " +
+                  std::to_string(core::kDetailedMaxDim),
+              [](const exp::ParamSet& p) {
+                return p.str("fidelity") != "sampled" ||
+                       p.u64("tile") <= core::kDetailedMaxDim;
+              });
   return s;
-}
-
-// Copies the declare_sampling_knobs values into TimingOptions; a no-op
-// for schemas without them (fidelity lists that exclude "sampled").
-void apply_sampling_knobs(core::TimingOptions& options,
-                          const exp::ParamSet& params) {
-  if (!params.has("sample_frac")) return;
-  options.sample_frac = params.f64("sample_frac");
-  options.sample_seed = params.u64("sample_seed");
-  options.ci_target = params.f64("ci_target");
-  options.sample_workers =
-      static_cast<unsigned>(params.u64("sample_workers"));
 }
 
 core::TimingOptions timing_options_from(const ScenarioRequest& request) {
@@ -193,7 +168,11 @@ core::TimingOptions timing_options_from(const ScenarioRequest& request) {
   options.tile_cols = options.tile_rows;
   options.inner = request.params.u64("inner");
   options.page_bytes = request.params.u64("page_bytes");
-  apply_sampling_knobs(options, request.params);
+  options.sample_frac = request.params.f64("sample_frac");
+  options.sample_seed = request.params.u64("sample_seed");
+  options.ci_target = request.params.f64("ci_target");
+  options.sample_workers =
+      static_cast<unsigned>(request.params.u64("sample_workers"));
   return options;
 }
 
@@ -286,19 +265,6 @@ void add_observation_outputs(const ScenarioRequest& request,
   }
 }
 
-ScenarioResult run_workload_layers(const ScenarioRequest& request,
-                                   const wl::Workload& workload) {
-  const auto backend = request.backend();
-  const core::TimingOptions options = timing_options_from(request);
-  const core::SystemTiming timing =
-      backend->run_layers(workload.expanded_shapes(), options);
-  ScenarioResult result;
-  result.add("total_gflop", static_cast<double>(workload.total_flops()) / 1e9,
-             "GFLOP");
-  add_system_metrics(result, timing);
-  return result;
-}
-
 Scenario gemm_scenario() {
   Scenario s;
   s.name = "gemm";
@@ -349,52 +315,18 @@ Scenario hpl_scenario() {
   s.cross_rules.push_back(backends_need_detail_rule());
   s.cross_rules.push_back(profile_needs_detailed_rule());
   s.run = [](const ScenarioRequest& request) {
-    return run_workload_layers(
-        request,
-        wl::hpl_workload(request.params.u64("n"), request.params.u64("nb")));
+    const wl::Workload workload =
+        wl::hpl_workload(request.params.u64("n"), request.params.u64("nb"));
+    const auto backend = request.backend();
+    const core::SystemTiming timing = backend->run_layers(
+        workload.expanded_shapes(), timing_options_from(request));
+    ScenarioResult result;
+    result.add("total_gflop",
+               static_cast<double>(workload.total_flops()) / 1e9, "GFLOP");
+    add_system_metrics(result, timing);
+    return result;
   };
   return s;
-}
-
-Scenario dnn_scenario(std::string name, std::string description,
-                      const char* default_precision,
-                      std::function<wl::Workload(const ScenarioRequest&)>
-                          make_workload) {
-  Scenario s;
-  s.name = std::move(name);
-  s.description = std::move(description);
-  s.schema = timing_schema(default_precision, /*default_cooperative=*/true,
-                           {"analytic", "sampled"});
-  s.cross_rules.push_back(nodes_fit_hardware_rule());
-  s.cross_rules.push_back(backends_need_detail_rule());
-  s.cross_rules.push_back(profile_needs_detailed_rule());
-  s.run = [make_workload = std::move(make_workload)](
-              const ScenarioRequest& request) {
-    return run_workload_layers(request, make_workload(request));
-  };
-  return s;
-}
-
-wl::Workload named_workload(const ScenarioRequest& request,
-                            const std::string& name) {
-  if (name == "resnet50") {
-    return wl::resnet50(
-        static_cast<unsigned>(request.params.u64("batch")));
-  }
-  if (name == "bert") {
-    return wl::bert_base(
-        static_cast<unsigned>(request.params.u64("batch")),
-        static_cast<unsigned>(request.params.u64("seq_len")));
-  }
-  if (name == "gpt3") {
-    return wl::gpt3(static_cast<unsigned>(request.params.u64("batch")),
-                    static_cast<unsigned>(request.params.u64("seq_len")));
-  }
-  if (name == "gemm") {
-    return wl::square_gemm(request.params.u64("size"),
-                           precision_from(request.params.str("precision")));
-  }
-  throw std::invalid_argument("unknown workload '" + name + "'");
 }
 
 // "MACO" -> "maco", "CPU-only" -> "cpu_only": stable metric-name suffixes.
@@ -409,28 +341,60 @@ std::string metric_key(const std::string& system) {
   return key;
 }
 
+// `model_file` accepts either a path to a manifest JSON or the name of an
+// embedded builtin (the examples/models/ file stems), so the scenario
+// works without a source checkout.
+graph::ModelGraph load_graph_model(const std::string& spec) {
+  for (const graph::BuiltinManifest& builtin : graph::builtin_manifests()) {
+    if (spec == builtin.name) return graph::parse_model_graph(builtin.json);
+  }
+  return graph::load_model_graph(spec);
+}
+
+// The one way a scenario names a DNN workload: a manifest plus its
+// lowering options. Declared by `graph` and `baselines`.
+void declare_graph_params(exp::ParamSchema& s, const char* default_model) {
+  s.str("model_file", default_model,
+        "manifest path, or a builtin name (tiny|resnet50-stage|"
+        "bert-block|gpt3-block|moe-mlp)");
+  s.u64("batch", 0, "batch size (0 = manifest default)", 0, 4096);
+  s.u64("seq_len", 0, "sequence length (0 = manifest default)", 0,
+        65536);
+  s.enumerant("phase", "prefill", {"prefill", "decode"},
+              "prefill: M scales with batch*seq_len; decode: one "
+              "token per sequence (M = batch)");
+  s.u64("moe_top_k", 0,
+        "experts activated per token (0 = the op's attr, itself "
+        "defaulting to 2)", 0, 64);
+  s.constrain("model_file must be set", [](const exp::ParamSet& p) {
+    return !p.str("model_file").empty();
+  });
+}
+
+// Loads and lowers the manifest named by declare_graph_params' values.
+graph::LoweredModel lower_graph_params(const exp::ParamSet& p) {
+  graph::LoweringOptions lowering;
+  lowering.batch = p.u64("batch");
+  lowering.seq_len = p.u64("seq_len");
+  lowering.phase = graph::parse_phase(p.str("phase"));
+  lowering.moe_top_k = p.u64("moe_top_k");
+  return graph::lower(load_graph_model(p.str("model_file")), lowering);
+}
+
 Scenario baselines_scenario() {
   Scenario s;
   s.name = "baselines";
   s.description =
       "Fig. 8 five-system comparison (CPU-only, no-mapping, RASA-like, "
-      "Gemmini-like, MACO) on one workload";
-  s.schema.enumerant("workload", "bert",
-                     {"resnet50", "bert", "gpt3", "gemm"},
-                     "compared workload");
-  s.schema.u64("size", 4096, "matrix size (workload=gemm)", 1, 1048576);
-  s.schema.u64("batch", 8, "batch size (DNN workloads)", 1, 4096);
-  s.schema.u64("seq_len", 384, "sequence length (bert/gpt3)", 1, 65536);
-  s.schema.enumerant("precision", "fp32", precision_choices(),
-                     "workload=gemm precision");
+      "Gemmini-like, MACO) on one model manifest";
+  declare_graph_params(s.schema, "bert-block");
   declare_nodes(s.schema, "MACO node count (others are single-node)");
   s.cross_rules.push_back(nodes_fit_hardware_rule());
   s.cross_rules.push_back(backends_fixed_rule());
   s.run = [](const ScenarioRequest& request) {
     const baseline::Comparator comparator(request.config,
                                           active_nodes_from(request));
-    const wl::Workload workload =
-        named_workload(request, request.params.str("workload"));
+    const wl::Workload workload = lower_graph_params(request.params).workload;
     ScenarioResult result;
     double maco_gflops = 0.0;
     double best_rival = 0.0;
@@ -486,50 +450,6 @@ Scenario fig6_scenario() {
   return s;
 }
 
-Scenario fig7_scenario() {
-  Scenario s;
-  s.name = "fig7_scalability";
-  s.description =
-      "Fig. 7: per-node efficiency vs active node count (independent FP64 "
-      "GEMM per node)";
-  s.schema.u64("size", 4096, "square matrix dimension", 1, 1048576);
-  declare_nodes(s.schema, "active compute nodes (defaults to node_count)");
-  s.schema.enumerant("fidelity", "analytic",
-                     {"analytic", "detailed", "sampled"},
-                     "execution backend");
-  declare_sampling_knobs(s.schema);
-  s.schema.constrain(
-      "fidelity=detailed requires size <= " +
-          std::to_string(core::kDetailedMaxDim),
-      [](const exp::ParamSet& p) {
-        return p.str("fidelity") != "detailed" ||
-               p.u64("size") <= core::kDetailedMaxDim;
-      });
-  s.cross_rules.push_back(nodes_fit_hardware_rule());
-  s.cross_rules.push_back(backends_need_detail_rule());
-  s.cross_rules.push_back(profile_needs_detailed_rule());
-  s.run = [](const ScenarioRequest& request) {
-    const auto backend = request.backend();
-    const std::uint64_t size = request.params.u64("size");
-    core::TimingOptions options;
-    options.shape = sa::TileShape{size, size, size};
-    options.precision = sa::Precision::kFp64;
-    options.cooperative = false;
-    options.active_nodes = active_nodes_from(request);
-    apply_sampling_knobs(options, request.params);
-    obs::RunObservation observation;
-    const core::SystemTiming timing =
-        run_observed(request, *backend, options, observation);
-    ScenarioResult result;
-    result.add("size", static_cast<double>(size));
-    result.add("nodes", options.active_nodes);
-    add_system_metrics(result, timing);
-    add_observation_outputs(request, observation, result);
-    return result;
-  };
-  return s;
-}
-
 Scenario fig8_scenario() {
   Scenario s;
   s.name = "fig8_dl_comparison";
@@ -542,8 +462,10 @@ Scenario fig8_scenario() {
   s.run = [](const ScenarioRequest& request) {
     const baseline::Comparator comparator(request.config,
                                           active_nodes_from(request));
-    const std::vector<wl::Workload> workloads = {
-        wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)};
+    std::vector<wl::Workload> workloads;
+    for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
+      workloads.push_back(graph::lower(graph::builtin_graph(model)).workload);
+    }
     // system name -> product of per-workload gflops (for the geomean).
     std::vector<std::pair<std::string, double>> products;
     for (const wl::Workload& workload : workloads) {
@@ -704,45 +626,6 @@ Scenario tables_scenario() {
                config.node_count *
                    config.mmae_peak_flops(sa::Precision::kFp64) / 1e9,
                "GFLOP/s");
-    return result;
-  };
-  return s;
-}
-
-Scenario micro_components_scenario() {
-  Scenario s;
-  s.name = "micro_components";
-  s.description =
-      "substrate micro-bench: timing-model evaluations per second (wall "
-      "clock; always runs serially)";
-  s.serial = true;
-  s.schema.u64("size", 2048, "square GEMM evaluated per iteration", 1,
-               1048576);
-  s.schema.u64("iterations", 20, "model evaluations to time", 1, 100000);
-  s.cross_rules.push_back(backends_fixed_rule());
-  s.run = [](const ScenarioRequest& request) {
-    const core::SystemTimingModel model(request.config);
-    core::TimingOptions options;
-    const std::uint64_t size = request.params.u64("size");
-    options.shape = sa::TileShape{size, size, size};
-    options.precision = sa::Precision::kFp64;
-    options.active_nodes = request.config.node_count;
-    const std::uint64_t iterations = request.params.u64("iterations");
-    double checksum = 0.0;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iterations; ++i) {
-      checksum += model.run(options).mean_efficiency;
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds =
-        std::chrono::duration<double>(end - start).count();
-    ScenarioResult result;
-    result.add("evals_per_second",
-               seconds > 0.0 ? static_cast<double>(iterations) / seconds
-                             : 0.0,
-               "1/s");
-    result.add("mean_efficiency",
-               checksum / static_cast<double>(iterations));
     return result;
   };
   return s;
@@ -974,16 +857,6 @@ Scenario serve_scenario() {
   return s;
 }
 
-// `model_file` accepts either a path to a manifest JSON or the name of an
-// embedded builtin (the examples/models/ file stems), so the scenario
-// works without a source checkout.
-graph::ModelGraph load_graph_model(const std::string& spec) {
-  for (const graph::BuiltinManifest& builtin : graph::builtin_manifests()) {
-    if (spec == builtin.name) return graph::parse_model_graph(builtin.json);
-  }
-  return graph::load_model_graph(spec);
-}
-
 Scenario graph_scenario() {
   Scenario s;
   s.name = "graph";
@@ -991,34 +864,13 @@ Scenario graph_scenario() {
       "lower a model-manifest DNN graph (docs/GRAPHS.md) onto the machine";
   s.schema = timing_schema("fp32", /*default_cooperative=*/true,
                            {"analytic", "detailed", "sampled"});
-  s.schema.str("model_file", "",
-               "manifest path, or a builtin name (tiny|resnet50-stage|"
-               "bert-block|gpt3-block|moe-mlp)");
-  s.schema.u64("batch", 0, "batch size (0 = manifest default)", 0, 4096);
-  s.schema.u64("seq_len", 0, "sequence length (0 = manifest default)", 0,
-               65536);
-  s.schema.enumerant("phase", "prefill", {"prefill", "decode"},
-                     "prefill: M scales with batch*seq_len; decode: one "
-                     "token per sequence (M = batch)");
-  s.schema.u64("moe_top_k", 0,
-               "experts activated per token (0 = the op's attr, itself "
-               "defaulting to 2)", 0, 64);
-  s.schema.constrain("model_file must be set",
-                     [](const exp::ParamSet& p) {
-                       return !p.str("model_file").empty();
-                     });
+  declare_graph_params(s.schema, "");
   s.cross_rules.push_back(nodes_fit_hardware_rule());
   s.cross_rules.push_back(backends_need_detail_rule());
   s.cross_rules.push_back(profile_needs_detailed_rule());
   s.run = [](const ScenarioRequest& request) {
     const exp::ParamSet& p = request.params;
-    const graph::ModelGraph model = load_graph_model(p.str("model_file"));
-    graph::LoweringOptions lowering;
-    lowering.batch = p.u64("batch");
-    lowering.seq_len = p.u64("seq_len");
-    lowering.phase = graph::parse_phase(p.str("phase"));
-    lowering.moe_top_k = p.u64("moe_top_k");
-    const graph::LoweredModel lowered = graph::lower(model, lowering);
+    const graph::LoweredModel lowered = lower_graph_params(p);
 
     core::TimingOptions options = timing_options_from(request);
     // The manifest's precision wins unless the knob was set explicitly
@@ -1041,7 +893,7 @@ Scenario graph_scenario() {
     result.add("batch", static_cast<double>(lowered.batch));
     result.add("seq_len", static_cast<double>(lowered.seq_len));
     result.add("tokens", static_cast<double>(lowered.tokens));
-    result.add("graph_ops", static_cast<double>(model.ops.size()));
+    result.add("graph_ops", static_cast<double>(lowered.ops.size()));
     result.add("lowered_layers",
                static_cast<double>(lowered.workload.layers.size()));
     result.add("total_gflop",
@@ -1106,49 +958,13 @@ ScenarioRegistry ScenarioRegistry::builtin() {
   ScenarioRegistry registry;
   registry.add(gemm_scenario());
   registry.add(hpl_scenario());
-  {
-    Scenario resnet = dnn_scenario(
-        "resnet50", "ResNet-50 inference GEMM sequence (FP32)", "fp32",
-        [](const ScenarioRequest& request) {
-          return wl::resnet50(
-              static_cast<unsigned>(request.params.u64("batch")));
-        });
-    resnet.schema.u64("batch", 8, "inference batch size", 1, 4096);
-    registry.add(std::move(resnet));
-  }
-  {
-    Scenario bert = dnn_scenario(
-        "bert", "BERT-Base encoder stack (FP32)", "fp32",
-        [](const ScenarioRequest& request) {
-          return wl::bert_base(
-              static_cast<unsigned>(request.params.u64("batch")),
-              static_cast<unsigned>(request.params.u64("seq_len")));
-        });
-    bert.schema.u64("batch", 8, "inference batch size", 1, 4096);
-    bert.schema.u64("seq_len", 384, "sequence length", 1, 65536);
-    registry.add(std::move(bert));
-  }
-  {
-    Scenario gpt3 = dnn_scenario(
-        "gpt3", "GPT-3 175B decoder forward pass (FP32)", "fp32",
-        [](const ScenarioRequest& request) {
-          return wl::gpt3(
-              static_cast<unsigned>(request.params.u64("batch")),
-              static_cast<unsigned>(request.params.u64("seq_len")));
-        });
-    gpt3.schema.u64("batch", 1, "batch size", 1, 4096);
-    gpt3.schema.u64("seq_len", 2048, "tokens per forward pass", 1, 65536);
-    registry.add(std::move(gpt3));
-  }
   registry.add(baselines_scenario());
   registry.add(fig6_scenario());
-  registry.add(fig7_scenario());
   registry.add(fig8_scenario());
   registry.add(ablation_scenario());
   registry.add(area_power_scenario());
   registry.add(sparsity_scenario());
   registry.add(tables_scenario());
-  registry.add(micro_components_scenario());
   registry.add(micro_dram_scenario());
   registry.add(serve_scenario());
   registry.add(graph_scenario());

@@ -1,9 +1,9 @@
 // Scenario registry of the `macosim` driver.
 //
 // A scenario is one named, parameterized experiment: every workload
-// (src/workloads/), baseline comparison (src/baselines/) and paper
-// figure/table bench (bench/) is registered here so one CLI can run and
-// sweep all of them. Each scenario declares a typed exp::ParamSchema (the
+// (GEMM, HPL, and any DNN as a graph manifest), baseline comparison
+// (src/baselines/) and paper figure/table bench (bench/) is registered
+// here so one CLI can run and sweep all of them. Each scenario declares a typed exp::ParamSchema (the
 // single parser for its knobs) and consumes a fully-validated
 // exp::ParamSet; scenarios that execute the MACO machine do so through an
 // exp::ExecutionBackend selected by the `fidelity` parameter, so the same
@@ -63,13 +63,6 @@ struct Scenario {
   exp::ParamSchema schema;
   std::vector<CrossRule> cross_rules;  // scenario-vs-hardware constraints
   std::function<ScenarioResult(const ScenarioRequest&)> run;
-  // A serial scenario never runs on more than one sweep worker at a time
-  // (e.g. wall-clock micro-benches, whose numbers concurrency would skew).
-  bool serial = false;
-
-  bool has_param(std::string_view key) const noexcept {
-    return schema.has(key);
-  }
 };
 
 // The fidelities a scenario accepts, as "analytic|detailed|..." from its

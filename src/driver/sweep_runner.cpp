@@ -245,12 +245,8 @@ SweepResults run_sweep(const ScenarioRegistry& registry,
     }
   };
 
-  const unsigned thread_count =
-      scenario->serial
-          ? 1u
-          : std::max(1u, std::min<unsigned>(
-                             request.threads,
-                             static_cast<unsigned>(points)));
+  const unsigned thread_count = std::max(
+      1u, std::min<unsigned>(request.threads, static_cast<unsigned>(points)));
   if (thread_count <= 1) {
     worker();
   } else {

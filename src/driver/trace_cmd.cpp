@@ -1,14 +1,15 @@
 #include "driver/trace_cmd.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <iomanip>
-#include <set>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "trace/timeline.hpp"
+#include "obs/observation.hpp"
 #include "util/json.hpp"
 
 namespace maco::driver {
@@ -79,22 +80,51 @@ NocSection parse_noc(const util::JsonValue& doc) {
   return section;
 }
 
-std::string render_gantt(const trace::Timeline& timeline,
+// The ASCII Gantt: a summary line, then one row per track in order of
+// first appearance, `width` columns spanning the trace. A span's cells
+// show the last letter of its name, upper-cased; '.' is idle.
+std::string render_gantt(const std::vector<obs::SpanRec>& spans,
                          std::size_t width) {
+  if (spans.empty()) return "trace has no complete ('X') events to render\n";
+  sim::TimePs t0 = ~sim::TimePs{0};
+  sim::TimePs t1 = 0;
+  std::vector<std::string> order;
+  std::map<std::string, std::string> rows;
+  std::size_t label_width = 0;
+  for (const obs::SpanRec& span : spans) {
+    t0 = std::min(t0, span.start);
+    t1 = std::max(t1, span.end);
+    if (rows.emplace(span.track, std::string(width, '.')).second) {
+      order.push_back(span.track);
+      label_width = std::max(label_width, span.track.size());
+    }
+  }
   std::ostringstream out;
-  if (timeline.spans().empty()) {
-    out << "trace has no complete ('X') events to render\n";
-    return out.str();
+  out << spans.size() << " span(s) on " << order.size() << " track(s), "
+      << static_cast<double>(t1 - t0) / 1e6 << " us\n";
+  if (width == 0) return out.str() + "(empty timeline)\n";
+
+  const double span_ps = std::max<double>(1.0, static_cast<double>(t1 - t0));
+  const auto col = [&](sim::TimePs t) {
+    const double f = static_cast<double>(t - t0) / span_ps;
+    return std::min(width - 1,
+                    static_cast<std::size_t>(f * static_cast<double>(width)));
+  };
+  for (const obs::SpanRec& span : spans) {
+    const char mark = span.name.empty()
+                          ? '#'
+                          : static_cast<char>(std::toupper(
+                                static_cast<unsigned char>(span.name.back())));
+    std::string& row = rows[span.track];
+    const sim::TimePs last = span.end == span.start ? span.end : span.end - 1;
+    for (std::size_t c = col(span.start); c <= col(last); ++c) row[c] = mark;
   }
-  std::set<std::string> tracks;
-  for (const trace::Span& span : timeline.spans()) {
-    tracks.insert(span.track);
+  out << "timeline " << (t1 - t0) / 1e6 << " us ("
+      << "1 col = " << span_ps / static_cast<double>(width) / 1e6 << " us)\n";
+  for (const std::string& track : order) {
+    out << "  " << track << std::string(label_width - track.size(), ' ')
+        << " |" << rows[track] << "|\n";
   }
-  out << timeline.spans().size() << " span(s) on " << tracks.size()
-      << " track(s), "
-      << static_cast<double>(timeline.end_ps() - timeline.begin_ps()) / 1e6
-      << " us\n";
-  out << timeline.render_ascii(width);
   return out.str();
 }
 
@@ -183,7 +213,7 @@ TraceRender render_trace(const std::string& json_text, std::size_t width) {
         "a traceEvents array");
   }
 
-  trace::Timeline timeline;
+  std::vector<obs::SpanRec> spans;
   for (const util::JsonValue& event : events->as_array()) {
     const util::JsonValue* ph = event.find("ph");
     if (ph == nullptr || !ph->is_string() || ph->as_string() != "X") {
@@ -204,12 +234,12 @@ TraceRender render_trace(const std::string& json_text, std::size_t width) {
             : "tid" + std::to_string(
                           static_cast<long long>(tid->as_number()));
     const sim::TimePs start = us_to_ps(ts->as_number());
-    timeline.add(track, name->as_string(), start,
-                 start + us_to_ps(dur->as_number()));
+    spans.push_back(obs::SpanRec{track, name->as_string(), start,
+                                 start + us_to_ps(dur->as_number())});
   }
 
   TraceRender render;
-  render.gantt = render_gantt(timeline, width);
+  render.gantt = render_gantt(spans, width);
   const NocSection noc = parse_noc(doc);
   if (!noc.links.empty() && noc.width > 0 && noc.height > 0) {
     render.noc_text = render_noc_text(noc);

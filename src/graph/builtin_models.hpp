@@ -1,9 +1,9 @@
 // The shipped model manifests, compiled into libmaco.
 //
 // Every examples/models/*.json is embedded verbatim at build time
-// (cmake/embed_manifests.cmake), so wl::resnet50() and friends lower the
-// exact bytes a user sees in the tree — the builtin catalogue cannot
-// drift from the shipped files. Names are the file stems:
+// (cmake/embed_manifests.cmake), so every builtin model lowers the exact
+// bytes a user sees in the tree — the builtin catalogue cannot drift
+// from the shipped files. Names are the file stems:
 // "resnet50-stage", "bert-block", "gpt3-block", "tiny", "moe-mlp".
 #pragma once
 

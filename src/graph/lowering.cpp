@@ -1,5 +1,7 @@
 #include "graph/lowering.hpp"
 
+#include <initializer_list>
+#include <limits>
 #include <map>
 
 #include "graph/scheduler.hpp"
@@ -10,6 +12,47 @@ namespace maco::graph {
 namespace {
 
 [[noreturn]] void fail(const std::string& what) { throw GraphError(what); }
+
+// Overflow-checked dim arithmetic. `kind` and `name` say whose `what` it
+// is ("op 'fc1'", "tensor 'x'"); the message is assembled only when a
+// check fires, so the happy path stays one multiply (add) and one branch
+// per term.
+[[noreturn]] void overflow(const char* kind, const std::string& name,
+                           const char* what,
+                           std::initializer_list<std::uint64_t> terms,
+                           const char* op) {
+  std::string text;
+  for (const std::uint64_t term : terms) {
+    if (!text.empty()) text += op;
+    text += std::to_string(term);
+  }
+  fail(std::string(kind) + " '" + name + "': " + what + " " + text +
+       " overflows 64 bits");
+}
+
+std::uint64_t checked_product(std::initializer_list<std::uint64_t> factors,
+                              const char* kind, const std::string& name,
+                              const char* what) {
+  std::uint64_t product = 1;
+  for (const std::uint64_t factor : factors) {
+    if (__builtin_mul_overflow(product, factor, &product)) [[unlikely]] {
+      overflow(kind, name, what, factors, " x ");
+    }
+  }
+  return product;
+}
+
+std::uint64_t checked_sum(std::initializer_list<std::uint64_t> terms,
+                          const char* kind, const std::string& name,
+                          const char* what) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t term : terms) {
+    if (__builtin_add_overflow(sum, term, &sum)) [[unlikely]] {
+      overflow(kind, name, what, terms, " + ");
+    }
+  }
+  return sum;
+}
 
 // Carries the resolved dims and the growing layer list through the
 // per-kind lowering rules.
@@ -23,7 +66,9 @@ class Lowerer {
     model_.seq_len =
         options.seq_len != 0 ? options.seq_len : graph.default_seq_len;
     model_.tokens = options.phase == Phase::kPrefill
-                        ? model_.batch * model_.seq_len
+                        ? checked_product({model_.batch, model_.seq_len},
+                                          "model", graph.name,
+                                          "tokens (batch x seq_len)")
                         : model_.batch;
     model_.workload.name = graph.name;
     model_.workload.precision = graph.precision;
@@ -34,13 +79,17 @@ class Lowerer {
       lower_op(graph_.ops[index]);
     }
     std::uint64_t total_flops = 0;
-    for (const OpContribution& op : model_.ops) total_flops += op.flops;
+    for (const OpContribution& op : model_.ops) {
+      total_flops =
+          checked_sum({total_flops, op.flops}, "op", op.op, "model FLOPs");
+    }
     for (OpContribution& op : model_.ops) {
       op.flops_frac = total_flops > 0
                           ? static_cast<double>(op.flops) /
                                 static_cast<double>(total_flops)
                           : 0.0;
-      model_.total_bytes += op.bytes;
+      model_.total_bytes = checked_sum({model_.total_bytes, op.bytes}, "op",
+                                       op.op, "model bytes");
     }
     return std::move(model_);
   }
@@ -64,8 +113,17 @@ class Lowerer {
 
   std::uint64_t elements(const TensorDecl& t) const {
     std::uint64_t count = 1;
-    for (const Dim& dim : t.dims) count *= resolve(dim);
+    for (const Dim& dim : t.dims) {
+      count = checked_product({count, resolve(dim)}, "tensor", t.name,
+                              "elements");
+    }
     return count;
+  }
+
+  // A dim product of the op being lowered.
+  std::uint64_t op_product(std::initializer_list<std::uint64_t> factors,
+                           const char* what) const {
+    return checked_product(factors, "op", current_->op, what);
   }
 
   // Appends one GEMM layer and charges it to the current contribution.
@@ -73,12 +131,22 @@ class Lowerer {
             unsigned repeat) {
     const std::uint64_t ebytes =
         sa::element_bytes(model_.workload.precision);
-    wl::Layer layer{std::move(name), shape, post, repeat};
-    current_->flops += layer.flops();
-    current_->bytes += (shape.m * shape.k + shape.k * shape.n +
-                        shape.m * shape.n) *
-                       ebytes * repeat;
-    model_.workload.layers.push_back(std::move(layer));
+    // Layer::flops() and the byte count, each checked, so no later sum
+    // over layers can wrap either.
+    const std::uint64_t flops =
+        op_product({2, shape.m, shape.n, shape.k, repeat}, "FLOPs");
+    const std::uint64_t elements =
+        checked_sum({op_product({shape.m, shape.k}, "A elements"),
+                     op_product({shape.k, shape.n}, "B elements"),
+                     op_product({shape.m, shape.n}, "C elements")},
+                    "op", current_->op, "A+B+C elements");
+    current_->flops =
+        checked_sum({current_->flops, flops}, "op", current_->op, "FLOPs");
+    current_->bytes = checked_sum(
+        {current_->bytes, op_product({elements, ebytes, repeat}, "bytes")},
+        "op", current_->op, "bytes");
+    model_.workload.layers.push_back(
+        wl::Layer{std::move(name), shape, post, repeat});
   }
 
   // ---- the per-kind rules ----
@@ -106,8 +174,12 @@ class Lowerer {
     // im2col: strides are folded into the declared output size.
     emit(op.name,
          sa::TileShape{op.attrs.out_channels,
-                       model_.batch * out.dims[1].value * out.dims[2].value,
-                       in.dims[0].value * op.attrs.kernel * op.attrs.kernel},
+                       op_product({model_.batch, out.dims[1].value,
+                                   out.dims[2].value},
+                                  "N (batch*oh*ow)"),
+                       op_product({in.dims[0].value, op.attrs.kernel,
+                                   op.attrs.kernel},
+                                  "K (in_ch*kernel^2)")},
          op.attrs.post, op.repeat);
   }
 
@@ -123,9 +195,13 @@ class Lowerer {
     const std::uint64_t span = options_.phase == Phase::kPrefill
                                    ? model_.tokens
                                    : model_.seq_len;
-    emit(op.name + ".qkv", sa::TileShape{rows, 3 * hidden, hidden},
+    emit(op.name + ".qkv",
+         sa::TileShape{rows, op_product({3, hidden}, "N (3*hidden)"),
+                       hidden},
          wl::PostOp::kBiasAdd, op.repeat);
-    emit(op.name + ".scores", sa::TileShape{rows, span * heads, head_dim},
+    emit(op.name + ".scores",
+         sa::TileShape{rows, op_product({span, heads}, "N (span*heads)"),
+                       head_dim},
          wl::PostOp::kSoftmax, op.repeat);
     emit(op.name + ".context",
          sa::TileShape{rows, head_dim * heads, span}, wl::PostOp::kNone,
@@ -152,16 +228,23 @@ class Lowerer {
     // routing each expert sees ceil(tokens*top_k/experts) tokens. The
     // expert GEMMs repeat `experts` times — the multiplicity the sampled
     // tile strata collapse and weight by.
+    const std::uint64_t routed =
+        op_product({model_.tokens, top_k}, "routed tokens (tokens*top_k)");
     const std::uint64_t expert_tokens =
-        (model_.tokens * top_k + experts - 1) / experts;
-    const auto expert_repeat =
-        static_cast<unsigned>(experts) * op.repeat;
+        routed / experts + (routed % experts != 0 ? 1 : 0);
+    const std::uint64_t expert_repeat =
+        op_product({experts, op.repeat}, "expert repeat");
+    if (expert_repeat > std::numeric_limits<unsigned>::max()) {
+      fail("op '" + op.name + "': expert repeat " +
+           std::to_string(expert_repeat) + " exceeds " +
+           std::to_string(std::numeric_limits<unsigned>::max()));
+    }
     emit(op.name + ".expert.ffn1",
          sa::TileShape{expert_tokens, op.attrs.ffn, hidden},
-         wl::PostOp::kGelu, expert_repeat);
+         wl::PostOp::kGelu, static_cast<unsigned>(expert_repeat));
     emit(op.name + ".expert.ffn2",
          sa::TileShape{expert_tokens, hidden, op.attrs.ffn},
-         wl::PostOp::kNone, expert_repeat);
+         wl::PostOp::kNone, static_cast<unsigned>(expert_repeat));
   }
 
   // Elementwise/norm ops do not become layers: their scalar work rides as
@@ -184,9 +267,11 @@ class Lowerer {
     }
     layer.post = op.attrs.fn;
     current_->fused_into = layer.name;
-    current_->bytes = 2 * elements(tensor(op.inputs[0])) *
-                      sa::element_bytes(model_.workload.precision) *
-                      layer.repeat;
+    const TensorDecl& input = tensor(op.inputs[0]);
+    current_->bytes = checked_product(
+        {2, elements(input), sa::element_bytes(model_.workload.precision),
+         layer.repeat},
+        "tensor", input.name, "bytes");
     // The op's output aliases the producer layer, so a downstream op
     // chains to the same GEMM.
     for (const std::string& output : op.outputs) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <limits>
 
 #include "graph/scheduler.hpp"
 #include "util/file.hpp"
@@ -510,8 +511,13 @@ ModelGraph parse_model_graph(std::string_view json_text) {
     op.inputs = names(member(entry, "inputs", context), "inputs");
     op.outputs = names(member(entry, "outputs", context), "outputs");
     if (const util::JsonValue* repeat = entry.find("repeat")) {
-      op.repeat = static_cast<unsigned>(
-          u64_field(*repeat, context + " 'repeat'", 1));
+      const std::uint64_t count =
+          u64_field(*repeat, context + " 'repeat'", 1);
+      if (count > std::numeric_limits<unsigned>::max()) {
+        fail(context + " 'repeat': must be <= " +
+             std::to_string(std::numeric_limits<unsigned>::max()));
+      }
+      op.repeat = static_cast<unsigned>(count);
     }
     op.attrs = parse_attrs(entry.find("attrs"), op.kind, context);
     graph.ops.push_back(std::move(op));

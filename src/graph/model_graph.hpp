@@ -8,9 +8,10 @@
 // validates the whole document with typed diagnostics — unknown op kinds,
 // bad dtypes, dangling edges, duplicate producers, per-kind shape
 // mismatches and cycles all fail with a message naming the offending
-// op/tensor — so a manifest that parses is guaranteed to lower
-// (graph/lowering.hpp) onto the GEMM+ layer lists every fidelity rung
-// consumes.
+// op/tensor. Lowering (graph/lowering.hpp) resolves the symbolic dims,
+// checks every dim product for 64-bit overflow, and produces the GEMM+
+// layer lists every fidelity rung consumes; `macosim graph validate` runs
+// both, so a manifest it accepts lowers at its defaults.
 #pragma once
 
 #include <cstddef>

@@ -9,6 +9,7 @@
 #include "cpu/mmu.hpp"
 #include "cpu/mtq.hpp"
 #include "exp/results.hpp"
+#include "isa/encoding.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "mem/dram.hpp"
@@ -144,6 +145,21 @@ void collect(core::MacoSystem& system, RunObservation& out) {
       traffic.noc.links.push_back(LinkTrafficRec{link.flits, link.busy_ps});
     }
     out.merge(traffic, 0);
+  }
+}
+
+void append_mmae_spans(core::MacoSystem& system, unsigned node,
+                       std::vector<SpanRec>& spans) {
+  const std::string track = "node" + std::to_string(node) + ".mmae";
+  for (const mmae::TaskReport& report :
+       system.node(node).mmae().reports()) {
+    spans.push_back(SpanRec{
+        track,
+        report.exception == cpu::ExceptionType::kNone
+            ? std::string(isa::mnemonic_name(report.op))
+            : std::string("fault:") +
+                  cpu::exception_type_name(report.exception),
+        report.start, report.end});
   }
 }
 

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/observation.hpp"
 
@@ -42,6 +43,12 @@ void publish_counters(core::MacoSystem& system);
 // observation) and captures per-link NoC traffic into `out.noc` with the
 // engine's current time as the window.
 void collect(core::MacoSystem& system, RunObservation& out);
+
+// Appends node `node`'s MMAE task reports to `spans` on track
+// "node<N>.mmae", one span per task named by its mnemonic; a repaired
+// fault shows up as its own "fault:<type>" attempt before the retry.
+void append_mmae_spans(core::MacoSystem& system, unsigned node,
+                       std::vector<SpanRec>& spans);
 
 // Derived headline metrics from a collected observation. Rates are only
 // emitted when their denominator is non-zero, so a run that never touched

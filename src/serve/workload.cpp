@@ -8,7 +8,6 @@
 #include "graph/builtin_models.hpp"
 #include "graph/lowering.hpp"
 #include "util/rng.hpp"
-#include "workloads/dnn_models.hpp"
 
 namespace maco::serve {
 
@@ -143,22 +142,24 @@ std::vector<sa::TileShape> ServeModel::layers(unsigned batch) const {
   if (batch == 0) {
     throw std::invalid_argument("a served batch has >= 1 request");
   }
-  if (name == "tiny") {
-    // A three-layer MLP over 16 tokens per request: small enough that one
-    // batch fits the detailed machine (m = 16*batch <= 2048 for
-    // batch <= 128) yet batch-sensitive like the real models. The
-    // manifest's seq_len default of 16 supplies the per-request tokens.
-    graph::LoweringOptions options;
-    options.batch = batch;
-    return graph::lower(graph::builtin_graph("tiny"), options)
-        .workload.expanded_shapes();
+  // Each served model is a builtin manifest. tiny is a three-layer MLP
+  // over 16 tokens per request (its manifest's seq_len default): small
+  // enough that one batch fits the detailed machine (m = 16*batch <= 2048
+  // for batch <= 128) yet batch-sensitive like the real models. tiny and
+  // resnet50 carry seq_len 0, so their manifest default applies.
+  const char* manifest = name == "tiny"       ? "tiny"
+                         : name == "resnet50" ? "resnet50-stage"
+                         : name == "bert"     ? "bert-block"
+                         : name == "gpt3"     ? "gpt3-block"
+                                              : nullptr;
+  if (manifest == nullptr) {
+    throw std::invalid_argument("unknown served model '" + name + "'");
   }
-  if (name == "resnet50") return wl::resnet50(batch).expanded_shapes();
-  if (name == "bert") {
-    return wl::bert_base(batch, seq_len).expanded_shapes();
-  }
-  if (name == "gpt3") return wl::gpt3(batch, seq_len).expanded_shapes();
-  throw std::invalid_argument("unknown served model '" + name + "'");
+  graph::LoweringOptions options;
+  options.batch = batch;
+  options.seq_len = seq_len;
+  return graph::lower(graph::builtin_graph(manifest), options)
+      .workload.expanded_shapes();
 }
 
 ServeModel serve_model(const std::string& name, unsigned seq_len) {

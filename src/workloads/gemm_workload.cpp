@@ -32,15 +32,6 @@ std::vector<sa::TileShape> Workload::expanded_shapes() const {
   return shapes;
 }
 
-Workload square_gemm(std::uint64_t size, sa::Precision precision) {
-  Workload w;
-  w.name = "square-" + std::to_string(size);
-  w.precision = precision;
-  w.layers.push_back(Layer{"gemm", sa::TileShape{size, size, size},
-                           PostOp::kNone, 1});
-  return w;
-}
-
 std::vector<std::uint64_t> fig6_sizes() {
   return {256, 512, 1024, 2048, 4096, 9216};
 }

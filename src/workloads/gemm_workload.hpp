@@ -43,10 +43,6 @@ struct Workload {
   std::vector<sa::TileShape> expanded_shapes() const;
 };
 
-// Square GEMM of the given size (the HPL-style kernels of Figs. 6/7).
-Workload square_gemm(std::uint64_t size,
-                     sa::Precision precision = sa::Precision::kFp64);
-
 // The matrix sizes the paper sweeps in Fig. 6 and Fig. 7.
 std::vector<std::uint64_t> fig6_sizes();
 std::vector<std::uint64_t> fig7_sizes();

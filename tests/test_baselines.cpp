@@ -2,10 +2,16 @@
 #include <gtest/gtest.h>
 
 #include "baselines/comparison.hpp"
-#include "workloads/dnn_models.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 
 namespace maco::baseline {
 namespace {
+
+// The Fig. 8 networks: each builtin manifest at its default batch/seq_len.
+wl::Workload builtin(const char* model) {
+  return graph::lower(graph::builtin_graph(model)).workload;
+}
 
 class ComparatorTest : public ::testing::Test {
  protected:
@@ -20,8 +26,8 @@ TEST_F(ComparatorTest, PeakNormalization) {
 }
 
 TEST_F(ComparatorTest, MacoWinsOnEveryWorkload) {
-  for (const auto& workload :
-       {wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)}) {
+  for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
+    const wl::Workload workload = builtin(model);
     const auto results = comparator_.run_all(workload);
     ASSERT_EQ(results.size(), 5u);
     const double maco = results.back().gflops;
@@ -36,8 +42,9 @@ TEST_F(ComparatorTest, Fig8RatiosInPaperBands) {
   // Average ratios over the three workloads; the paper reports MACO at
   // 3.30× Baseline-1, 1.45× Baseline-2, 1.35× RASA, 1.30× Gemmini.
   double r_b1 = 0, r_b2 = 0, r_rasa = 0, r_gemmini = 0;
-  const std::vector<wl::Workload> workloads = {
-      wl::resnet50(8), wl::bert_base(8, 384), wl::gpt3(1, 2048)};
+  const std::vector<wl::Workload> workloads = {builtin("resnet50-stage"),
+                                               builtin("bert-block"),
+                                               builtin("gpt3-block")};
   for (const auto& workload : workloads) {
     const auto results = comparator_.run_all(workload);
     const double maco = results[4].gflops;
@@ -62,7 +69,7 @@ TEST_F(ComparatorTest, Fig8RatiosInPaperBands) {
 TEST_F(ComparatorTest, MacoPeakThroughputNearPaper) {
   // "up to 1.1 TFLOPS with 88% computational efficiency" — the largest
   // GEMMs (GPT-3) carry the peak.
-  const auto result = comparator_.run_maco(wl::gpt3(1, 2048));
+  const auto result = comparator_.run_maco(builtin("gpt3-block"));
   EXPECT_GT(result.gflops, 950.0);
   EXPECT_LT(result.gflops, 1280.0);
   EXPECT_GT(result.efficiency, 0.80);
@@ -71,21 +78,22 @@ TEST_F(ComparatorTest, MacoPeakThroughputNearPaper) {
 
 TEST_F(ComparatorTest, ResnetLowerThanGpt3) {
   // Skinny conv GEMMs utilize the array worse than GPT-3's giant GEMMs.
-  const double resnet = comparator_.run_maco(wl::resnet50(8)).gflops;
-  const double gpt = comparator_.run_maco(wl::gpt3(1, 2048)).gflops;
+  const double resnet =
+      comparator_.run_maco(builtin("resnet50-stage")).gflops;
+  const double gpt = comparator_.run_maco(builtin("gpt3-block")).gflops;
   EXPECT_LT(resnet, gpt);
 }
 
 TEST_F(ComparatorTest, Baseline1BoundByCpuPeak) {
   const auto result =
-      comparator_.run_baseline1_cpu_only(wl::bert_base(8, 384));
+      comparator_.run_baseline1_cpu_only(builtin("bert-block"));
   EXPECT_LT(result.gflops * 1e9,
             comparator_.cpu_peak_flops(sa::Precision::kFp32));
   EXPECT_GT(result.gflops, 0.0);
 }
 
 TEST_F(ComparatorTest, ResultsCarryMetadata) {
-  const auto results = comparator_.run_all(wl::resnet50(8));
+  const auto results = comparator_.run_all(builtin("resnet50-stage"));
   EXPECT_EQ(results[0].system, "Baseline-1");
   EXPECT_EQ(results[1].system, "Baseline-2");
   EXPECT_EQ(results[2].system, "Gem5-RASA");
@@ -105,7 +113,7 @@ namespace {
 
 TEST(ComparatorMore, EveryAcceleratedSystemBeatsCpuOnly) {
   const Comparator comparator(core::SystemConfig::maco_default(), 16);
-  const auto results = comparator.run_all(wl::bert_base(8, 384));
+  const auto results = comparator.run_all(builtin("bert-block"));
   const double cpu_only = results[0].gflops;
   for (std::size_t s = 1; s < results.size(); ++s) {
     EXPECT_GT(results[s].gflops, cpu_only) << results[s].system;
@@ -116,7 +124,7 @@ TEST(ComparatorMore, SingleEngineComparatorsAreBandwidthStarved) {
   // The equal-PE normalization is the paper's point: 256 PEs behind one
   // memory path (RASA/Gemmini) sustain less than 16 distributed engines.
   const Comparator comparator(core::SystemConfig::maco_default(), 16);
-  const auto results = comparator.run_all(wl::gpt3(1, 2048));
+  const auto results = comparator.run_all(builtin("gpt3-block"));
   const double rasa = results[2].gflops;
   const double gemmini = results[3].gflops;
   const double maco = results[4].gflops;
@@ -126,7 +134,8 @@ TEST(ComparatorMore, SingleEngineComparatorsAreBandwidthStarved) {
 
 TEST(ComparatorMore, EfficiencyAgainstNormalizedPeakBounded) {
   const Comparator comparator(core::SystemConfig::maco_default(), 16);
-  for (const auto& workload : {wl::resnet50(8), wl::bert_base(8, 384)}) {
+  for (const char* model : {"resnet50-stage", "bert-block"}) {
+    const wl::Workload workload = builtin(model);
     const auto results = comparator.run_all(workload);
     for (const auto& result : results) {
       EXPECT_GT(result.efficiency, 0.0) << result.system;
@@ -138,8 +147,8 @@ TEST(ComparatorMore, EfficiencyAgainstNormalizedPeakBounded) {
 TEST(ComparatorMore, FewerNodesScaleMacoDown) {
   const Comparator full(core::SystemConfig::maco_default(), 16);
   const Comparator quarter(core::SystemConfig::maco_default(), 4);
-  const auto big = full.run_maco(wl::bert_base(8, 384));
-  const auto small = quarter.run_maco(wl::bert_base(8, 384));
+  const auto big = full.run_maco(builtin("bert-block"));
+  const auto small = quarter.run_maco(builtin("bert-block"));
   EXPECT_GT(big.gflops, 2.5 * small.gflops);
 }
 

@@ -14,7 +14,7 @@
 #include "driver/hardware_knobs.hpp"
 #include "driver/scenario_registry.hpp"
 #include "driver/sweep_runner.hpp"
-#include "graph/builtin_models.hpp"
+#include "overflow_manifests.hpp"
 #include "store/campaign_store.hpp"
 
 namespace maco::driver {
@@ -277,10 +277,9 @@ TEST(Cli, RejectsBadOutputCombinations) {
 TEST(Registry, BuiltinCoversWorkloadsBaselinesAndBenches) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   for (const char* name :
-       {"gemm", "hpl", "resnet50", "bert", "gpt3", "baselines",
-        "fig6_translation", "fig7_scalability", "fig8_dl_comparison",
-        "ablation_features", "area_power", "ext_sparsity", "tables",
-        "micro_components"}) {
+       {"gemm", "hpl", "graph", "baselines", "fig6_translation",
+        "fig8_dl_comparison", "ablation_features", "area_power",
+        "ext_sparsity", "tables"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
 }
@@ -510,21 +509,6 @@ TEST(Sweep, TwoByTwoProducesFourRowsInCartesianOrder) {
   }
   EXPECT_DOUBLE_EQ(results.rows[3].result.metrics[0].value, 20.0);
   EXPECT_DOUBLE_EQ(results.rows[3].result.metrics[1].value, 5.0);
-}
-
-TEST(Sweep, SerialScenarioIgnoresThreadCount) {
-  ScenarioRegistry registry;
-  Scenario serial = echo_scenario();
-  serial.serial = true;
-  ASSERT_TRUE(registry.add(serial));
-  SweepRequest request;
-  request.scenario = "echo";
-  request.axes = {{"a", {"1", "2", "3"}}};
-  request.threads = 8;  // must still run (serially) and stay correct
-  const SweepResults results = run_sweep(registry, request);
-  ASSERT_EQ(results.rows.size(), 3u);
-  EXPECT_EQ(results.failures(), 0u);
-  EXPECT_DOUBLE_EQ(results.rows[2].result.metrics[0].value, 30.0);
 }
 
 TEST(Sweep, RejectsUnknownScenarioBeforeRunning) {
@@ -954,7 +938,7 @@ TEST(Sweep, CacheGeometryKnobsAreSweepable) {
 
 TEST(Registry, NodesVersusNodeCountIsADeclaredCrossRule) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
-  for (const char* name : {"gemm", "hpl", "baselines", "fig7_scalability"}) {
+  for (const char* name : {"gemm", "hpl", "baselines", "graph"}) {
     const Scenario* scenario = registry.find(name);
     ASSERT_NE(scenario, nullptr) << name;
     const bool declared = std::any_of(
@@ -985,40 +969,40 @@ TEST(Sweep, CrossSchemaViolationFailsThePointWithTheRuleText) {
 }
 
 TEST(Sweep, ZeroDimensionManifestIsOneErrorRowNotAnAbort) {
-  // batch = seq_len = 2^32 makes tokens wrap to 0, so the manifest lowers
-  // to layers with M = 0. The timing model rejects them with a typed error,
-  // which the sweep records in that point's row; the valid point still runs.
-  std::string manifest = graph::builtin_manifest("gpt3-block");
-  const std::string defaults = R"("defaults": {"batch": 1, "seq_len": 2048})";
-  const std::size_t at = manifest.find(defaults);
-  ASSERT_NE(at, std::string::npos);
-  manifest.replace(
-      at, defaults.size(),
-      R"("defaults": {"batch": 4294967296, "seq_len": 4294967296})");
-  const std::string path = ::testing::TempDir() + "/zero_dim_manifest.json";
-  std::ofstream(path) << manifest;
-
+  // batch = seq_len = 2^32 would wrap tokens to 0, and literal 2^22 dims
+  // would wrap a GEMM's FLOPs. Lowering rejects both with a GraphError
+  // naming what overflowed; the sweep records each in its own row, and
+  // the valid point still runs.
+  const std::string tokens = overflow_manifests::wrapping_tokens();
+  const std::string flops = overflow_manifests::wrapping_flops();
   SweepRequest request;
   request.scenario = "graph";
-  request.axes = {{"model_file", {path, "tiny"}}};
+  request.axes = {{"model_file", {tokens, flops, "tiny"}}};
   const SweepResults results =
       run_sweep(ScenarioRegistry::builtin(), request);
-  ASSERT_EQ(results.rows.size(), 2u);
+  ASSERT_EQ(results.rows.size(), 3u);
   ASSERT_FALSE(results.rows[0].ok());
-  EXPECT_NE(results.rows[0].error.find("shape.m = 0"), std::string::npos)
+  EXPECT_NE(results.rows[0].error.find("tokens (batch x seq_len) "
+                                       "4294967296 x 4294967296 overflows"),
+            std::string::npos)
       << results.rows[0].error;
-  EXPECT_TRUE(results.rows[1].ok()) << results.rows[1].error;
+  ASSERT_FALSE(results.rows[1].ok());
+  EXPECT_NE(results.rows[1].error.find("op 'mm': FLOPs"), std::string::npos)
+      << results.rows[1].error;
+  EXPECT_TRUE(results.rows[2].ok()) << results.rows[2].error;
 
   std::ostringstream out;
   write_csv(out, results);
   std::vector<std::string> lines;
   std::istringstream csv(out.str());
   for (std::string line; std::getline(csv, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 3u);  // header + one error row + one good row
-  EXPECT_NE(lines[1].find("shape.m = 0"), std::string::npos);
-  EXPECT_EQ(lines[2].rfind("tiny,1,16,16,", 0), 0u) << lines[2];
-  EXPECT_EQ(lines[2].back(), ',');  // empty error column
-  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 4u);  // header + two error rows + one good row
+  EXPECT_NE(lines[1].find("overflows 64 bits"), std::string::npos);
+  EXPECT_NE(lines[2].find("overflows 64 bits"), std::string::npos);
+  EXPECT_EQ(lines[3].rfind("tiny,1,16,16,", 0), 0u) << lines[3];
+  EXPECT_EQ(lines[3].back(), ',');  // empty error column
+  std::remove(tokens.c_str());
+  std::remove(flops.c_str());
 }
 
 TEST(Sweep, UnsetNodesStillFollowsNodeCountUnderTheCrossRule) {

@@ -12,10 +12,10 @@
 #include "graph/lowering.hpp"
 #include "graph/model_graph.hpp"
 #include "graph/scheduler.hpp"
+#include "overflow_manifests.hpp"
 #include "sampling/tile_space.hpp"
 #include "serve/workload.hpp"
 #include "util/file.hpp"
-#include "workloads/dnn_models.hpp"
 
 namespace maco::graph {
 namespace {
@@ -84,6 +84,11 @@ TEST(ModelGraph, RejectsMalformedDocuments) {
   expect_rejected("{", "manifest");
   expect_rejected("[]", "object");
   expect_rejected(R"({"model": "m"})", "tensors");
+  // Layer::repeat is 32-bit: a larger count must not truncate silently.
+  std::string repeat = kMlp;
+  repeat.replace(repeat.find("\"attrs\": {\"out_features\": 32}"), 0,
+                 "\"repeat\": 4294967296, ");
+  expect_rejected(repeat, "'repeat': must be <= 4294967295");
 }
 
 TEST(ModelGraph, RejectsUnknownOpKind) {
@@ -456,9 +461,17 @@ void expect_identical(const wl::Workload& actual,
   }
 }
 
+// A builtin manifest lowered at `batch` (0 keeps its default).
+wl::Workload lower_builtin(const char* model, std::uint64_t batch = 0) {
+  LoweringOptions options;
+  options.batch = batch;
+  return lower(builtin_graph(model), options).workload;
+}
+
 TEST(BitIdentity, Resnet50MatchesLegacyGenerator) {
   for (unsigned batch : {1u, 8u, 64u}) {
-    expect_identical(wl::resnet50(batch), legacy_resnet50(batch));
+    expect_identical(lower_builtin("resnet50-stage", batch),
+                     legacy_resnet50(batch));
   }
 }
 
@@ -469,7 +482,7 @@ TEST(BitIdentity, BertMatchesLegacyGenerator) {
     expected.precision = sa::Precision::kFp32;
     legacy_transformer_block(expected, "encoder", 384ull * batch, 768, 12,
                              12);
-    expect_identical(wl::bert_base(batch, 384), expected);
+    expect_identical(lower_builtin("bert-block", batch), expected);
   }
 }
 
@@ -478,7 +491,7 @@ TEST(BitIdentity, Gpt3MatchesLegacyGenerator) {
   expected.name = "GPT3";
   expected.precision = sa::Precision::kFp32;
   legacy_transformer_block(expected, "decoder", 2048, 12288, 96, 96);
-  expect_identical(wl::gpt3(1, 2048), expected);
+  expect_identical(lower_builtin("gpt3-block"), expected);
 }
 
 TEST(BitIdentity, ServeTinyMatchesLegacyShapes) {
@@ -556,6 +569,29 @@ TEST(GraphCmd, ValidateThrowsOnABadManifest) {
   const std::string deep = ::testing::TempDir() + "/deep_manifest.json";
   std::ofstream(deep) << std::string(200'000, '[');
   EXPECT_THROW((void)validate_manifest(deep), graph::GraphError);
+  // Parses, but dim products overflow 64 bits (or an expert repeat
+  // exceeds Layer::repeat's 32 bits): lowering at the defaults rejects
+  // them, naming what overflowed.
+  const std::string moe = ::testing::TempDir() + "/huge_moe_manifest.json";
+  std::ofstream(moe) << R"({"model": "m", "tensors": [
+      {"name": "x", "dims": ["tokens", 8]},
+      {"name": "y", "dims": ["tokens", 8]}],
+    "ops": [{"name": "moe", "kind": "moe", "inputs": ["x"],
+             "outputs": ["y"],
+             "attrs": {"experts": 4294967296, "ffn": 8}}]})";
+  for (const auto& [manifest, needle] :
+       {std::pair{overflow_manifests::wrapping_tokens(),
+                  "model 'GPT3': tokens"},
+        std::pair{overflow_manifests::wrapping_flops(), "op 'mm': FLOPs"},
+        std::pair{moe, "op 'moe': expert repeat 4294967296 exceeds"}}) {
+    try {
+      (void)validate_manifest(manifest);
+      ADD_FAILURE() << manifest << " validated";
+    } catch (const graph::GraphError& error) {
+      EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+          << error.what();
+    }
+  }
   EXPECT_THROW(
       (void)validate_manifest(::testing::TempDir() + "/missing.json"),
       util::FileError);

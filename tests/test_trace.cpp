@@ -1,27 +1,37 @@
-// Timeline collection and rendering.
+// Gantt rendering of span traces through the `macosim trace` path.
 #include <gtest/gtest.h>
 
 #include "core/mapped_gemm.hpp"
-#include "trace/timeline.hpp"
+#include "driver/trace_cmd.hpp"
+#include "obs/collector.hpp"
+#include "obs/trace_writer.hpp"
 #include "util/rng.hpp"
 
-namespace maco::trace {
+namespace maco::driver {
 namespace {
 
+// Writes `spans` as a trace file and renders it back, as --trace-out and
+// `macosim trace` do.
+std::string gantt(std::vector<obs::SpanRec> spans, std::size_t width) {
+  obs::RunObservation observation;
+  observation.spans = std::move(spans);
+  return render_trace(obs::to_perfetto_json(observation), width).gantt;
+}
+
 TEST(Timeline, BoundsAndDuration) {
-  Timeline timeline;
-  timeline.add("cpu", "setup", 100, 300);
-  timeline.add("mmae", "gemm", 200, 900);
-  EXPECT_EQ(timeline.begin_ps(), 100u);
-  EXPECT_EQ(timeline.end_ps(), 900u);
-  EXPECT_EQ(timeline.spans()[1].duration(), 700u);
+  const std::string chart =
+      gantt({{"cpu", "setup", 100, 300}, {"mmae", "gemm", 200, 900}}, 10);
+  // The summary spans the first start (100 ps) to the last end (900 ps).
+  EXPECT_EQ(chart.rfind("2 span(s) on 2 track(s), 0.0008 us\n", 0), 0u)
+      << chart;
+  EXPECT_NE(chart.find("timeline 0.0008 us"), std::string::npos) << chart;
+  // gemm's 700 ps cover the last 9 of 10 columns.
+  EXPECT_NE(chart.find("mmae |.MMMMMMMMM|"), std::string::npos) << chart;
 }
 
 TEST(Timeline, AsciiRowsPerTrackInFirstAppearanceOrder) {
-  Timeline timeline;
-  timeline.add("node1.mmae", "b", 0, 50);
-  timeline.add("node0.mmae", "a", 50, 100);
-  const std::string chart = timeline.render_ascii(10);
+  const std::string chart =
+      gantt({{"node1.mmae", "b", 0, 50}, {"node0.mmae", "a", 50, 100}}, 10);
   const auto pos1 = chart.find("node1.mmae");
   const auto pos0 = chart.find("node0.mmae");
   ASSERT_NE(pos1, std::string::npos);
@@ -30,12 +40,9 @@ TEST(Timeline, AsciiRowsPerTrackInFirstAppearanceOrder) {
 }
 
 TEST(Timeline, AsciiMarksSpanCells) {
-  Timeline timeline;
-  timeline.add("t", "xxg", 0, 500);    // mark 'G'
-  timeline.add("t", "yyh", 500, 1000); // mark 'H'
-  const std::string chart = timeline.render_ascii(10);
-  EXPECT_NE(chart.find('G'), std::string::npos);
-  EXPECT_NE(chart.find('H'), std::string::npos);
+  const std::string chart =
+      gantt({{"t", "xxg", 0, 500}, {"t", "yyh", 500, 1000}}, 10);
+  EXPECT_NE(chart.find("|GGGGGHHHHH|"), std::string::npos) << chart;
 }
 
 TEST(Timeline, ImportsMmaeReportsFromARealRun) {
@@ -55,19 +62,18 @@ TEST(Timeline, ImportsMmaeReportsFromARealRun) {
   core::MappedGemmRunner runner(system);
   ASSERT_TRUE(runner.run(process, a_desc, b_desc, c_desc, {}).ok);
 
-  Timeline timeline;
+  std::vector<obs::SpanRec> spans;
   for (unsigned node = 0; node < system.node_count(); ++node) {
-    timeline.import_reports("node" + std::to_string(node) + ".mmae",
-                            system.node(node).mmae().reports());
+    obs::append_mmae_spans(system, node, spans);
   }
   // Stashes + packs + GEMMs + unpacks from both nodes.
-  EXPECT_GE(timeline.spans().size(), 8u);
-  EXPECT_GT(timeline.end_ps(), timeline.begin_ps());
+  EXPECT_GE(spans.size(), 8u);
   // The chart renders one row per node.
-  const std::string chart = timeline.render_ascii(40);
+  const std::string chart = gantt(spans, 40);
+  EXPECT_NE(chart.find("on 2 track(s)"), std::string::npos) << chart;
   EXPECT_NE(chart.find("node0.mmae"), std::string::npos);
   EXPECT_NE(chart.find("node1.mmae"), std::string::npos);
 }
 
 }  // namespace
-}  // namespace maco::trace
+}  // namespace maco::driver

@@ -1,18 +1,18 @@
 #include <gtest/gtest.h>
 
-#include "workloads/dnn_models.hpp"
+#include "graph/builtin_models.hpp"
+#include "graph/lowering.hpp"
 #include "workloads/gemm_workload.hpp"
 #include "workloads/hpl.hpp"
 
 namespace maco::wl {
 namespace {
 
-TEST(Workload, SquareGemmShape) {
-  const Workload w = square_gemm(1024);
-  ASSERT_EQ(w.layers.size(), 1u);
-  EXPECT_EQ(w.layers[0].shape.m, 1024u);
-  EXPECT_EQ(w.total_flops(), 2ull * 1024 * 1024 * 1024);
-  EXPECT_EQ(w.precision, sa::Precision::kFp64);
+// A builtin manifest lowered at `batch` (0 keeps its default).
+Workload builtin(const char* model, std::uint64_t batch = 0) {
+  graph::LoweringOptions options;
+  options.batch = batch;
+  return graph::lower(graph::builtin_graph(model), options).workload;
 }
 
 TEST(Workload, PaperSizeSweeps) {
@@ -30,7 +30,7 @@ TEST(Workload, ExpandedShapesHonorRepeat) {
 }
 
 TEST(Dnn, Resnet50LayerInventory) {
-  const Workload w = resnet50(8);
+  const Workload w = builtin("resnet50-stage");
   EXPECT_EQ(w.name, "Resnet-50");
   EXPECT_EQ(w.precision, sa::Precision::kFp32);
   EXPECT_GT(w.layers.size(), 15u);
@@ -43,7 +43,7 @@ TEST(Dnn, Resnet50LayerInventory) {
 }
 
 TEST(Dnn, Resnet50Conv1Shape) {
-  const Workload w = resnet50(1);
+  const Workload w = builtin("resnet50-stage", 1);
   const Layer& conv1 = w.layers.front();
   EXPECT_EQ(conv1.shape.m, 64u);          // output channels
   EXPECT_EQ(conv1.shape.n, 112u * 112u);  // output pixels
@@ -51,7 +51,7 @@ TEST(Dnn, Resnet50Conv1Shape) {
 }
 
 TEST(Dnn, BertBlockStructure) {
-  const Workload w = bert_base(8, 384);
+  const Workload w = builtin("bert-block");
   ASSERT_EQ(w.layers.size(), 6u);  // qkv/scores/context/proj/ffn1/ffn2
   for (const auto& layer : w.layers) EXPECT_EQ(layer.repeat, 12u);
   // FFN1: tokens × 4H × H.
@@ -65,9 +65,9 @@ TEST(Dnn, BertBlockStructure) {
 }
 
 TEST(Dnn, Gpt3IsLargestWorkload) {
-  const Workload gpt = gpt3(1, 2048);
-  const Workload bert = bert_base(8, 384);
-  const Workload resnet = resnet50(8);
+  const Workload gpt = builtin("gpt3-block");
+  const Workload bert = builtin("bert-block");
+  const Workload resnet = builtin("resnet50-stage");
   EXPECT_GT(gpt.total_flops(), bert.total_flops());
   EXPECT_GT(bert.total_flops(), resnet.total_flops());
   // GPT-3 per-token cost ≈ 2 × 12 × H² × layers; sanity band for seq 2048.
@@ -126,7 +126,7 @@ TEST(Hpl, UpdateFlopsApproachTwoThirdsNCubed) {
 }
 
 TEST(Dnn, Gpt3ShapesMatchArchitecture) {
-  const Workload w = gpt3(1, 2048);
+  const Workload w = builtin("gpt3-block");
   ASSERT_EQ(w.layers.size(), 6u);
   for (const auto& layer : w.layers) EXPECT_EQ(layer.repeat, 96u);
   const Layer& qkv = w.layers[0];
@@ -137,7 +137,7 @@ TEST(Dnn, Gpt3ShapesMatchArchitecture) {
 
 TEST(Dnn, BertPostOpsCoverTheNonGemmWork) {
   // The GEMM+ scheme needs the non-GEMM ops attached to their layers.
-  const Workload w = bert_base(8, 384);
+  const Workload w = builtin("bert-block");
   int softmax = 0, layernorm = 0, gelu = 0;
   for (const auto& layer : w.layers) {
     if (layer.post == PostOp::kSoftmax) ++softmax;
