@@ -14,7 +14,7 @@ class ComputeNode {
   ComputeNode(sim::SimEngine& engine, int node_id,
               const cpu::CpuConfig& cpu_config,
               const mmae::MmaeConfig& mmae_config,
-              mmae::MemoryBackend& backend, mem::PhysicalMemory& memory,
+              mmae::MemoryBackend& backend,
               vm::MemoryLatencyOracle& walk_memory);
 
   int id() const noexcept { return id_; }

@@ -42,6 +42,12 @@ struct SystemConfig {
   mem::DramConfig dram{};                   // per-channel backend + timings
   noc::IcntKind icnt = noc::IcntKind::kAnalytic;  // detailed-machine NoC
   ProfileMode profile = ProfileMode::kOff;  // observability (see obs/)
+  // Whether operand values travel through the detailed machine. Not a
+  // hardware knob: no ParamSchema, store fingerprint or CLI sees it.
+  // Timing never reads a value, so the detailed runners switch it off and
+  // move only the traffic; direct MacoSystem users that read results back
+  // keep the default.
+  bool carry_values = true;
 
   // Fast-model latency constants (calibrated; see DESIGN.md §5).
   sim::TimePs noc_hop_ps = 500;            // one NoC cycle per hop

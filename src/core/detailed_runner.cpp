@@ -89,11 +89,10 @@ void program_gemm_tasks(MacoSystem& system, unsigned node, Process& process,
                         const sa::TileShape& shape,
                         const TimingOptions& options,
                         std::uint64_t a_offset, std::uint64_t b_offset,
-                        std::uint64_t c_offset, std::uint64_t data_seed,
-                        unsigned tasks) {
+                        std::uint64_t c_offset, unsigned tasks) {
   const isa::GemmParams gemm =
       build_detailed_gemm_task(system, process, shape, options, a_offset,
-                               b_offset, c_offset, data_seed);
+                               b_offset, c_offset, /*data_seed=*/0);
   cpu::CpuCore& cpu = system.node(node).cpu();
   cpu.regs().write_param_block(10, gemm.pack());
   for (unsigned t = 0; t < tasks; ++t) {
@@ -126,8 +125,6 @@ isa::GemmParams build_detailed_gemm_task(
     const TimingOptions& options, std::uint64_t a_page_offset,
     std::uint64_t b_page_offset, std::uint64_t c_page_offset,
     std::uint64_t data_seed) {
-  util::Rng rng(0x9e3779b9u ^ data_seed);
-
   // One extra page per matrix makes room for the in-page shift; the
   // MatrixDesc base is the shifted address, so every element access (host
   // writes and the MMAE's DMA streams alike) sees the shifted layout.
@@ -151,11 +148,14 @@ isa::GemmParams build_detailed_gemm_task(
   const auto a = alloc_shifted(shape.m, shape.k, a_page_offset);
   const auto b = alloc_shifted(shape.k, shape.n, b_page_offset);
   const auto c = alloc_shifted(shape.m, shape.n, c_page_offset);
-  system.write_matrix(process, a,
-                      sa::HostMatrix::random(shape.m, shape.k, rng));
-  system.write_matrix(process, b,
-                      sa::HostMatrix::random(shape.k, shape.n, rng));
-  system.write_matrix(process, c, sa::HostMatrix(shape.m, shape.n));
+  if (system.config().carry_values) {
+    util::Rng rng(0x9e3779b9u ^ data_seed);
+    system.write_matrix(process, a,
+                        sa::HostMatrix::random(shape.m, shape.k, rng));
+    system.write_matrix(process, b,
+                        sa::HostMatrix::random(shape.k, shape.n, rng));
+    system.write_matrix(process, c, sa::HostMatrix(shape.m, shape.n));
+  }
 
   isa::GemmParams gemm;
   gemm.a_base = a.base;
@@ -183,19 +183,20 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
   detailed_config.node_count = std::max(
       1u, std::min(options.active_nodes, config.node_count));
   detailed_config.mmae.use_matlb = options.use_matlb;
+  detailed_config.carry_values = false;
 
   obs::ScopedPhase setup_phase("setup");
   MacoSystem system(detailed_config);
   const unsigned nodes = system.node_count();
 
   // One independent GEMM per node (Fig. 7's independent mode), each in
-  // its own process/address space with real random operands, driven by
-  // the OS scheduler instead of hand-programmed CPUs. With a single-task
-  // job per node, round-robin lands job i on node i and every dispatch
-  // happens before the engine first runs — the MMAE-side timing is the
-  // same as the historic direct path, and the run additionally exercises
-  // (and reports) the real OS machinery: context switches, MA_STATE
-  // harvesting, MTQ backoff, demand repair.
+  // its own process/address space, driven by the OS scheduler instead of
+  // hand-programmed CPUs. With a single-task job per node, round-robin
+  // lands job i on node i and every dispatch happens before the engine
+  // first runs — the MMAE-side timing is the same as the historic direct
+  // path, and the run additionally exercises (and reports) the real OS
+  // machinery: context switches, MA_STATE harvesting, MTQ backoff, demand
+  // repair.
   os::Scheduler::Options sched_options;
   sched_options.nodes = nodes;
   os::Scheduler scheduler(system, sched_options);
@@ -204,7 +205,7 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
     os::Job& job = scheduler.add_job(process);
     job.tasks.push_back(os::GemmTask{build_detailed_gemm_task(
         system, process, options.shape, options, /*a_page_offset=*/0,
-        /*b_page_offset=*/0, /*c_page_offset=*/0, /*data_seed=*/n)});
+        /*b_page_offset=*/0, /*c_page_offset=*/0, /*data_seed=*/0)});
   }
   setup_phase.stop();
 
@@ -353,6 +354,7 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
     SystemConfig batch_config = config;
     batch_config.node_count = width;
     batch_config.mmae.use_matlb = options.use_matlb;
+    batch_config.carry_values = false;
 
     MacoSystem system(batch_config);
     for (unsigned n = 0; n < width; ++n) {
@@ -361,8 +363,7 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
       system.schedule_process(n, process);
       program_gemm_tasks(system, n, process, job.shape, options,
                          job.a_page_offset, job.b_page_offset,
-                         job.c_page_offset, job.data_seed,
-                         job.warmup_tasks + 1);
+                         job.c_page_offset, job.warmup_tasks + 1);
     }
     system.run();
 

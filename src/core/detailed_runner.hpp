@@ -2,10 +2,14 @@
 //
 // The adapter between the experiment API and MacoSystem: it instantiates
 // the whole chip, programs one independent GEMM per active node through the
-// real MPAIS path (MA_CFG -> MTQ -> STQ -> DMA -> systolic array -> memory,
-// with real data) and condenses the per-node TaskReports into the same
-// SystemTiming record the analytic SystemTimingModel produces, so the two
-// fidelities are interchangeable behind exp::ExecutionBackend.
+// real MPAIS path (MA_CFG -> MTQ -> STQ -> DMA -> systolic array -> memory)
+// and condenses the per-node TaskReports into the same SystemTiming record
+// the analytic SystemTimingModel produces, so the two fidelities are
+// interchangeable behind exp::ExecutionBackend. Timing never reads an
+// operand value, so both entry points build their machines with
+// SystemConfig::carry_values off: the traffic, translation and compute
+// timeline are the same, without the host cost of generating, copying and
+// multiplying the data.
 //
 // Detailed runs are orders of magnitude slower than the closed forms, so
 // the entry point enforces the analytic-only knobs and a size cap with
@@ -49,11 +53,12 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
                                obs::RunObservation* observation = nullptr);
 
 // Allocates the three operand matrices of one GEMM task in `process`
-// (shifted into their pages by the byte offsets), writes seeded random
-// data, and returns the MA_CFG parameter block — without issuing it.
-// Dispatch belongs to the caller: directly through a node's CPU, or as an
-// os::GemmTask under the scheduler (run_detailed_gemm, serve's detailed
-// batch-cost oracle).
+// (shifted into their pages by the byte offsets) and returns the MA_CFG
+// parameter block — without issuing it. On a machine that carries values
+// it also writes random A and B from `data_seed` and a zero C; otherwise
+// `data_seed` is unused. Dispatch belongs to the caller: directly through
+// a node's CPU, or as an os::GemmTask under the scheduler
+// (run_detailed_gemm, serve's detailed batch-cost oracle).
 isa::GemmParams build_detailed_gemm_task(
     MacoSystem& system, Process& process, const sa::TileShape& shape,
     const TimingOptions& options, std::uint64_t a_page_offset,
@@ -69,7 +74,6 @@ struct DetailedTileJob {
   std::uint64_t a_page_offset = 0;  // bytes, < 4 KiB, 8-byte aligned
   std::uint64_t b_page_offset = 0;
   std::uint64_t c_page_offset = 0;
-  std::uint64_t data_seed = 0;      // operand RNG stream
   // Identical tasks issued (and discarded) before the measured one, so the
   // measurement sees warm TLB/PTW/L3 state — the steady state an interior
   // tile of a long mapped run executes in (the stash+lock discipline keeps

@@ -1,6 +1,8 @@
 #include "core/maco_system.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "util/assert.hpp"
 #include "util/bits.hpp"
@@ -58,16 +60,20 @@ sim::TimePs SystemMemoryBackend::transfer(int node, vm::PhysAddr pa,
   return std::max(ready, port_free);
 }
 
+bool SystemMemoryBackend::carries_values() const {
+  return system_.config().carry_values;
+}
+
 sim::TimePs SystemMemoryBackend::read(int node, vm::PhysAddr pa, void* out,
                                       std::uint32_t bytes, sim::TimePs start) {
-  system_.memory().read(pa, out, bytes);
+  if (carries_values()) system_.memory().read(pa, out, bytes);
   return transfer(node, pa, bytes, mem::CcmReqType::kGetS, false, start);
 }
 
 sim::TimePs SystemMemoryBackend::write(int node, vm::PhysAddr pa,
                                        const void* data, std::uint32_t bytes,
                                        sim::TimePs start) {
-  system_.memory().write(pa, data, bytes);
+  if (carries_values()) system_.memory().write(pa, data, bytes);
   return transfer(node, pa, bytes, mem::CcmReqType::kGetM, false, start);
 }
 
@@ -133,7 +139,7 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
         std::make_unique<WalkMemoryOracle>(*this, static_cast<int>(n)));
     nodes_.push_back(std::make_unique<ComputeNode>(
         engine_, static_cast<int>(n), config_.cpu, config_.mmae, *backend_,
-        memory_, *walk_oracles_.back()));
+        *walk_oracles_.back()));
     // Multi-process translation: the MMAE resolves page tables through the
     // system's process registry, independent of the CPU's current context
     // (MTQ/STQ survive process switches).
@@ -202,8 +208,18 @@ vm::MatrixDesc MacoSystem::alloc_matrix_lazy(Process& process,
   return desc;
 }
 
+void MacoSystem::require_values(const char* caller) const {
+  if (!config_.carry_values) {
+    throw std::logic_error(
+        std::string("MacoSystem::") + caller +
+        ": the machine was built with SystemConfig::carry_values = false "
+        "and holds no operand values");
+  }
+}
+
 void MacoSystem::write_matrix(Process& process, const vm::MatrixDesc& desc,
                               const sa::HostMatrix& values) {
+  require_values("write_matrix");
   MACO_ASSERT(values.rows() == desc.rows && values.cols() == desc.cols);
   const vm::PageTable& table = process.space->page_table();
   for (std::uint64_t r = 0; r < desc.rows; ++r) {
@@ -218,6 +234,7 @@ void MacoSystem::write_matrix(Process& process, const vm::MatrixDesc& desc,
 
 sa::HostMatrix MacoSystem::read_matrix(Process& process,
                                        const vm::MatrixDesc& desc) {
+  require_values("read_matrix");
   sa::HostMatrix out(desc.rows, desc.cols);
   const vm::PageTable& table = process.space->page_table();
   for (std::uint64_t r = 0; r < desc.rows; ++r) {

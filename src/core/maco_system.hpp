@@ -3,10 +3,14 @@
 // Compute nodes, distributed L3/CCM slices, DRAM channels and the physical
 // backing store wired together. The memory backend charges NoC time through
 // the `icnt` interconnect model and per-node injection-port serialization
-// plus the CCM/DRAM costs for every cache-line transfer. This mode runs
-// real data end-to-end (MPAIS program -> MTQ/STQ -> DMA -> systolic array
-// -> memory) and is exercised by the integration tests and examples;
-// paper-scale sweeps use core::SystemTimingModel instead.
+// plus the CCM/DRAM costs for every cache-line transfer. Every run follows
+// the full MPAIS path (program -> MTQ/STQ -> DMA -> systolic array ->
+// memory). Operand values travel along it only when
+// SystemConfig::carry_values is set: direct MacoSystem users (tests,
+// examples) keep that default and read results back, while the detailed
+// runners (core/detailed_runner.hpp, serve's detailed oracle) switch it
+// off, because timing never reads a value. Paper-scale sweeps use
+// core::SystemTimingModel instead.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,7 @@ class SystemMemoryBackend final : public mmae::MemoryBackend {
  public:
   explicit SystemMemoryBackend(MacoSystem& system) : system_(system) {}
 
+  bool carries_values() const override;
   sim::TimePs read(int node, vm::PhysAddr pa, void* out, std::uint32_t bytes,
                    sim::TimePs start) override;
   sim::TimePs write(int node, vm::PhysAddr pa, const void* data,
@@ -87,6 +92,8 @@ class MacoSystem {
   void schedule_process(unsigned node_index, Process& process);
 
   // ---- matrix helpers (host-side, functional) ----
+  // write_matrix and read_matrix throw std::logic_error on a machine built
+  // with carry_values = false, which holds no values to move.
   vm::MatrixDesc alloc_matrix(Process& process, std::uint64_t rows,
                               std::uint64_t cols);
   // Lazily-backed variant (reserved VA, no frames): the MMAE faults on
@@ -126,6 +133,8 @@ class MacoSystem {
   void run() { engine_.run(); }
 
  private:
+  void require_values(const char* caller) const;
+
   SystemConfig config_;
   sim::SimEngine engine_;
   mem::PhysicalMemory memory_;

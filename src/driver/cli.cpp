@@ -624,7 +624,9 @@ std::string usage() {
          "  macosim graph validate FILE\n"
          "                         schema-check a model manifest (shapes,\n"
          "                         edges, attrs, acyclicity); exit 0 when\n"
-         "                         it loads, 2 with a diagnostic when not\n"
+         "                         it loads, 2 with a diagnostic when not.\n"
+         "                         FILE may also name a builtin, as\n"
+         "                         model_file does (e.g. gpt3-block)\n"
          "  macosim graph show FILE\n"
          "                         print the lowered GEMM layer table and\n"
          "                         per-op FLOP/byte contributions without\n"

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <string>
 
+#include "graph/builtin_models.hpp"
 #include "sa/types.hpp"
 #include "util/table.hpp"
 
@@ -21,7 +22,7 @@ std::string gflop(std::uint64_t flops) {
 }  // namespace
 
 std::string validate_manifest(const std::string& path) {
-  graph::ModelGraph graph = graph::load_model_graph(path);
+  graph::ModelGraph graph = graph::load_graph_model(path);
   // Parsing checks structure; dims that overflow 64 bits only surface when
   // they resolve, so lower at the manifest's defaults in both phases.
   for (const graph::Phase phase :
@@ -42,7 +43,7 @@ std::string validate_manifest(const std::string& path) {
 
 std::string show_manifest(const std::string& path,
                           const graph::LoweringOptions& options) {
-  graph::ModelGraph graph = graph::load_model_graph(path);
+  graph::ModelGraph graph = graph::load_graph_model(path);
   graph::LoweredModel model = graph::lower(graph, options);
 
   std::ostringstream out;

@@ -341,16 +341,6 @@ std::string metric_key(const std::string& system) {
   return key;
 }
 
-// `model_file` accepts either a path to a manifest JSON or the name of an
-// embedded builtin (the examples/models/ file stems), so the scenario
-// works without a source checkout.
-graph::ModelGraph load_graph_model(const std::string& spec) {
-  for (const graph::BuiltinManifest& builtin : graph::builtin_manifests()) {
-    if (spec == builtin.name) return graph::parse_model_graph(builtin.json);
-  }
-  return graph::load_model_graph(spec);
-}
-
 // The one way a scenario names a DNN workload: a manifest plus its
 // lowering options. Declared by `graph` and `baselines`.
 void declare_graph_params(exp::ParamSchema& s, const char* default_model) {
@@ -378,7 +368,8 @@ graph::LoweredModel lower_graph_params(const exp::ParamSet& p) {
   lowering.seq_len = p.u64("seq_len");
   lowering.phase = graph::parse_phase(p.str("phase"));
   lowering.moe_top_k = p.u64("moe_top_k");
-  return graph::lower(load_graph_model(p.str("model_file")), lowering);
+  return graph::lower(graph::load_graph_model(p.str("model_file")),
+                      lowering);
 }
 
 Scenario baselines_scenario() {

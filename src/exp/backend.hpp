@@ -3,8 +3,9 @@
 // An ExecutionBackend turns TimingOptions into SystemTiming at a chosen
 // fidelity: `analytic` evaluates core::SystemTimingModel (closed forms +
 // contention models, paper-scale in microseconds), `detailed` executes the
-// GEMM end to end on core::MacoSystem with real data (small shapes only),
-// `sampled` simulates a seeded stratified sample of the first-level tile
+// GEMM end to end on core::MacoSystem (small shapes only; the machine moves
+// traffic but no operand values, which timing never reads), `sampled`
+// simulates a seeded stratified sample of the first-level tile
 // grid on the same detailed machine and scales the per-stratum means to
 // full-workload estimates with confidence intervals (src/sampling/ —
 // paper-scale shapes, no size cap). Scenarios declare

@@ -28,4 +28,11 @@ ModelGraph builtin_graph(std::string_view name) {
   return parse_model_graph(builtin_manifest(name));
 }
 
+ModelGraph load_graph_model(const std::string& spec) {
+  for (const BuiltinManifest& builtin : builtin_manifests()) {
+    if (spec == builtin.name) return parse_model_graph(builtin.json);
+  }
+  return load_model_graph(spec);
+}
+
 }  // namespace maco::graph

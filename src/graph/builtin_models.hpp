@@ -7,6 +7,7 @@
 // "resnet50-stage", "bert-block", "gpt3-block", "tiny", "moe-mlp".
 #pragma once
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -27,5 +28,10 @@ const char* builtin_manifest(std::string_view name);
 
 // parse_model_graph(builtin_manifest(name)).
 ModelGraph builtin_graph(std::string_view name);
+
+// The one way to name a manifest, shared by every `model_file` parameter
+// and the `macosim graph validate|show` subcommands: a builtin name, else
+// a path to a manifest JSON file (load_model_graph).
+ModelGraph load_graph_model(const std::string& spec);
 
 }  // namespace maco::graph

@@ -9,6 +9,7 @@
 // the system layer implements it against the CPU cache models.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,6 +62,9 @@ class DirectoryCcm {
 
   DirectoryCcm(std::string name, const CcmConfig& config,
                DramModel& dram, RecallFn recall = {});
+  // Not copyable: last_chunk_ points into this object's own chunks_.
+  DirectoryCcm(const DirectoryCcm&) = delete;
+  DirectoryCcm& operator=(const DirectoryCcm&) = delete;
 
   // `queue_dram = false` computes DRAM latency from service times without
   // booking the shared data bus — for requests whose issue time is unknown
@@ -89,7 +93,28 @@ class DirectoryCcm {
     int owner = -1;             // node holding M/E/O, -1 if none
   };
 
+  // Directory state lives in chunks of kChunkLines consecutive slice-local
+  // lines (the lines this slice serves, interleave bits stripped as for
+  // the L3), so a DMA stream touches one chunk per kChunkLines lines
+  // instead of allocating a map node per line. A chunk is keyed by its
+  // first line's global line number, which also keeps apart lines that
+  // differ only in their interleave residue.
+  static constexpr std::uint64_t kChunkLines = 64;
+  using Chunk = std::array<DirEntry, kChunkLines>;
+  struct Slot {
+    std::uint64_t key;    // chunk key (global line number of its first line)
+    std::uint64_t index;  // entry within the chunk
+  };
+  Slot slot_of(std::uint64_t line) const noexcept {
+    const std::uint64_t global = line / kLineBytes;
+    const std::uint64_t index =
+        (global / config_.slice_interleave) % kChunkLines;
+    return {global - index * config_.slice_interleave, index};
+  }
+  // The entry of `line`, creating its chunk on first touch.
   DirEntry& entry(std::uint64_t line);
+  // The entry of `line`, or null when its chunk was never touched.
+  const DirEntry* find_entry(std::uint64_t line) const;
   // Address as the slice's cache sees it (interleave bits stripped).
   std::uint64_t cache_addr(std::uint64_t line) const noexcept {
     return line / config_.slice_interleave;
@@ -112,7 +137,11 @@ class DirectoryCcm {
   DramModel& dram_;
   RecallFn recall_;
   SetAssocCache l3_;
-  std::unordered_map<std::uint64_t, DirEntry> directory_;
+  // Node-based map: chunk references stay valid across rehashes, so the
+  // last chunk looked up is cached by pointer.
+  std::unordered_map<std::uint64_t, Chunk> chunks_;
+  std::uint64_t last_key_ = ~std::uint64_t{0};  // no line maps to this key
+  Chunk* last_chunk_ = nullptr;
   std::uint64_t recalls_ = 0;
   std::uint64_t stash_hits_ = 0;
   std::uint64_t stash_fills_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sa/latency_model.hpp"
 #include "util/assert.hpp"
 
 namespace maco::mmae {
@@ -9,12 +10,10 @@ namespace maco::mmae {
 AcceleratorController::AcceleratorController(sim::SimEngine& engine, int node,
                                              const MmaeConfig& config,
                                              MemoryBackend& backend,
-                                             mem::PhysicalMemory& memory,
                                              cpu::CpuCore& cpu)
     : sim::Component(engine, "node" + std::to_string(node) + ".mmae"),
       config_(config), node_(node), stq_(config.stq_entries),
-      ade_(name() + ".ade", node, config.dma, backend, memory),
-      array_(config.sa),
+      backend_(backend), ade_(name() + ".ade", node, config.dma, backend),
       matlb_(name() + ".matlb", config.matlb_entries),
       cpu_(cpu) {
   // Default single-process lookup: the CPU's current context.
@@ -136,6 +135,7 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
   sa::SaConfig sa_config = config_.sa;
   sa_config.precision = p.precision;
   sa::SystolicArray array(sa_config);
+  const bool values = backend_.carries_values();
 
   sim::TimePs sa_free = start;
   sim::TimePs last_end = start;
@@ -207,13 +207,17 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
             dma_t = b_load.end_time;
 
             // Systolic array pass: starts when operands are resident and
-            // the array is free (double-buffered banks).
-            const sa::SaRunResult run = array.run(a_tile, b_tile, c_tile);
+            // the array is free (double-buffered banks). Its length is the
+            // closed form of the tile shape; the array computes C only
+            // when there are values to compute on.
+            const sa::TileShape shape{mrows, ncols, kdepth};
+            const sim::TimePs pass_ps = cycles_to_ps(
+                sa::compute_sa_timing(shape, sa_config).total_cycles);
+            if (values) array.run(a_tile, b_tile, c_tile);
             const sim::TimePs sa_start = std::max(dma_t, sa_free);
-            const sim::TimePs sa_end = sa_start + cycles_to_ps(run.cycles);
-            report.sa_busy_ps += cycles_to_ps(run.cycles);
-            report.macs += run.macs;
-            sa_free = sa_end;
+            report.sa_busy_ps += pass_ps;
+            report.macs += shape.macs();
+            sa_free = sa_start + pass_ps;
             // The next inner tile's loads overlap this compute.
             dma_t = prev_load_end;
           }

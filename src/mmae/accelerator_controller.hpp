@@ -7,11 +7,14 @@
 // on-chip buffers), data-migration tasks through the ADE's DMA engines.
 // Completions and exceptions are reported to the owning CPU's MTQ entry.
 //
-// Execution is functional *and* timed: tile data really moves between the
-// simulated physical memory and HostMatrix buffer images, the systolic array
-// computes real values, and the task timeline composes DMA, translation and
-// compute with double-buffered overlap (compute of tile i overlaps the loads
-// of tile i+1; translation is hidden only when the mATLB predicted it).
+// Execution is timed and, when the memory backend carries values, also
+// functional: tile data moves between the simulated physical memory and
+// HostMatrix buffer images and the systolic array computes real values.
+// The task timeline composes DMA, translation and compute with
+// double-buffered overlap (compute of tile i overlaps the loads of tile
+// i+1; translation is hidden only when the mATLB predicted it). Compute
+// time comes from sa::compute_sa_timing on the tile shape, so the
+// timeline never depends on a value.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +55,8 @@ struct TaskReport {
   std::uint64_t blocking_walks = 0;
   cpu::ExceptionType exception = cpu::ExceptionType::kNone;
 
+  bool operator==(const TaskReport&) const = default;
+
   double duration_seconds() const noexcept {
     return sim::to_seconds(end - start);
   }
@@ -72,7 +77,7 @@ class AcceleratorController : public sim::Component,
 
   AcceleratorController(sim::SimEngine& engine, int node,
                         const MmaeConfig& config, MemoryBackend& backend,
-                        mem::PhysicalMemory& memory, cpu::CpuCore& cpu);
+                        cpu::CpuCore& cpu);
 
   // cpu::AcceleratorPort:
   bool submit(cpu::Maid maid, isa::Mnemonic op, const isa::ParamBlock& params,
@@ -118,8 +123,8 @@ class AcceleratorController : public sim::Component,
   MmaeConfig config_;
   int node_;
   SlaveTaskQueue stq_;
+  MemoryBackend& backend_;
   AcceleratorDataEngine ade_;
-  sa::SystolicArray array_;
   vm::Matlb matlb_;
   cpu::CpuCore& cpu_;
   CompletionFn on_complete_;

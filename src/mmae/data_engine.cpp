@@ -8,11 +8,10 @@ namespace maco::mmae {
 
 AcceleratorDataEngine::AcceleratorDataEngine(std::string name, int node,
                                              const DmaConfig& dma,
-                                             MemoryBackend& backend,
-                                             mem::PhysicalMemory& memory)
+                                             MemoryBackend& backend)
     : name_(std::move(name)),
-      dma0_(name_ + ".dma0", node, dma, backend, memory),
-      dma1_(name_ + ".dma1", node, dma, backend, memory),
+      dma0_(name_ + ".dma0", node, dma, backend),
+      dma1_(name_ + ".dma1", node, dma, backend),
       buffers_(sa::BufferSet::maco_default()) {}
 
 Region2D AcceleratorDataEngine::tile_region(const vm::MatrixDesc& m,

@@ -20,7 +20,7 @@ namespace maco::mmae {
 class AcceleratorDataEngine {
  public:
   AcceleratorDataEngine(std::string name, int node, const DmaConfig& dma,
-                        MemoryBackend& backend, mem::PhysicalMemory& memory);
+                        MemoryBackend& backend);
 
   // Loads tile `t` of `m` (FP64 elements) into `out` (resized to t.rows ×
   // t.cols). Returns the DMA result (fault => out contents unspecified).

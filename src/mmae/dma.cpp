@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <cstring>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -10,9 +9,9 @@
 namespace maco::mmae {
 
 DmaEngine::DmaEngine(std::string name, int node, const DmaConfig& config,
-                     MemoryBackend& backend, mem::PhysicalMemory& memory)
-    : name_(std::move(name)), node_(node), config_(config), backend_(backend),
-      memory_(memory) {}
+                     MemoryBackend& backend)
+    : name_(std::move(name)), node_(node), config_(config),
+      backend_(backend) {}
 
 sim::TimePs DmaEngine::translate(vm::VirtAddr va,
                                  const TranslationContext& ctx, sim::TimePs t,

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "cpu/mmu.hpp"
-#include "mem/physical_memory.hpp"
 #include "sim/time.hpp"
 #include "vm/layout.hpp"
 #include "vm/matlb.hpp"
@@ -27,6 +26,10 @@ namespace maco::mmae {
 class MemoryBackend {
  public:
   virtual ~MemoryBackend() = default;
+  // False when the memory behind the port holds no values: read leaves
+  // `out` untouched, write drops `data`, and the accelerator skips the
+  // systolic array's FP math (see core::SystemConfig::carry_values).
+  virtual bool carries_values() const { return true; }
   virtual sim::TimePs read(int node, vm::PhysAddr pa, void* out,
                            std::uint32_t bytes, sim::TimePs start) = 0;
   virtual sim::TimePs write(int node, vm::PhysAddr pa, const void* data,
@@ -84,7 +87,7 @@ struct DmaConfig {
 class DmaEngine {
  public:
   DmaEngine(std::string name, int node, const DmaConfig& config,
-            MemoryBackend& backend, mem::PhysicalMemory& memory);
+            MemoryBackend& backend);
 
   const std::string& name() const noexcept { return name_; }
 
@@ -126,7 +129,6 @@ class DmaEngine {
   int node_;
   DmaConfig config_;
   MemoryBackend& backend_;
-  mem::PhysicalMemory& memory_;
   sim::TimePs busy_until_ = 0;
   std::uint64_t total_bytes_ = 0;
 };

@@ -15,18 +15,6 @@ namespace {
   throw std::invalid_argument("fidelity=sampled " + what);
 }
 
-// Mixes a tile's identity into the operand-data seed so every sampled tile
-// carries its own deterministic random operands.
-std::uint64_t tile_data_seed(std::uint64_t base, const TileCoord& coord) {
-  std::uint64_t h = base ^ 0x9e3779b97f4a7c15ull;
-  for (const std::uint64_t part :
-       {static_cast<std::uint64_t>(coord.layer), coord.im, coord.in,
-        coord.ik}) {
-    h ^= part + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  }
-  return h;
-}
-
 }  // namespace
 
 core::SystemTiming run_sampled_layers(
@@ -79,8 +67,6 @@ core::SystemTiming run_sampled_layers(
       job.a_page_offset = offsets.a;
       job.b_page_offset = offsets.b;
       job.c_page_offset = offsets.c;
-      job.data_seed = tile_data_seed(options.sample_seed,
-                                     tile_request.coord);
       jobs.push_back(job);
     }
     const std::vector<core::DetailedTileMeasurement> measurements =

@@ -63,6 +63,8 @@ class DetailedCostModel final : public BatchCostModel {
       : config_(config), model_(std::move(model)), options_(options) {
     (void)nodes_per_instance(options);  // validates instances vs nodes
     config_.node_count = std::min(options.nodes, config.node_count);
+    // Only the makespan is read back, and timing never reads a value.
+    config_.carry_values = false;
   }
 
   sim::TimePs batch_makespan_ps(unsigned batch) override {
@@ -114,14 +116,13 @@ class DetailedCostModel final : public BatchCostModel {
     task_options.tile_rows = options_.tile;
     task_options.tile_cols = options_.tile;
     task_options.inner = options_.inner;
-    std::uint64_t data_seed = 0;
     for (unsigned instance = 0; instance < options_.instances; ++instance) {
       core::Process& process = system.create_process();
       os::Job& job = scheduler.add_job(process);
       for (const sa::TileShape& layer : layers) {
         job.tasks.push_back(os::GemmTask{core::build_detailed_gemm_task(
             system, process, layer, task_options, /*a_page_offset=*/0,
-            /*b_page_offset=*/0, /*c_page_offset=*/0, data_seed++)});
+            /*b_page_offset=*/0, /*c_page_offset=*/0, /*data_seed=*/0)});
       }
     }
 

@@ -11,9 +11,11 @@
 #include <vector>
 
 #include "driver/cli.hpp"
+#include "driver/graph_cmd.hpp"
 #include "driver/hardware_knobs.hpp"
 #include "driver/scenario_registry.hpp"
 #include "driver/sweep_runner.hpp"
+#include "graph/builtin_models.hpp"
 #include "overflow_manifests.hpp"
 #include "store/campaign_store.hpp"
 
@@ -347,6 +349,24 @@ TEST(Cli, GraphValidatesItsGrammar) {
   // --help needs no file.
   EXPECT_TRUE(parse_cli({"graph", "--help"}).ok);
   EXPECT_TRUE(parse_cli({"graph", "show", "--help"}).ok);
+}
+
+TEST(GraphCommand, ResolvesBuiltinNamesLikeModelFile) {
+  // `macosim graph validate|show` name a manifest the way every
+  // `model_file` parameter does: a builtin name, else a path.
+  for (const graph::BuiltinManifest& builtin : graph::builtin_manifests()) {
+    EXPECT_EQ(validate_manifest(builtin.name).rfind(
+                  std::string(builtin.name) + ": ok (model ", 0),
+              0u)
+        << builtin.name;
+  }
+  const std::string path = ::testing::TempDir() + "/gpt3_block_copy.json";
+  std::ofstream(path) << graph::builtin_manifest("gpt3-block");
+  graph::LoweringOptions decode;
+  decode.phase = graph::Phase::kDecode;
+  EXPECT_EQ(show_manifest("gpt3-block", decode), show_manifest(path, decode));
+  // A name that is neither a builtin nor a file still fails to read.
+  EXPECT_ANY_THROW((void)validate_manifest("gpt3-blok"));
 }
 
 TEST(Registry, FidelitySummaryListsDeclaredChoices) {

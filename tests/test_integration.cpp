@@ -3,6 +3,10 @@
 // back to memory — plus multi-process and multi-node scenarios.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "core/gemm_mapper.hpp"
 #include "core/maco_system.hpp"
 #include "util/rng.hpp"
@@ -60,6 +64,41 @@ TEST(Integration, SingleNodeGemmViaMpais) {
   // The L3/CCM path really served the traffic.
   const auto& report = system.node(0).mmae().reports().front();
   EXPECT_GT(report.dma_bytes, 3 * dim * dim * 8);
+}
+
+// A machine built without values has none to hand back or take in, so the
+// host-side matrix helpers refuse, naming the flag, instead of returning
+// or storing nothing.
+void expect_refused_without_values(
+    const std::function<void(MacoSystem&, Process&, const vm::MatrixDesc&)>&
+        use) {
+  SystemConfig config = small_config(1);
+  config.carry_values = false;
+  MacoSystem system(config);
+  Process& process = system.create_process();
+  const auto desc = system.alloc_matrix(process, 8, 8);
+  try {
+    use(system, process, desc);
+    ADD_FAILURE() << "returned on a machine without values";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("carry_values"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(Integration, ReadMatrixThrowsWithoutValues) {
+  expect_refused_without_values(
+      [](MacoSystem& system, Process& process, const vm::MatrixDesc& desc) {
+        (void)system.read_matrix(process, desc);
+      });
+}
+
+TEST(Integration, WriteMatrixThrowsWithoutValues) {
+  expect_refused_without_values(
+      [](MacoSystem& system, Process& process, const vm::MatrixDesc& desc) {
+        system.write_matrix(process, desc, sa::HostMatrix(8, 8));
+      });
 }
 
 TEST(Integration, MaStateReleasesViaProgram) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "mem/physical_memory.hpp"
 #include "mmae/accelerator_controller.hpp"
 #include "mmae/stq.hpp"
 #include "sa/host_matrix.hpp"
@@ -101,7 +102,7 @@ class MmaeFixture : public ::testing::Test {
                                           walk_oracle_);
     MmaeConfig config;
     ac_ = std::make_unique<AcceleratorController>(engine_, 0, config,
-                                                  backend_, memory_, *cpu_);
+                                                  backend_, *cpu_);
     cpu_->attach_accelerator(ac_.get());
     cpu_->set_context(kAsid, &space_.page_table());
   }
@@ -385,8 +386,8 @@ TEST(DmaPipelining, OutstandingRequestsOverlapLatency) {
   DmaConfig serial;
   serial.max_outstanding = 1;
 
-  DmaEngine fast("dma.fast", 0, pipelined, backend, memory);
-  DmaEngine slow("dma.slow", 0, serial, backend, memory);
+  DmaEngine fast("dma.fast", 0, pipelined, backend);
+  DmaEngine slow("dma.slow", 0, serial, backend);
   const auto fast_result = fast.read_region(region, buffer, ctx, 0);
   const auto slow_result = slow.read_region(region, buffer, ctx, 0);
   ASSERT_FALSE(fast_result.fault);

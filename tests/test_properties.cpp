@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/gemm_mapper.hpp"
 #include "core/gemm_plus.hpp"
@@ -374,20 +375,42 @@ TEST(MemProperty, CacheNeverExceedsCapacityAndLockPinsLines) {
   cache.unlock(victim_addr);
 }
 
-TEST(MemProperty, DirectorySingleWriterInvariant) {
+// Random GetS/GetM traffic from 8 nodes over `lines` of one slice. Each
+// line's directory state must follow its own MOESI history (a per-line
+// reference model) and satisfy the single-writer invariant.
+void expect_single_writer(const mem::CcmConfig& config,
+                          const std::vector<std::uint64_t>& lines) {
   mem::DramController dram("prop.dram", mem::DramConfig{});
-  mem::DirectoryCcm ccm("prop.ccm", mem::CcmConfig{}, dram,
+  mem::DirectoryCcm ccm("prop.ccm", config, dram,
                         [](int, std::uint64_t) { return sim::TimePs{1000}; });
+  struct Expected {
+    int owner = -1;
+    std::uint64_t sharers = 0;
+  };
+  std::map<std::uint64_t, Expected> model;
   util::Rng rng(17);
   sim::TimePs now = 0;
-  const std::uint64_t lines[] = {0x1000, 0x2000, 0x3000};
   for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t line = lines[rng.next_below(3)];
+    const std::uint64_t line = lines[rng.next_below(lines.size())];
     const int node = static_cast<int>(rng.next_below(8));
     const auto type = (rng.next_below(2)) ? mem::CcmReqType::kGetM
                                            : mem::CcmReqType::kGetS;
     ccm.handle({type, node, line}, now);
     now += 1000;
+    Expected& expected = model[line];
+    if (expected.owner >= 0 && expected.owner != node) {
+      // GetS downgrades the owner to a sharer; GetM invalidates it.
+      if (type == mem::CcmReqType::kGetS) {
+        expected.sharers |= 1ull << expected.owner;
+      }
+      expected.owner = -1;
+    }
+    if (type == mem::CcmReqType::kGetM) {
+      expected.sharers = 1ull << node;
+      expected.owner = node;
+    } else {
+      expected.sharers |= 1ull << node;
+    }
 
     // Invariant: at most one node sees Modified; if one does, no other node
     // sees any valid state for that line.
@@ -397,13 +420,34 @@ TEST(MemProperty, DirectorySingleWriterInvariant) {
         const auto state = ccm.node_view(n, l);
         if (state == mem::CoherenceState::kModified) ++modified;
         if (state != mem::CoherenceState::kInvalid) ++valid;
+        const Expected& want = model[l];
+        auto want_state = mem::CoherenceState::kInvalid;
+        if (want.owner == n) {
+          want_state = mem::CoherenceState::kModified;
+        } else if ((want.sharers >> n) & 1) {
+          want_state = mem::CoherenceState::kShared;
+        }
+        ASSERT_EQ(state, want_state) << "line " << l << " node " << n;
       }
+      ASSERT_EQ(ccm.sharer_mask(l), model[l].sharers) << "line " << l;
       ASSERT_LE(modified, 1);
       if (modified == 1) {
         ASSERT_EQ(valid, 1);
       }
     }
   }
+}
+
+TEST(MemProperty, DirectorySingleWriterInvariant) {
+  expect_single_writer(mem::CcmConfig{}, {0x1000, 0x2000, 0x3000});
+  // A 16-way interleaved slice: the directory keeps its state in chunks
+  // of 64 slice-local lines. These lines span several chunks, and two
+  // pairs share a chunk index but differ in their interleave residue, so
+  // they must still keep separate entries.
+  mem::CcmConfig interleaved;
+  interleaved.slice_interleave = 16;
+  expect_single_writer(interleaved, {0x1000, 0x1040, 0x11000, 0x23440,
+                                     0x23480, 0x400000, 0x7ffc0});
 }
 
 TEST(MemProperty, DramBandwidthLawHolds) {
