@@ -383,6 +383,7 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
     }
   };
 
+  if (workers == 0) workers = std::thread::hardware_concurrency();
   workers = std::max(1u, std::min<unsigned>(
                              workers, static_cast<unsigned>(batches)));
   if (workers <= 1) {

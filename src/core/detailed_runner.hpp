@@ -97,8 +97,9 @@ struct DetailedTileMeasurement {
 // a time (one per node of a fresh MacoSystem instantiation, so co-scheduled
 // tiles contend for the NoC/CCM/DRAM like a real mapped run); `workers`
 // batches may be simulated on parallel host threads (each batch owns its
-// system — nothing is shared). Throws std::invalid_argument on unsupported
-// options or a tile dimension beyond kDetailedMaxDim.
+// system — nothing is shared; 0 means one per hardware thread, and the
+// count never exceeds the batch count). Throws std::invalid_argument on
+// unsupported options or a tile dimension beyond kDetailedMaxDim.
 std::vector<DetailedTileMeasurement> run_detailed_tiles(
     const SystemConfig& config, const TimingOptions& options,
     const std::vector<DetailedTileJob>& jobs, unsigned concurrent = 1,

@@ -67,7 +67,8 @@ struct TimingOptions {
   std::uint64_t sample_seed = 1;  // stratified-draw seed (deterministic)
   double ci_target = 0.0;         // >0: adaptive sampling until the relative
                                   // 95% statistical CI half-width <= target
-  unsigned sample_workers = 1;    // concurrent tile-batch simulations
+  unsigned sample_workers = 0;    // concurrent tile-batch simulations;
+                                  // 0 = one per hardware thread
 };
 
 struct TranslationEstimate {

@@ -645,7 +645,10 @@ std::string usage() {
          "the detailed MacoSystem machine (<= 2048 per dimension), or\n"
          "the sampled estimator (detailed fidelity at any scale via\n"
          "stratified tile sampling, with *_ci95 error-bar columns; knobs\n"
-         "sample_frac, sample_seed, ci_target, sample_workers).\n"
+         "sample_frac, sample_seed, ci_target, sample_workers). A sampled\n"
+         "point simulates sample_workers machines at once (default 0: one\n"
+         "per hardware thread), so a --threads N sweep of sampled points\n"
+         "holds N x sample_workers machines in memory.\n"
          "\n"
          "examples:\n"
          "  macosim --scenario gemm --sweep nodes=1,4,16 \\\n"

@@ -146,8 +146,8 @@ exp::ParamSchema timing_schema(const char* default_precision,
   s.u64("sample_seed", 1, "stratified-draw seed (fidelity=sampled)");
   s.f64("ci_target", 0.0, "adaptive sampling until relative 95% CI <= "
         "target; 0 disables (fidelity=sampled)", 0.0, 1.0);
-  s.u64("sample_workers", 1, "parallel tile-batch simulations "
-        "(fidelity=sampled)", 1, 64);
+  s.u64("sample_workers", 0, "parallel tile-batch simulations, 0 = one "
+        "per hardware thread (fidelity=sampled)", 0, 64);
   s.constrain("fidelity=sampled requires tile <= " +
                   std::to_string(core::kDetailedMaxDim),
               [](const exp::ParamSet& p) {

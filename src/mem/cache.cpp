@@ -1,5 +1,7 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -21,6 +23,8 @@ SetAssocCache::SetAssocCache(std::string name, const CacheConfig& config)
   MACO_ASSERT_MSG(util::is_pow2(config.line_bytes),
                   name_ << ": line size must be a power of two");
   MACO_ASSERT_MSG(config.ways > 0, name_ << ": needs at least one way");
+  MACO_ASSERT_MSG(config.ways <= 256,
+                  name_ << ": at most 256 ways (one-byte recency ranks)");
   const std::uint64_t lines = config.size_bytes / config.line_bytes;
   MACO_ASSERT_MSG(lines % config.ways == 0 && lines > 0,
                   name_ << ": size/line/ways mismatch");
@@ -32,7 +36,15 @@ SetAssocCache::SetAssocCache(std::string name, const CacheConfig& config)
     set_mask_ = sets_ - 1;
     set_shift_ = util::log2_floor(sets_);
   }
-  lines_.resize(lines);
+  // Keys, then the state and rank bytes rounded up to whole words.
+  block_words_ = config.ways + (2 * config.ways + 7) / 8;
+  blocks_.resize(sets_ * block_words_);  // zero keys: every way invalid
+  for (std::uint64_t set = 0; set < sets_; ++set) {
+    std::uint8_t* rank = ranks(block(set));
+    for (unsigned w = 0; w < config.ways; ++w) {
+      rank[w] = static_cast<std::uint8_t>(w);
+    }
+  }
 }
 
 std::uint64_t SetAssocCache::set_index(std::uint64_t addr) const noexcept {
@@ -45,135 +57,145 @@ std::uint64_t SetAssocCache::tag_of(std::uint64_t addr) const noexcept {
   return set_mask_ ? (line >> set_shift_) : (line / sets_);
 }
 
-SetAssocCache::Line* SetAssocCache::find(std::uint64_t addr) {
-  const std::uint64_t set = set_index(addr);
-  const std::uint64_t tag = tag_of(addr);
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    Line& line = lines_[set * config_.ways + w];
-    if (line.state != CoherenceState::kInvalid && line.tag == tag) {
-      return &line;
-    }
-  }
-  return nullptr;
+void SetAssocCache::touch(std::uint64_t* keys, unsigned way) noexcept {
+  std::uint8_t* rank = ranks(keys);
+  const std::uint8_t old = rank[way];
+  for (unsigned w = 0; w < config_.ways; ++w) rank[w] += rank[w] < old;
+  rank[way] = 0;
 }
 
-const SetAssocCache::Line* SetAssocCache::find(std::uint64_t addr) const {
-  return const_cast<SetAssocCache*>(this)->find(addr);
+SetAssocCache::Way SetAssocCache::find(std::uint64_t addr) const {
+  std::uint64_t* keys =
+      const_cast<SetAssocCache*>(this)->block(set_index(addr));
+  const std::uint64_t key = tag_of(addr) + 1;
+  for (unsigned w = 0; w < config_.ways; ++w) {
+    if (keys[w] == key) return {keys, w};
+  }
+  return {};
 }
 
 SetAssocCache::AccessResult SetAssocCache::access(
     std::uint64_t addr, bool write, CoherenceState install_state) {
   AccessResult result;
-  ++tick_;
-  if (Line* line = find(addr)) {
+  if (const Way hit = find(addr)) {
     ++hits_;
-    line->lru_tick = tick_;
-    if (write) line->state = CoherenceState::kModified;
+    touch(hit.keys, hit.way);
+    std::uint8_t& bits = states(hit.keys)[hit.way];
+    if (write) bits = with_state(bits, CoherenceState::kModified);
     result.hit = true;
     result.allocated = true;
-    result.state = line->state;
+    result.state = state_of(bits);
     return result;
   }
 
   ++misses_;
   // Choose a victim: invalid way first, else LRU among unlocked lines.
   const std::uint64_t set = set_index(addr);
-  Line* victim = nullptr;
+  std::uint64_t* keys = block(set);
+  std::uint8_t* state = states(keys);
+  const std::uint8_t* rank = ranks(keys);
+  unsigned victim = config_.ways;
   for (unsigned w = 0; w < config_.ways; ++w) {
-    Line& line = lines_[set * config_.ways + w];
-    if (line.state == CoherenceState::kInvalid) {
-      victim = &line;
+    if (keys[w] == 0) {
+      victim = w;
       break;
     }
   }
-  if (!victim) {
+  if (victim == config_.ways) {
+    int oldest = -1;
     for (unsigned w = 0; w < config_.ways; ++w) {
-      Line& line = lines_[set * config_.ways + w];
-      if (line.locked) continue;
-      if (!victim || line.lru_tick < victim->lru_tick) victim = &line;
+      if (!(state[w] & kLockBit) && rank[w] > oldest) {
+        oldest = rank[w];
+        victim = w;
+      }
     }
   }
-  if (!victim) {
+  if (victim == config_.ways) {
     // Every way is locked: the line cannot be allocated. The caller (CCM)
     // treats this as an uncached access.
     result.allocated = false;
     return result;
   }
 
-  if (victim->state != CoherenceState::kInvalid) {
+  if (keys[victim] != 0) {
+    const CoherenceState victim_state = state_of(state[victim]);
     result.evicted = true;
     result.victim_addr =
-        (victim->tag * sets_ + set) * config_.line_bytes;
-    result.victim_dirty = victim->state == CoherenceState::kModified ||
-                          victim->state == CoherenceState::kOwned;
+        ((keys[victim] - 1) * sets_ + set) * config_.line_bytes;
+    result.victim_dirty = victim_state == CoherenceState::kModified ||
+                          victim_state == CoherenceState::kOwned;
     ++evictions_;
     if (result.victim_dirty) ++writebacks_;
   }
 
-  victim->tag = tag_of(addr);
-  victim->state = write ? CoherenceState::kModified : install_state;
-  victim->locked = false;
-  victim->lru_tick = tick_;
+  result.state = write ? CoherenceState::kModified : install_state;
+  // Installing kInvalid fills nothing but still counts as the way's touch.
+  keys[victim] =
+      result.state == CoherenceState::kInvalid ? 0 : tag_of(addr) + 1;
+  state[victim] = static_cast<std::uint8_t>(result.state);
+  touch(keys, victim);
   result.allocated = true;
-  result.state = victim->state;
   return result;
 }
 
 std::optional<CoherenceState> SetAssocCache::probe(std::uint64_t addr) const {
-  const Line* line = find(addr);
+  const Way line = find(addr);
   if (!line) return std::nullopt;
-  return line->state;
+  return state_of(states(line.keys)[line.way]);
 }
 
 void SetAssocCache::set_state(std::uint64_t addr, CoherenceState state) {
-  if (Line* line = find(addr)) {
-    if (state == CoherenceState::kInvalid) {
-      invalidate(addr);
-    } else {
-      line->state = state;
-    }
+  if (state == CoherenceState::kInvalid) {
+    invalidate(addr);
+  } else if (const Way line = find(addr)) {
+    std::uint8_t& bits = states(line.keys)[line.way];
+    bits = with_state(bits, state);
   }
 }
 
 void SetAssocCache::invalidate(std::uint64_t addr) {
-  if (Line* line = find(addr)) {
-    if (line->locked) --locked_count_;
-    line->state = CoherenceState::kInvalid;
-    line->locked = false;
+  if (const Way line = find(addr)) {
+    std::uint8_t& bits = states(line.keys)[line.way];
+    if (bits & kLockBit) --locked_count_;
+    line.keys[line.way] = 0;
+    bits = 0;
   }
 }
 
 void SetAssocCache::invalidate_all() {
-  for (auto& line : lines_) {
-    line.state = CoherenceState::kInvalid;
-    line.locked = false;
+  for (std::uint64_t set = 0; set < sets_; ++set) {
+    std::uint64_t* keys = block(set);
+    std::fill_n(keys, config_.ways, 0);
+    std::fill_n(states(keys), config_.ways, 0);
   }
   locked_count_ = 0;
 }
 
 bool SetAssocCache::lock(std::uint64_t addr) {
-  Line* line = find(addr);
+  const Way line = find(addr);
   if (!line) return false;
-  if (!line->locked) {
-    line->locked = true;
+  std::uint8_t& bits = states(line.keys)[line.way];
+  if (!(bits & kLockBit)) {
+    bits |= kLockBit;
     ++locked_count_;
   }
   return true;
 }
 
 bool SetAssocCache::unlock(std::uint64_t addr) {
-  Line* line = find(addr);
+  const Way line = find(addr);
   if (!line) return false;
-  if (line->locked) {
-    line->locked = false;
+  std::uint8_t& bits = states(line.keys)[line.way];
+  if (bits & kLockBit) {
+    bits = static_cast<std::uint8_t>(bits & ~kLockBit);
     --locked_count_;
   }
   return true;
 }
 
 bool SetAssocCache::is_locked(std::uint64_t addr) const {
-  const Line* line = find(addr);
-  return line && line->locked;
+  const Way line = find(addr);
+  return line && (states(line.keys)[line.way] & kLockBit);
 }
 
 }  // namespace maco::mem

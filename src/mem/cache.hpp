@@ -2,7 +2,8 @@
 //
 // Tag/state only — data bytes live in PhysicalMemory. Supports per-line lock
 // bits (used by the L3/CCM for the paper's stash-and-lock scheme: locked
-// lines are never chosen as eviction victims).
+// lines are never chosen as eviction victims). Replacement is true LRU,
+// kept as a per-set recency rank so a way costs 10 bytes of host memory.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,8 @@ struct CacheConfig {
 
 class SetAssocCache {
  public:
+  // Aborts (MACO_ASSERT) on a geometry that does not divide evenly or has
+  // more than 256 ways (a recency rank is one byte).
   SetAssocCache(std::string name, const CacheConfig& config);
 
   struct AccessResult {
@@ -83,17 +86,41 @@ class SetAssocCache {
   void reset_stats() noexcept { hits_ = misses_ = evictions_ = writebacks_ = 0; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    CoherenceState state = CoherenceState::kInvalid;
-    bool locked = false;
-    std::uint64_t lru_tick = 0;
+  // Each set is one block of `block_words_` words: `ways` tag keys
+  // (tag + 1; 0 marks an invalid way), then one byte per way holding the
+  // CoherenceState and kLockBit, then one recency rank per way. The ranks
+  // of a set are always a permutation of 0..ways-1, 0 the most recently
+  // touched way, so among valid ways rank order is last-touch order.
+  static constexpr std::uint8_t kLockBit = 0x80;
+  static CoherenceState state_of(std::uint8_t bits) noexcept {
+    return static_cast<CoherenceState>(bits & ~kLockBit);
+  }
+  // `bits` with its state replaced and its lock bit kept.
+  static std::uint8_t with_state(std::uint8_t bits,
+                                 CoherenceState state) noexcept {
+    return static_cast<std::uint8_t>((bits & kLockBit) |
+                                     static_cast<std::uint8_t>(state));
+  }
+  struct Way {
+    std::uint64_t* keys = nullptr;  // the set's block; null when absent
+    unsigned way = 0;
+    explicit operator bool() const noexcept { return keys != nullptr; }
   };
 
   std::uint64_t set_index(std::uint64_t addr) const noexcept;
   std::uint64_t tag_of(std::uint64_t addr) const noexcept;
-  Line* find(std::uint64_t addr);
-  const Line* find(std::uint64_t addr) const;
+  std::uint64_t* block(std::uint64_t set) noexcept {
+    return blocks_.data() + set * block_words_;
+  }
+  std::uint8_t* states(std::uint64_t* keys) const noexcept {
+    return reinterpret_cast<std::uint8_t*>(keys + config_.ways);
+  }
+  std::uint8_t* ranks(std::uint64_t* keys) const noexcept {
+    return states(keys) + config_.ways;
+  }
+  // Makes `way` the set's most recent way.
+  void touch(std::uint64_t* keys, unsigned way) noexcept;
+  Way find(std::uint64_t addr) const;
 
   std::string name_;
   CacheConfig config_;
@@ -104,8 +131,8 @@ class SetAssocCache {
   unsigned line_shift_ = 6;
   unsigned set_shift_ = 0;   // valid iff set_mask_ != 0
   std::uint64_t set_mask_ = 0;  // sets_ - 1 when sets_ is a power of two
-  std::vector<Line> lines_;  // sets_ * ways, row-major by set
-  std::uint64_t tick_ = 0;
+  unsigned block_words_ = 0;
+  std::vector<std::uint64_t> blocks_;  // sets_ blocks of block_words_
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

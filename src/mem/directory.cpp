@@ -1,5 +1,7 @@
 #include "mem/directory.hpp"
 
+#include <bit>
+
 #include "util/assert.hpp"
 
 namespace maco::mem {
@@ -9,20 +11,51 @@ DirectoryCcm::DirectoryCcm(std::string name, const CcmConfig& config,
     : name_(std::move(name)), config_(config), dram_(dram),
       recall_(std::move(recall)), l3_(name_ + ".l3", config.l3) {}
 
-DirectoryCcm::DirEntry& DirectoryCcm::entry(std::uint64_t line) {
-  const Slot slot = slot_of(line);
-  if (slot.key != last_key_) {
-    last_chunk_ = &chunks_[slot.key];
-    last_key_ = slot.key;
+DirectoryCcm::Chunk& DirectoryCcm::chunk_at(std::uint64_t key) {
+  if (key != last_key_) {
+    last_chunk_ = &chunks_[key];
+    last_key_ = key;
   }
-  return (*last_chunk_)[slot.index];
+  return *last_chunk_;
 }
 
-const DirectoryCcm::DirEntry* DirectoryCcm::find_entry(
-    std::uint64_t line) const {
+DirectoryCcm::DirEntry DirectoryCcm::find_entry(std::uint64_t line) const {
   const Slot slot = slot_of(line);
   const auto it = chunks_.find(slot.key);
-  return it == chunks_.end() ? nullptr : &it->second[slot.index];
+  return it == chunks_.end() ? DirEntry{} : decode(it->second, slot.index);
+}
+
+DirectoryCcm::DirEntry DirectoryCcm::decode(const Chunk& chunk,
+                                            std::uint64_t index) {
+  const unsigned code = chunk.codes[index];
+  if (code == 0) return {};
+  if (code <= 64) return {1ull << (code - 1), -1};
+  if (code <= 128) {
+    const int owner = static_cast<int>(code) - 65;
+    return {1ull << owner, owner};
+  }
+  return (*chunk.overflow)[index];
+}
+
+void DirectoryCcm::encode(Chunk& chunk, std::uint64_t index,
+                          const DirEntry& dir) {
+  std::uint8_t code = kOverflow;
+  if (dir.owner < 0) {
+    if (dir.sharers == 0) {
+      code = 0;
+    } else if (std::has_single_bit(dir.sharers)) {
+      code = static_cast<std::uint8_t>(1 + std::countr_zero(dir.sharers));
+    }
+  } else if (dir.sharers == 1ull << dir.owner) {
+    code = static_cast<std::uint8_t>(65 + dir.owner);
+  }
+  if (code == kOverflow) {
+    if (!chunk.overflow) {
+      chunk.overflow = std::make_unique<std::array<DirEntry, kChunkLines>>();
+    }
+    (*chunk.overflow)[index] = dir;
+  }
+  chunk.codes[index] = code;
 }
 
 sim::TimePs DirectoryCcm::ensure_in_l3(std::uint64_t line, sim::TimePs now,
@@ -59,7 +92,12 @@ CcmResponse DirectoryCcm::handle(const CcmRequest& request, sim::TimePs now,
                                  bool queue_dram) {
   CcmResponse response;
   const std::uint64_t line = line_addr(request.addr);
-  DirEntry& dir = entry(line);
+  // Decoded once here and encoded once on the way out. This relies on the
+  // recall callback never re-entering the directory: a nested request to
+  // the same line would be overwritten by this one's encode.
+  const Slot slot = slot_of(line);
+  Chunk& chunk = chunk_at(slot.key);
+  DirEntry dir = decode(chunk, slot.index);
   const std::uint64_t node_bit = 1ull << request.node;
   response.latency += config_.directory_latency_ps;
 
@@ -194,20 +232,19 @@ CcmResponse DirectoryCcm::handle(const CcmRequest& request, sim::TimePs now,
       break;
     }
   }
+  encode(chunk, slot.index, dir);
   return response;
 }
 
 CoherenceState DirectoryCcm::node_view(int node, std::uint64_t addr) const {
-  const DirEntry* dir = find_entry(line_addr(addr));
-  if (dir == nullptr) return CoherenceState::kInvalid;
-  if (dir->owner == node) return CoherenceState::kModified;
-  if (dir->sharers & (1ull << node)) return CoherenceState::kShared;
+  const DirEntry dir = find_entry(line_addr(addr));
+  if (dir.owner == node) return CoherenceState::kModified;
+  if (dir.sharers & (1ull << node)) return CoherenceState::kShared;
   return CoherenceState::kInvalid;
 }
 
 std::uint64_t DirectoryCcm::sharer_mask(std::uint64_t addr) const {
-  const DirEntry* dir = find_entry(line_addr(addr));
-  return dir == nullptr ? 0 : dir->sharers;
+  return find_entry(line_addr(addr)).sharers;
 }
 
 }  // namespace maco::mem

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -57,6 +58,7 @@ struct CcmConfig {
 class DirectoryCcm {
  public:
   // RecallFn(owner_node, line) -> latency for the owner to flush/invalidate.
+  // It must not send requests to this directory (see handle()).
   using RecallFn =
       std::function<sim::TimePs(int owner_node, std::uint64_t line)>;
 
@@ -99,8 +101,20 @@ class DirectoryCcm {
   // instead of allocating a map node per line. A chunk is keyed by its
   // first line's global line number, which also keeps apart lines that
   // differ only in their interleave residue.
+  //
+  // Each line is one byte: the limited-pointer directory with full-map
+  // overflow of Agarwal et al. (ISCA 1988), with one pointer.
+  //   0           untracked (no sharers, no owner)
+  //   1..64       one clean sharer, node = code - 1
+  //   65..128     owned by node code - 65, which is its only sharer
+  //   kOverflow   any other state, held in the chunk's `overflow` array,
+  //               allocated by the chunk's first such line
   static constexpr std::uint64_t kChunkLines = 64;
-  using Chunk = std::array<DirEntry, kChunkLines>;
+  static constexpr std::uint8_t kOverflow = 255;
+  struct Chunk {
+    std::array<std::uint8_t, kChunkLines> codes{};
+    std::unique_ptr<std::array<DirEntry, kChunkLines>> overflow;
+  };
   struct Slot {
     std::uint64_t key;    // chunk key (global line number of its first line)
     std::uint64_t index;  // entry within the chunk
@@ -111,10 +125,12 @@ class DirectoryCcm {
         (global / config_.slice_interleave) % kChunkLines;
     return {global - index * config_.slice_interleave, index};
   }
-  // The entry of `line`, creating its chunk on first touch.
-  DirEntry& entry(std::uint64_t line);
-  // The entry of `line`, or null when its chunk was never touched.
-  const DirEntry* find_entry(std::uint64_t line) const;
+  // The chunk with key `key`, creating it on first touch.
+  Chunk& chunk_at(std::uint64_t key);
+  // The entry of `line`; untracked when its chunk was never touched.
+  DirEntry find_entry(std::uint64_t line) const;
+  static DirEntry decode(const Chunk& chunk, std::uint64_t index);
+  static void encode(Chunk& chunk, std::uint64_t index, const DirEntry& dir);
   // Address as the slice's cache sees it (interleave bits stripped).
   std::uint64_t cache_addr(std::uint64_t line) const noexcept {
     return line / config_.slice_interleave;

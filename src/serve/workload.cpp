@@ -58,6 +58,7 @@ std::vector<Request> LoadGenerator::schedule() const {
       if (!(config_.rate_rps > 0.0)) {
         throw std::invalid_argument("poisson arrivals need rate_rps > 0");
       }
+      requests.reserve(config_.requests);
       double t = 0.0;
       for (std::uint64_t i = 0; i < config_.requests; ++i) {
         // Exponential inter-arrival; 1 - U keeps the argument in (0, 1].
@@ -70,6 +71,7 @@ std::vector<Request> LoadGenerator::schedule() const {
       if (!(config_.rate_rps > 0.0)) {
         throw std::invalid_argument("uniform arrivals need rate_rps > 0");
       }
+      requests.reserve(config_.requests);
       for (std::uint64_t i = 0; i < config_.requests; ++i) {
         push(static_cast<double>(i + 1) / config_.rate_rps, -1);
       }
@@ -79,6 +81,7 @@ std::vector<Request> LoadGenerator::schedule() const {
       if (config_.trace.empty()) {
         throw std::invalid_argument("trace arrivals need a non-empty trace");
       }
+      requests.reserve(config_.trace.size());
       for (const TraceEntry& entry : config_.trace) {
         if (!(entry.arrival_s >= 0.0) || !std::isfinite(entry.arrival_s)) {
           throw std::invalid_argument(
@@ -86,17 +89,18 @@ std::vector<Request> LoadGenerator::schedule() const {
         }
         push(entry.arrival_s, entry.tenant);
       }
+      // Poisson and uniform arrivals come out in non-decreasing order;
+      // only a trace can be out of order. Stable: simultaneous arrivals
+      // keep trace order.
+      std::stable_sort(requests.begin(), requests.end(),
+                       [](const Request& a, const Request& b) {
+                         return a.arrival_ps < b.arrival_ps;
+                       });
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        requests[i].id = i;
+      }
       break;
     }
-  }
-
-  // Stable: simultaneous arrivals keep trace/id order.
-  std::stable_sort(requests.begin(), requests.end(),
-                   [](const Request& a, const Request& b) {
-                     return a.arrival_ps < b.arrival_ps;
-                   });
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].id = i;
   }
   return requests;
 }

@@ -1076,6 +1076,30 @@ TEST(Sweep, SampledFidelityRunsBeyondTheDetailedCap) {
             std::string::npos);
 }
 
+TEST(Sweep, SampledRowsDoNotDependOnTheWorkerCount) {
+  // sample_workers moves tile batches onto host threads and nothing else;
+  // 0, the default, means one worker per hardware thread.
+  SweepRequest request;
+  request.scenario = "graph";
+  request.base_params = {{"model_file", "tiny"}, {"fidelity", "sampled"}};
+  request.axes = {{"sample_workers", {"0", "1", "3"}}};
+  const SweepResults results =
+      run_sweep(ScenarioRegistry::builtin(), request);
+  ASSERT_EQ(results.rows.size(), 3u);
+  const std::vector<exp::Metric>& one = results.rows[1].result.metrics;
+  ASSERT_NE(results.rows[1].result.find("sampled_tiles"), nullptr);
+  for (const SweepRow& row : results.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    ASSERT_EQ(row.result.metrics.size(), one.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(row.result.metrics[i].name, one[i].name);
+      EXPECT_EQ(row.result.metrics[i].value, one[i].value)
+          << one[i].name << " at sample_workers="
+          << row.params.at("sample_workers");
+    }
+  }
+}
+
 TEST(Cli, ParsesStoreCompactCommand) {
   const CliParse parse =
       parse_cli({"store", "compact", "--store", "campaign.mdb"});

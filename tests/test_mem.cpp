@@ -124,6 +124,21 @@ TEST(Cache, UnlockRestoresEvictability) {
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
+TEST(Cache, FullyAssociativeUpTo256Ways) {
+  // Recency ranks are one byte, so 256 ways is the widest set; construction
+  // rejects anything wider.
+  SetAssocCache cache("c", CacheConfig{256 * 64, 256, 64});
+  ASSERT_EQ(cache.sets(), 1u);
+  for (std::uint64_t line = 0; line <= 256; ++line) {
+    cache.access(line * 64, false);
+  }
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.probe(0).has_value());  // the least recent line went
+  EXPECT_TRUE(cache.probe(256 * 64).has_value());
+  EXPECT_DEATH(SetAssocCache("c", CacheConfig{257 * 64, 257, 64}),
+               "at most 256 ways");
+}
+
 TEST(Dram, LatencyAndBandwidth) {
   DramController dram("d", DramConfig{25.6e9, 60'000});
   // 64 B at 25.6 GB/s = 2.5 ns transfer + 60 ns latency.

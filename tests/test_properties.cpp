@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -375,9 +377,210 @@ TEST(MemProperty, CacheNeverExceedsCapacityAndLockPinsLines) {
   cache.unlock(victim_addr);
 }
 
-// Random GetS/GetM traffic from 8 nodes over `lines` of one slice. Each
-// line's directory state must follow its own MOESI history (a per-line
-// reference model) and satisfy the single-writer invariant.
+// Reference tag store: one record per way with a 64-bit last-touch tick;
+// the victim is the first invalid way, else the unlocked way with the
+// lowest tick. mem::SetAssocCache keeps one-byte recency ranks instead and
+// must behave exactly like it.
+class TickLruCache {
+ public:
+  explicit TickLruCache(const mem::CacheConfig& config)
+      : ways_(config.ways),
+        line_bytes_(config.line_bytes),
+        sets_(config.size_bytes / config.line_bytes / config.ways),
+        lines_(sets_ * ways_) {}
+
+  mem::SetAssocCache::AccessResult access(std::uint64_t addr, bool write,
+                                          mem::CoherenceState install) {
+    mem::SetAssocCache::AccessResult result;
+    ++tick_;
+    if (Line* line = find(addr)) {
+      ++hits;
+      line->lru_tick = tick_;
+      if (write) line->state = mem::CoherenceState::kModified;
+      result.hit = true;
+      result.allocated = true;
+      result.state = line->state;
+      return result;
+    }
+    ++misses;
+    const std::uint64_t set = (addr / line_bytes_) % sets_;
+    Line* victim = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+      Line& line = lines_[set * ways_ + w];
+      if (line.state == mem::CoherenceState::kInvalid) {
+        victim = &line;
+        break;
+      }
+    }
+    if (!victim) {
+      for (unsigned w = 0; w < ways_; ++w) {
+        Line& line = lines_[set * ways_ + w];
+        if (line.locked) continue;
+        if (!victim || line.lru_tick < victim->lru_tick) victim = &line;
+      }
+    }
+    if (!victim) return result;  // every way locked
+    if (victim->state != mem::CoherenceState::kInvalid) {
+      result.evicted = true;
+      result.victim_addr = (victim->tag * sets_ + set) * line_bytes_;
+      result.victim_dirty = victim->state == mem::CoherenceState::kModified ||
+                            victim->state == mem::CoherenceState::kOwned;
+      ++evictions;
+      if (result.victim_dirty) ++writebacks;
+    }
+    victim->tag = addr / line_bytes_ / sets_;
+    victim->state = write ? mem::CoherenceState::kModified : install;
+    victim->locked = false;
+    victim->lru_tick = tick_;
+    result.allocated = true;
+    result.state = victim->state;
+    return result;
+  }
+
+  std::optional<mem::CoherenceState> probe(std::uint64_t addr) {
+    const Line* line = find(addr);
+    if (!line) return std::nullopt;
+    return line->state;
+  }
+  void set_state(std::uint64_t addr, mem::CoherenceState state) {
+    if (Line* line = find(addr)) {
+      if (state == mem::CoherenceState::kInvalid) {
+        invalidate(addr);
+      } else {
+        line->state = state;
+      }
+    }
+  }
+  void invalidate(std::uint64_t addr) {
+    if (Line* line = find(addr)) {
+      if (line->locked) --locked_lines;
+      line->state = mem::CoherenceState::kInvalid;
+      line->locked = false;
+    }
+  }
+  void invalidate_all() {
+    for (Line& line : lines_) {
+      line.state = mem::CoherenceState::kInvalid;
+      line.locked = false;
+    }
+    locked_lines = 0;
+  }
+  bool lock(std::uint64_t addr) {
+    Line* line = find(addr);
+    if (!line) return false;
+    if (!line->locked) ++locked_lines;
+    line->locked = true;
+    return true;
+  }
+  bool unlock(std::uint64_t addr) {
+    Line* line = find(addr);
+    if (!line) return false;
+    if (line->locked) --locked_lines;
+    line->locked = false;
+    return true;
+  }
+  bool is_locked(std::uint64_t addr) {
+    const Line* line = find(addr);
+    return line && line->locked;
+  }
+
+  std::uint64_t hits = 0, misses = 0, evictions = 0, writebacks = 0;
+  std::uint64_t locked_lines = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    mem::CoherenceState state = mem::CoherenceState::kInvalid;
+    bool locked = false;
+    std::uint64_t lru_tick = 0;
+  };
+  Line* find(std::uint64_t addr) {
+    const std::uint64_t line = addr / line_bytes_;
+    const std::uint64_t set = line % sets_;
+    for (unsigned w = 0; w < ways_; ++w) {
+      Line& way = lines_[set * ways_ + w];
+      if (way.state != mem::CoherenceState::kInvalid &&
+          way.tag == line / sets_) {
+        return &way;
+      }
+    }
+    return nullptr;
+  }
+
+  unsigned ways_;
+  std::uint64_t line_bytes_;
+  std::uint64_t sets_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+};
+
+void expect_same_as_tick_lru(const mem::CacheConfig& config,
+                             std::uint64_t seed) {
+  mem::SetAssocCache cache("prop.cache", config);
+  TickLruCache reference(config);
+  util::Rng rng(seed);
+  // Three times the capacity, so sets overflow and evict.
+  const std::uint64_t lines = 3 * config.size_bytes / config.line_bytes;
+  std::uint64_t evictions = 0;
+  for (int step = 0; step < 30000; ++step) {
+    const std::uint64_t addr = rng.next_below(lines) * config.line_bytes;
+    const auto state = static_cast<mem::CoherenceState>(rng.next_below(5));
+    const std::uint64_t op = rng.next_below(100);
+    SCOPED_TRACE(testing::Message() << config.ways << "-way, step " << step
+                                    << ", op " << op << ", addr " << addr);
+    if (op < 60) {
+      const bool write = rng.next_below(2);
+      const auto got = cache.access(addr, write, state);
+      const auto want = reference.access(addr, write, state);
+      ASSERT_EQ(got.hit, want.hit);
+      ASSERT_EQ(got.allocated, want.allocated);
+      ASSERT_EQ(got.state, want.state);
+      ASSERT_EQ(got.evicted, want.evicted);
+      ASSERT_EQ(got.victim_addr, want.victim_addr);
+      ASSERT_EQ(got.victim_dirty, want.victim_dirty);
+      evictions += got.evicted;
+    } else if (op < 70) {
+      ASSERT_EQ(cache.probe(addr), reference.probe(addr));
+    } else if (op < 78) {
+      cache.set_state(addr, state);
+      reference.set_state(addr, state);
+    } else if (op < 85) {
+      cache.invalidate(addr);
+      reference.invalidate(addr);
+    } else if (op < 93) {
+      ASSERT_EQ(cache.lock(addr), reference.lock(addr));
+    } else if (op < 99) {
+      ASSERT_EQ(cache.unlock(addr), reference.unlock(addr));
+    } else if (rng.next_below(20) == 0) {
+      cache.invalidate_all();
+      reference.invalidate_all();
+    }
+    ASSERT_EQ(cache.is_locked(addr), reference.is_locked(addr));
+    ASSERT_EQ(cache.probe(addr), reference.probe(addr));
+    ASSERT_EQ(cache.hits(), reference.hits);
+    ASSERT_EQ(cache.misses(), reference.misses);
+    ASSERT_EQ(cache.evictions(), reference.evictions);
+    ASSERT_EQ(cache.writebacks(), reference.writebacks);
+    ASSERT_EQ(cache.locked_lines(), reference.locked_lines);
+  }
+  EXPECT_GT(evictions, 1000u);
+}
+
+TEST(MemProperty, RankedTagStoreMatchesTickLru) {
+  expect_same_as_tick_lru(mem::CacheConfig{64 * 64, 1, 64}, 1);
+  expect_same_as_tick_lru(mem::CacheConfig{48 * 1024, 4, 64}, 2);  // L1d
+  ASSERT_EQ(mem::SetAssocCache("l1d", {48 * 1024, 4, 64}).sets(), 192u);
+  expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 8, 64}, 3);
+  expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 16, 64}, 4);
+}
+
+// Random GetS/GetM/PutFull/PutM/Stash traffic from nodes 0..63 over
+// `lines` of one slice. Each line's directory state must follow its own
+// MOESI history (a per-line reference model) and satisfy the
+// single-writer invariant. The run must pass through every kind of
+// one-byte directory code: a lone clean sharer (node 0 and node 63), a
+// lone owner (node 0 and node 63), and the overflow array, which lines
+// must also leave again.
 void expect_single_writer(const mem::CcmConfig& config,
                           const std::vector<std::uint64_t>& lines) {
   mem::DramController dram("prop.dram", mem::DramConfig{});
@@ -387,40 +590,76 @@ void expect_single_writer(const mem::CcmConfig& config,
     int owner = -1;
     std::uint64_t sharers = 0;
   };
+  // The code the directory stores for `e`: 0 untracked, 1..64 a lone clean
+  // sharer, 65..128 a lone owner, 255 overflow.
+  const auto code_of = [](const Expected& e) {
+    if (e.owner < 0) {
+      if (e.sharers == 0) return 0;
+      if (std::has_single_bit(e.sharers)) {
+        return 1 + std::countr_zero(e.sharers);
+      }
+    } else if (e.sharers == 1ull << e.owner) {
+      return 65 + e.owner;
+    }
+    return 255;
+  };
+  constexpr mem::CcmReqType kTypes[] = {
+      mem::CcmReqType::kGetS, mem::CcmReqType::kGetM,
+      mem::CcmReqType::kPutFull, mem::CcmReqType::kPutM,
+      mem::CcmReqType::kStash};
+  // Half the requests come from the extreme node ids, so the lone-sharer
+  // and lone-owner codes at both ends are reached.
+  constexpr int kPool[] = {0, 1, 62, 63};
   std::map<std::uint64_t, Expected> model;
+  std::set<int> codes_seen;
+  int left_overflow = 0;
   util::Rng rng(17);
   sim::TimePs now = 0;
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     const std::uint64_t line = lines[rng.next_below(lines.size())];
-    const int node = static_cast<int>(rng.next_below(8));
-    const auto type = (rng.next_below(2)) ? mem::CcmReqType::kGetM
-                                           : mem::CcmReqType::kGetS;
+    const int node = rng.next_below(2)
+                         ? kPool[rng.next_below(4)]
+                         : static_cast<int>(rng.next_below(64));
+    const mem::CcmReqType type = kTypes[rng.next_below(5)];
     ccm.handle({type, node, line}, now);
     now += 1000;
     Expected& expected = model[line];
-    if (expected.owner >= 0 && expected.owner != node) {
-      // GetS downgrades the owner to a sharer; GetM invalidates it.
-      if (type == mem::CcmReqType::kGetS) {
-        expected.sharers |= 1ull << expected.owner;
-      }
-      expected.owner = -1;
+    const int code_before = code_of(expected);
+    const std::uint64_t bit = 1ull << node;
+    switch (type) {
+      case mem::CcmReqType::kGetS:
+        // GetS downgrades another owner to a sharer.
+        if (expected.owner >= 0 && expected.owner != node) {
+          expected.sharers |= 1ull << expected.owner;
+          expected.owner = -1;
+        }
+        expected.sharers |= bit;
+        break;
+      case mem::CcmReqType::kGetM:
+      case mem::CcmReqType::kPutFull:
+        // Every other copy is invalidated; the requester owns the line.
+        expected.sharers = bit;
+        expected.owner = node;
+        break;
+      case mem::CcmReqType::kPutM:
+        if (expected.owner == node) expected.owner = -1;
+        expected.sharers &= ~bit;
+        break;
+      default:
+        break;  // a stash leaves the directory alone
     }
-    if (type == mem::CcmReqType::kGetM) {
-      expected.sharers = 1ull << node;
-      expected.owner = node;
-    } else {
-      expected.sharers |= 1ull << node;
-    }
+    codes_seen.insert(code_of(expected));
+    if (code_before == 255 && code_of(expected) != 255) ++left_overflow;
 
     // Invariant: at most one node sees Modified; if one does, no other node
     // sees any valid state for that line.
     for (const std::uint64_t l : lines) {
       int modified = 0, valid = 0;
-      for (int n = 0; n < 8; ++n) {
+      const Expected& want = model[l];
+      for (int n = 0; n < 64; ++n) {
         const auto state = ccm.node_view(n, l);
         if (state == mem::CoherenceState::kModified) ++modified;
         if (state != mem::CoherenceState::kInvalid) ++valid;
-        const Expected& want = model[l];
         auto want_state = mem::CoherenceState::kInvalid;
         if (want.owner == n) {
           want_state = mem::CoherenceState::kModified;
@@ -429,13 +668,17 @@ void expect_single_writer(const mem::CcmConfig& config,
         }
         ASSERT_EQ(state, want_state) << "line " << l << " node " << n;
       }
-      ASSERT_EQ(ccm.sharer_mask(l), model[l].sharers) << "line " << l;
+      ASSERT_EQ(ccm.sharer_mask(l), want.sharers) << "line " << l;
       ASSERT_LE(modified, 1);
       if (modified == 1) {
         ASSERT_EQ(valid, 1);
       }
     }
   }
+  for (const int code : {1, 64, 65, 128, 255}) {
+    EXPECT_TRUE(codes_seen.count(code)) << "code " << code << " never held";
+  }
+  EXPECT_GT(left_overflow, 0);
 }
 
 TEST(MemProperty, DirectorySingleWriterInvariant) {

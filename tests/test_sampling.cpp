@@ -419,17 +419,22 @@ TEST(SampledRunner, DeterministicSeedingReproducesIdenticalEstimates) {
 TEST(SampledRunner, ParallelWorkersProduceTheSequentialResult) {
   // Batches are independent MacoSystems writing disjoint measurement
   // slots, so worker parallelism must not change a single bit of the
-  // estimate.
+  // estimate — neither at 3 workers nor at the default (0: one per
+  // hardware thread).
   const core::SystemConfig config = core::SystemConfig::maco_default();
   core::TimingOptions options = sampled_options(640, 128);
   options.sample_frac = 0.05;
+  options.sample_workers = 1;
   const core::SystemTiming sequential = run_sampled_gemm(config, options);
-  options.sample_workers = 3;
-  const core::SystemTiming parallel = run_sampled_gemm(config, options);
-  EXPECT_EQ(sequential.makespan_ps, parallel.makespan_ps);
-  EXPECT_EQ(sequential.sampling.makespan_se_ps,
-            parallel.sampling.makespan_se_ps);
-  EXPECT_EQ(sequential.total_gflops, parallel.total_gflops);
+  for (const unsigned workers : {3u, core::TimingOptions{}.sample_workers}) {
+    options.sample_workers = workers;
+    const core::SystemTiming parallel = run_sampled_gemm(config, options);
+    EXPECT_EQ(sequential.makespan_ps, parallel.makespan_ps) << workers;
+    EXPECT_EQ(sequential.sampling.makespan_se_ps,
+              parallel.sampling.makespan_se_ps)
+        << workers;
+    EXPECT_EQ(sequential.total_gflops, parallel.total_gflops) << workers;
+  }
 }
 
 TEST(SampledRunner, LiftsTheDetailedSizeCap) {

@@ -133,16 +133,23 @@ TEST(LoadGenerator, TraceReplaySortsAndPinsTenants) {
       "0.001 0\n"
       "\n"
       "0.003 5  # tenant wraps modulo the tenant count\n"
-      "0.0005\n");
+      "0.002 0  # ties keep trace order\n"
+      "0.0005\n"
+      "0.002 3\n");
   const std::vector<Request> schedule = LoadGenerator(config).schedule();
-  ASSERT_EQ(schedule.size(), 4u);
+  ASSERT_EQ(schedule.size(), 6u);
   EXPECT_EQ(schedule[0].arrival_ps, sim::kPsPerMs / 2);
   EXPECT_EQ(schedule[1].arrival_ps, 1 * sim::kPsPerMs);
   EXPECT_EQ(schedule[1].tenant, 0u);
-  EXPECT_EQ(schedule[2].arrival_ps, 2 * sim::kPsPerMs);
+  // The three arrivals at 2 ms, in trace order: tenants 1, 0, 3 % 2.
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_EQ(schedule[i].arrival_ps, 2 * sim::kPsPerMs);
+  }
   EXPECT_EQ(schedule[2].tenant, 1u);
-  EXPECT_EQ(schedule[3].arrival_ps, 3 * sim::kPsPerMs);
-  EXPECT_EQ(schedule[3].tenant, 1u);  // 5 % 2
+  EXPECT_EQ(schedule[3].tenant, 0u);
+  EXPECT_EQ(schedule[4].tenant, 1u);
+  EXPECT_EQ(schedule[5].arrival_ps, 3 * sim::kPsPerMs);
+  EXPECT_EQ(schedule[5].tenant, 1u);  // 5 % 2
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     EXPECT_EQ(schedule[i].id, i);  // ids follow sorted arrival order
   }
