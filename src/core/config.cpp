@@ -37,10 +37,6 @@ SystemConfig SystemConfig::maco_default() {
   config.mesh.flit_bytes = 32;   // 256-bit
   config.mesh.cycle_ps = 500;    // 2 GHz
 
-  config.link_load.width = 4;
-  config.link_load.height = 4;
-  config.link_load.link_bytes_per_second = 64.0e9;
-
   config.ccm_count = 16;
   config.ccm.l3.size_bytes = 2 * 1024 * 1024;  // 32 MiB system cache total
   config.ccm.l3.ways = 16;

@@ -1,6 +1,6 @@
 // System-level configuration: the paper's published parameters (Table I,
 // Table IV, Section III.A) plus the calibrated model constants DESIGN.md
-// documents. Everything a bench varies lives here.
+// documents. Every hardware knob of `macosim` sets a field here.
 #pragma once
 
 #include <array>
@@ -13,7 +13,7 @@
 #include "mmae/accelerator_controller.hpp"
 #include "noc/icnt.hpp"
 #include "noc/link_load_model.hpp"
-#include "noc/mesh.hpp"
+#include "noc/mesh_config.hpp"
 #include "sa/types.hpp"
 
 namespace maco::core {
@@ -34,8 +34,7 @@ struct SystemConfig {
   unsigned node_count = 16;  // up to 16 homogeneous compute nodes
   cpu::CpuConfig cpu{};
   mmae::MmaeConfig mmae{};
-  noc::MeshConfig mesh{};            // NoC geometry (see icnt_config())
-  noc::LinkLoadConfig link_load{};   // analytic contention model
+  noc::MeshConfig mesh{};  // the one NoC description (see icnt_config())
   unsigned ccm_count = 16;           // one L3 slice per mesh node
   mem::CcmConfig ccm{};
   unsigned dram_channels = 4;
@@ -50,7 +49,6 @@ struct SystemConfig {
   bool carry_values = true;
 
   // Fast-model latency constants (calibrated; see DESIGN.md §5).
-  sim::TimePs noc_hop_ps = 500;            // one NoC cycle per hop
   sim::TimePs pte_cold_latency_ps = 80'000;  // leaf PTE read when the page
                                              // table line is cold (DRAM)
   sim::TimePs pte_warm_latency_ps = 14'000;  // leaf PTE read hitting L3
@@ -88,16 +86,24 @@ struct SystemConfig {
   }
   // Per-direction NoC link bandwidth (256-bit @ 2 GHz = 64 GB/s).
   double node_link_bandwidth() const noexcept {
-    return link_load.link_bytes_per_second;
+    return mesh.flit_bytes * 1e12 / static_cast<double>(mesh.cycle_ps);
   }
-  // The detailed machine's interconnect backend, derived from the mesh
-  // geometry so the icnt trait can never desynchronize from it.
+  // The analytic contention model and the detailed machine's interconnect
+  // backend, both derived from the mesh geometry so neither fidelity can
+  // desynchronize from it.
+  noc::LinkLoadConfig link_load_config() const noexcept {
+    noc::LinkLoadConfig c;
+    c.width = mesh.width;
+    c.height = mesh.height;
+    c.link_bytes_per_second = node_link_bandwidth();
+    return c;
+  }
   noc::IcntConfig icnt_config() const noexcept {
     noc::IcntConfig c;
     c.kind = icnt;
     c.width = mesh.width;
     c.height = mesh.height;
-    c.hop_ps = noc_hop_ps;
+    c.hop_ps = mesh.cycle_ps;
     c.flit_bytes = mesh.flit_bytes;
     c.header_bytes = mesh.header_bytes;
     c.cycle_ps = mesh.cycle_ps;

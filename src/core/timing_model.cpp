@@ -321,7 +321,7 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
     const double loaded_rt_ps =
         static_cast<double>(config_.dram.access_latency_ps) *
             config_.dram_row_miss_factor +
-        8.0 * static_cast<double>(config_.noc_hop_ps) + 10'000.0;
+        8.0 * static_cast<double>(config_.mesh.cycle_ps) + 10'000.0;
     link_bw = std::min(link_bw, inflight_bytes / (loaded_rt_ps * 1e-12));
   }
   double tile_time = std::max(compute_tile_ps, 1.0);
@@ -332,7 +332,7 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
     // NoC: responses flow from every L3 slice (address-interleaved) to each
     // active node, and DDR fills flow from the edge controllers into the
     // home slices.
-    noc::LinkLoadModel loads(config_.link_load);
+    noc::LinkLoadModel loads(config_.link_load_config());
     for (unsigned nid = 0; nid < options.active_nodes; ++nid) {
       for (unsigned slice = 0; slice < config_.ccm_count; ++slice) {
         loads.add_flow(static_cast<noc::NodeId>(slice),

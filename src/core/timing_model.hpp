@@ -1,12 +1,13 @@
 // System-level GEMM timing model.
 //
-// Register-level simulation of a 9216³ GEMM is intractable, so the benches
-// use this model: per-inner-tile systolic latency comes from the closed form
-// validated against the cycle-accurate array; translation behaviour comes
-// from simulating the real sTLB over the exact page-touch sequence the DMA
-// streams generate (vm::predict_page_entries); NoC contention comes from the
-// X-Y link-load model validated against the flit-level mesh; DRAM pressure
-// from the channel bandwidth model. Baselines parameterize the same model
+// Register-level simulation of a 9216³ GEMM is intractable, so the paper
+// figures use this model (fidelity=analytic): per-inner-tile systolic
+// latency comes from the closed form validated against the cycle-accurate
+// array; translation behaviour comes from simulating the real sTLB over the
+// exact page-touch sequence the DMA streams generate
+// (vm::predict_page_entries); NoC contention comes from the X-Y link-load
+// model validated against the flit-level mesh; DRAM pressure from the
+// channel bandwidth model. Baselines parameterize the same model
 // (coupling, overlap, translation policy) rather than hard-coding ratios.
 //
 // A model instance memoizes run()'s translation estimates: the sTLB

@@ -273,9 +273,9 @@ CliParse parse_trace_cli(const std::vector<std::string>& args) {
     } else if (arg == "--width") {
       if (!value_of(i, value)) return result;
       if (!parse_unsigned(value, options.trace_width) ||
-          options.trace_width < 16) {
-        result.error = "--width wants an integer >= 16, got '" + value +
-                       "'";
+          options.trace_width < 16 || options.trace_width > 1024) {
+        result.error = "--width wants an integer in [16, 1024], got '" +
+                       value + "'";
         return result;
       }
     } else if (arg == "--noc-csv") {
@@ -616,7 +616,7 @@ std::string usage() {
          "                         ASCII Gantt of the trace's spans; adds\n"
          "                         a per-node NoC utilization heatmap when\n"
          "                         the file carries link traffic\n"
-         "  --width N              Gantt chart columns (default 72)\n"
+         "  --width N              Gantt chart columns, 16-1024 (default 72)\n"
          "  --noc-csv FILE         also dump per-link utilization CSV\n"
          "  --output FILE          write the rendering to FILE\n"
          "\n"

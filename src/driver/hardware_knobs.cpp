@@ -14,9 +14,11 @@ const exp::ParamSchema& hardware_schema() {
     exp::ParamSchema s;
     s.u64("node_count", d.node_count, "compute nodes instantiated", 1, 64);
     s.u64("mesh_width", d.mesh.width,
-          "NoC mesh width (icnt and link-load geometry)", 1, 32);
+          "NoC mesh width (icnt and link-load geometry)", 1,
+          noc::kMaxMeshSide);
     s.u64("mesh_height", d.mesh.height,
-          "NoC mesh height (icnt and link-load geometry)", 1, 32);
+          "NoC mesh height (icnt and link-load geometry)", 1,
+          noc::kMaxMeshSide);
     s.u64("sa_rows", d.mmae.sa.rows, "systolic array rows per MMAE", 1,
           256);
     s.u64("sa_cols", d.mmae.sa.cols, "systolic array columns per MMAE", 1,
@@ -96,16 +98,11 @@ void apply_hardware_params(const exp::ParamSet& params,
   u64_knob("node_count", [&](std::uint64_t v) {
     config.node_count = static_cast<unsigned>(v);
   });
-  // The detailed machine's interconnect and the analytic link-load model
-  // describe the same network; resizing one without the other would
-  // silently desynchronize the two fidelities.
   u64_knob("mesh_width", [&](std::uint64_t v) {
     config.mesh.width = static_cast<unsigned>(v);
-    config.link_load.width = static_cast<unsigned>(v);
   });
   u64_knob("mesh_height", [&](std::uint64_t v) {
     config.mesh.height = static_cast<unsigned>(v);
-    config.link_load.height = static_cast<unsigned>(v);
   });
   u64_knob("sa_rows", [&](std::uint64_t v) {
     config.mmae.sa.rows = static_cast<unsigned>(v);

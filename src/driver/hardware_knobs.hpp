@@ -28,9 +28,9 @@ const exp::ParamSchema& hardware_schema();
 void apply_hardware_params(const exp::ParamSet& params,
                            core::SystemConfig& config);
 
-// Renders the knob schema as a name/type/default/range/description table —
-// the one rendering path shared by `--list-scenarios` and the bench_tables
-// appendix, so the two cannot drift.
+// Renders the knob schema as a name/type/default/range/description table
+// (the hardware section of `--list-scenarios`), straight from the schema
+// the sweep runner validates against, so the listing cannot drift.
 void print_hardware_knob_table(std::ostream& out, const std::string& title);
 
 }  // namespace maco::driver

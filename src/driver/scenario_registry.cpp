@@ -405,42 +405,6 @@ Scenario baselines_scenario() {
   return s;
 }
 
-Scenario fig6_scenario() {
-  Scenario s;
-  s.name = "fig6_translation";
-  s.description =
-      "Fig. 6: efficiency with vs without predictive address translation "
-      "(single node, FP64)";
-  s.schema.u64("size", 4096, "square matrix dimension", 1, 1048576);
-  s.schema.u64("page_bytes", 4096, "translation page size", 256, 1048576);
-  s.schema.enumerant("fidelity", "analytic", {"analytic"},
-                     "execution backend");
-  s.cross_rules.push_back(backends_need_detail_rule());
-  s.cross_rules.push_back(profile_needs_detailed_rule());
-  s.run = [](const ScenarioRequest& request) {
-    const auto backend = request.backend();
-    const std::uint64_t size = request.params.u64("size");
-    core::TimingOptions options;
-    options.shape = sa::TileShape{size, size, size};
-    options.precision = sa::Precision::kFp64;
-    options.active_nodes = 1;
-    options.page_bytes = request.params.u64("page_bytes");
-    options.use_matlb = true;
-    const core::SystemTiming with = backend->run(options);
-    options.use_matlb = false;
-    const core::SystemTiming without = backend->run(options);
-    ScenarioResult result;
-    result.add("size", static_cast<double>(size));
-    result.add("efficiency_with", with.mean_efficiency);
-    result.add("efficiency_without", without.mean_efficiency);
-    result.add("gap", with.mean_efficiency - without.mean_efficiency);
-    result.add("walks_per_tile", with.translation.walks_per_tile, "",
-               /*higher_is_better=*/false);
-    return result;
-  };
-  return s;
-}
-
 Scenario fig8_scenario() {
   Scenario s;
   s.name = "fig8_dl_comparison";
@@ -480,43 +444,6 @@ Scenario fig8_scenario() {
     }
     result.add("maco_vs_baseline1",
                baseline1 > 0.0 ? maco / baseline1 : 0.0, "x");
-    return result;
-  };
-  return s;
-}
-
-Scenario ablation_scenario() {
-  Scenario s;
-  s.name = "ablation_features";
-  s.description =
-      "mATLB / stash+lock 2x2 feature grid on a paper-scale FP64 GEMM";
-  s.schema.u64("size", 4096, "square matrix dimension", 1, 1048576);
-  declare_nodes(s.schema, "active compute nodes (defaults to node_count)");
-  s.schema.enumerant("fidelity", "analytic", {"analytic"},
-                     "execution backend");
-  s.cross_rules.push_back(nodes_fit_hardware_rule());
-  s.cross_rules.push_back(backends_need_detail_rule());
-  s.cross_rules.push_back(profile_needs_detailed_rule());
-  s.run = [](const ScenarioRequest& request) {
-    const auto backend = request.backend();
-    const std::uint64_t size = request.params.u64("size");
-    ScenarioResult result;
-    result.add("size", static_cast<double>(size));
-    for (const bool matlb : {true, false}) {
-      for (const bool stash : {true, false}) {
-        core::TimingOptions options;
-        options.shape = sa::TileShape{size, size, size};
-        options.precision = sa::Precision::kFp64;
-        options.active_nodes = active_nodes_from(request);
-        options.use_matlb = matlb;
-        options.use_stash_lock = stash;
-        const core::SystemTiming timing = backend->run(options);
-        const std::string key = std::string("eff_matlb") +
-                                (matlb ? "1" : "0") + "_stash" +
-                                (stash ? "1" : "0");
-        result.add(key, timing.mean_efficiency);
-      }
-    }
     return result;
   };
   return s;
@@ -950,9 +877,7 @@ ScenarioRegistry ScenarioRegistry::builtin() {
   registry.add(gemm_scenario());
   registry.add(hpl_scenario());
   registry.add(baselines_scenario());
-  registry.add(fig6_scenario());
   registry.add(fig8_scenario());
-  registry.add(ablation_scenario());
   registry.add(area_power_scenario());
   registry.add(sparsity_scenario());
   registry.add(tables_scenario());

@@ -2,8 +2,9 @@
 //
 // A scenario is one named, parameterized experiment: every workload
 // (GEMM, HPL, and any DNN as a graph manifest), baseline comparison
-// (src/baselines/) and paper figure/table bench (bench/) is registered
-// here so one CLI can run and sweep all of them. Each scenario declares a typed exp::ParamSchema (the
+// (src/baselines/) and paper table is registered here so one CLI can run
+// and sweep all of them; a paper figure is a sweep of one of them
+// (docs/SCENARIOS.md). Each scenario declares a typed exp::ParamSchema (the
 // single parser for its knobs) and consumes a fully-validated
 // exp::ParamSet; scenarios that execute the MACO machine do so through an
 // exp::ExecutionBackend selected by the `fidelity` parameter, so the same

@@ -4,19 +4,47 @@
 #include <cctype>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "noc/mesh_config.hpp"
 #include "obs/observation.hpp"
 #include "util/json.hpp"
 
 namespace maco::driver {
 namespace {
 
-sim::TimePs us_to_ps(double us) {
-  return us > 0.0 ? static_cast<sim::TimePs>(std::llround(us * 1e6)) : 0;
+// A JSON number as an integer of type T in [lo, hi]. Converting a double
+// that is not finite, not whole or outside T's range is undefined
+// behaviour, so every such value throws naming `what` instead.
+template <typename T>
+T whole_number(double value, const std::string& what,
+               T lo = std::numeric_limits<T>::min(),
+               T hi = std::numeric_limits<T>::max()) {
+  using limits = std::numeric_limits<T>;
+  // T's bounds as exact doubles: min() is 0 or -2^digits, and 2^digits is
+  // the first value past max().
+  const bool fits = std::isfinite(value) && value == std::trunc(value) &&
+                    value >= static_cast<double>(limits::min()) &&
+                    value < std::ldexp(1.0, limits::digits);
+  if (!fits || static_cast<T>(value) < lo || static_cast<T>(value) > hi) {
+    std::ostringstream message;
+    message << what << " must be a whole number in [" << lo << ", " << hi
+            << "], got " << value;
+    throw std::runtime_error(message.str());
+  }
+  return static_cast<T>(value);
+}
+
+// Event times are microseconds at picosecond resolution
+// (obs/trace_writer.cpp); they round to the nearest picosecond.
+sim::TimePs us_to_ps(double us, const char* key) {
+  return whole_number<sim::TimePs>(std::round(us * 1e6),
+                                   std::string("trace event '") + key +
+                                       "' in picoseconds");
 }
 
 struct NocLink {
@@ -52,9 +80,20 @@ const util::JsonValue& member(const util::JsonValue& object,
   return *value;
 }
 
+// A required integer member of the NoC sidecar, checked by whole_number.
+template <typename T>
+T integer_member(const util::JsonValue& object, const char* key,
+                 T lo = std::numeric_limits<T>::min(),
+                 T hi = std::numeric_limits<T>::max()) {
+  return whole_number(
+      member(object, key).as_number(),
+      std::string("trace \"maco\".\"noc\" member '") + key + "'", lo, hi);
+}
+
 // The writer's sidecar ("maco"."noc") when present; an empty section
-// otherwise. Field errors throw through JsonValue's checked accessors,
-// naming the malformed member.
+// otherwise. Field errors throw through JsonValue's checked accessors and
+// integer_member, naming the malformed member. The mesh is at most
+// kMaxMeshSide on a side, as the mesh_width/mesh_height knobs allow.
 NocSection parse_noc(const util::JsonValue& doc) {
   NocSection section;
   if (!doc.is_object()) return section;
@@ -62,19 +101,16 @@ NocSection parse_noc(const util::JsonValue& doc) {
   if (maco == nullptr) return section;
   const util::JsonValue* noc = maco->find("noc");
   if (noc == nullptr) return section;
-  section.width = static_cast<unsigned>(member(*noc, "width").as_number());
-  section.height =
-      static_cast<unsigned>(member(*noc, "height").as_number());
-  section.window_ps =
-      static_cast<std::uint64_t>(member(*noc, "window_ps").as_number());
+  section.width = integer_member(*noc, "width", 1u, noc::kMaxMeshSide);
+  section.height = integer_member(*noc, "height", 1u, noc::kMaxMeshSide);
+  section.window_ps = integer_member<std::uint64_t>(*noc, "window_ps");
   for (const util::JsonValue& entry : member(*noc, "links").as_array()) {
     NocLink link;
-    link.node = static_cast<unsigned>(member(entry, "node").as_number());
+    link.node = integer_member(entry, "node", 0u,
+                               section.width * section.height - 1);
     link.dir = member(entry, "dir").as_string();
-    link.flits =
-        static_cast<std::uint64_t>(member(entry, "flits").as_number());
-    link.busy_ps =
-        static_cast<std::uint64_t>(member(entry, "busy_ps").as_number());
+    link.flits = integer_member<std::uint64_t>(entry, "flits");
+    link.busy_ps = integer_member<std::uint64_t>(entry, "busy_ps");
     section.links.push_back(std::move(link));
   }
   return section;
@@ -140,10 +176,8 @@ std::string render_noc_text(const NocSection& noc) {
   std::vector<double> node_util(
       static_cast<std::size_t>(noc.width) * noc.height, 0.0);
   for (const NocLink& link : noc.links) {
-    if (link.node < node_util.size()) {
-      node_util[link.node] = std::max(node_util[link.node],
-                                      link_util(link, noc.window_ps));
-    }
+    node_util[link.node] =
+        std::max(node_util[link.node], link_util(link, noc.window_ps));
   }
   // "x" + to_string(...) as one expression trips GCC 12's -Wrestrict
   // false positive under -Werror; append instead.
@@ -231,17 +265,22 @@ TraceRender render_trace(const std::string& json_text, std::size_t width) {
     const std::string track =
         tid->is_string()
             ? tid->as_string()
-            : "tid" + std::to_string(
-                          static_cast<long long>(tid->as_number()));
-    const sim::TimePs start = us_to_ps(ts->as_number());
-    spans.push_back(obs::SpanRec{track, name->as_string(), start,
-                                 start + us_to_ps(dur->as_number())});
+            : "tid" + std::to_string(whole_number<long long>(
+                          tid->as_number(), "trace event 'tid'"));
+    const sim::TimePs start = us_to_ps(ts->as_number(), "ts");
+    const sim::TimePs duration = us_to_ps(dur->as_number(), "dur");
+    if (duration > std::numeric_limits<sim::TimePs>::max() - start) {
+      throw std::runtime_error(
+          "trace event 'ts' + 'dur' overflows the picosecond clock");
+    }
+    spans.push_back(
+        obs::SpanRec{track, name->as_string(), start, start + duration});
   }
 
   TraceRender render;
   render.gantt = render_gantt(spans, width);
   const NocSection noc = parse_noc(doc);
-  if (!noc.links.empty() && noc.width > 0 && noc.height > 0) {
+  if (!noc.links.empty()) {
     render.noc_text = render_noc_text(noc);
     render.noc_csv = render_noc_csv(noc);
   }

@@ -1,4 +1,4 @@
-// Roofline helpers used by the baselines and the analysis benches.
+// Roofline helpers used by the baselines.
 #pragma once
 
 #include <algorithm>

@@ -5,9 +5,9 @@
 // X-Y hop formula (behavior-preserving default), `flit` a wormhole-style
 // model that walks the X-Y route and books occupancy on every directed
 // link it traverses, so concurrent transfers contend for links the way
-// they do in the flit-level mesh (noc/mesh.hpp). The analytic-fidelity
-// sweep path keeps using LinkLoadModel; this trait covers the detailed
-// and sampled machines.
+// they do in the test tree's flit-level reference mesh
+// (tests/flit_mesh/). The analytic-fidelity sweep path keeps using
+// LinkLoadModel; this trait covers the detailed and sampled machines.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +133,8 @@ class FlitIcnt final : public IcntModel {
   sim::TimePs unloaded_round_trip_ps(int node, unsigned home,
                                      std::uint32_t bytes) const override;
 
-  // Flits in a packet of `payload_bytes` (header included), as
-  // MeshNetwork::flits_for counts them.
+  // Flits in a packet of `payload_bytes` (header included), as the
+  // reference mesh's MeshNetwork::flits_for counts them.
   unsigned flits_for(std::uint32_t payload_bytes) const noexcept;
 
   // Loaded round trips charged so far, and the furthest-out link booking

@@ -6,13 +6,14 @@
 // determines the saturation slowdown — exactly the effect the paper cites
 // for the ~10 % multi-node efficiency loss ("NOC being unable to meet the
 // bandwidth requirements of all compute nodes working in parallel").
-// Tests cross-validate this model against the flit-level mesh.
+// Tests cross-validate this model against the flit-level mesh
+// (tests/flit_mesh/).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "noc/packet.hpp"
+#include "noc/mesh_config.hpp"
 
 namespace maco::noc {
 

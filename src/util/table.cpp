@@ -39,10 +39,6 @@ Table::RowBuilder& Table::RowBuilder::cell(std::uint64_t value) {
   return cell(std::to_string(value));
 }
 
-Table::RowBuilder& Table::RowBuilder::cell(int value) {
-  return cell(std::to_string(value));
-}
-
 Table::RowBuilder& Table::RowBuilder::percent(double fraction, int precision) {
   return cell(format_double(fraction * 100.0, precision) + "%");
 }
@@ -98,7 +94,6 @@ void Table::print(std::ostream& os, const std::string& title) const {
   print_rule();
 }
 
-
 void write_csv_cell(std::ostream& os, const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) {
     os << cell;
@@ -110,21 +105,6 @@ void write_csv_cell(std::ostream& os, const std::string& cell) {
     os << c;
   }
   os << '"';
-}
-
-void Table::print_csv(std::ostream& os) const {
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) os << ',';
-    write_csv_cell(os, headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      write_csv_cell(os, row[c]);
-    }
-    os << '\n';
-  }
 }
 
 }  // namespace maco::util

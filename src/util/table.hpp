@@ -1,5 +1,6 @@
-// ASCII table formatting for bench output. The benches regenerate the
-// paper's tables/figures as text, so aligned, stable formatting matters.
+// ASCII table formatting for `macosim`'s terminal output (sweep results,
+// --list-scenarios, the hardware-knob table, `graph show`), plus the CSV
+// cell writer behind sweep CSVs and `report`.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@ class Table {
     RowBuilder& cell(const char* value) { return cell(std::string(value)); }
     RowBuilder& cell(double value, int precision = 2);
     RowBuilder& cell(std::uint64_t value);
-    RowBuilder& cell(int value);
     // Percentage with one decimal, e.g. 93.4%.
     RowBuilder& percent(double fraction, int precision = 1);
 
@@ -44,11 +44,6 @@ class Table {
 
   void set_align(std::size_t column, Align align);
   void print(std::ostream& os, const std::string& title = "") const;
-
-  // RFC-4180-style CSV (header row first; cells containing commas, quotes
-  // or newlines are quoted, embedded quotes doubled) — for piping bench
-  // data into plotting tools.
-  void print_csv(std::ostream& os) const;
 
   std::size_t num_rows() const noexcept { return rows_.size(); }
 

@@ -32,12 +32,4 @@ std::vector<sa::TileShape> Workload::expanded_shapes() const {
   return shapes;
 }
 
-std::vector<std::uint64_t> fig6_sizes() {
-  return {256, 512, 1024, 2048, 4096, 9216};
-}
-
-std::vector<std::uint64_t> fig7_sizes() {
-  return {256, 512, 1024, 2048, 3072, 4096, 5120, 6144, 7168, 8192, 9216};
-}
-
 }  // namespace maco::wl

@@ -43,8 +43,4 @@ struct Workload {
   std::vector<sa::TileShape> expanded_shapes() const;
 };
 
-// The matrix sizes the paper sweeps in Fig. 6 and Fig. 7.
-std::vector<std::uint64_t> fig6_sizes();
-std::vector<std::uint64_t> fig7_sizes();
-
 }  // namespace maco::wl

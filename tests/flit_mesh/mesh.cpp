@@ -1,4 +1,4 @@
-#include "noc/mesh.hpp"
+#include "flit_mesh/mesh.hpp"
 
 #include "util/assert.hpp"
 #include "util/bits.hpp"
@@ -13,7 +13,7 @@ MeshNetwork::MeshNetwork(sim::SimEngine& engine, const MeshConfig& config)
   for (unsigned y = 0; y < config.height; ++y) {
     for (unsigned x = 0; x < config.width; ++x) {
       const NodeId id = static_cast<NodeId>(y * config.width + x);
-      routers_.push_back(std::make_unique<Router>(id, x, y, config.router));
+      routers_.push_back(std::make_unique<Router>(id, x, y, RouterConfig{}));
     }
   }
 }

@@ -1,10 +1,10 @@
 // Flit-level 2D-mesh network simulation.
 //
-// The reference the analytic link-load model (noc/link_load_model.hpp) is
-// validated against; the detailed machine charges NoC time through
-// noc::IcntModel instead. While any flit is queued or in flight the mesh
-// schedules one engine event per NoC cycle (move, then inject); idle, it
-// schedules nothing.
+// A test-only reference: tests/test_noc.cpp and tests/test_properties.cpp
+// validate the analytic link-load model (noc/link_load_model.hpp) against
+// it; the detailed machine charges NoC time through noc::IcntModel. While
+// any flit is queued or in flight the mesh schedules one engine event per
+// NoC cycle (move, then inject); idle, it schedules nothing.
 #pragma once
 
 #include <cstdint>
@@ -13,25 +13,18 @@
 #include <memory>
 #include <vector>
 
-#include "noc/packet.hpp"
-#include "noc/router.hpp"
+#include "flit_mesh/packet.hpp"
+#include "flit_mesh/router.hpp"
+#include "noc/mesh_config.hpp"
 #include "sim/component.hpp"
 
 namespace maco::noc {
-
-struct MeshConfig {
-  unsigned width = 4;
-  unsigned height = 4;
-  unsigned flit_bytes = 32;   // 256-bit links
-  unsigned header_bytes = 8;  // routing/command header in the head flit
-  RouterConfig router;
-  sim::TimePs cycle_ps = 500;  // 2 GHz
-};
 
 class MeshNetwork : public sim::Component {
  public:
   using DeliverFn = std::function<void(const Packet&)>;
 
+  // Every router gets the default RouterConfig (2 VCs of 4 flits).
   MeshNetwork(sim::SimEngine& engine, const MeshConfig& config);
 
   const MeshConfig& config() const noexcept { return config_; }

@@ -7,11 +7,10 @@
 
 #include <cstdint>
 
+#include "noc/mesh_config.hpp"
 #include "sim/time.hpp"
 
 namespace maco::noc {
-
-using NodeId = int;
 
 // Message class maps to a virtual channel; separating requests from
 // responses keeps the cache-coherence protocol deadlock-free on top of the

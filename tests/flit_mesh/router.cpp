@@ -1,4 +1,4 @@
-#include "noc/router.hpp"
+#include "flit_mesh/router.hpp"
 
 #include "util/assert.hpp"
 

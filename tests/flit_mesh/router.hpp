@@ -8,7 +8,7 @@
 #include <deque>
 #include <vector>
 
-#include "noc/packet.hpp"
+#include "flit_mesh/packet.hpp"
 
 namespace maco::noc {
 

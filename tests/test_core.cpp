@@ -29,7 +29,7 @@ TEST(Config, DerivedQuantities) {
   EXPECT_NEAR(config.cpu_peak_flops(sa::Precision::kFp64), 35.2e9, 1e6);
   EXPECT_EQ(config.l3_total_bytes(), 32ull * 1024 * 1024);
   EXPECT_NEAR(config.dram_total_bandwidth(), 204.8e9, 1e6);
-  EXPECT_NEAR(config.node_link_bandwidth(), 64e9, 1e6);
+  EXPECT_EQ(config.node_link_bandwidth(), 64e9);
 }
 
 TEST(Mapper, GridChoicesAreSquareish) {

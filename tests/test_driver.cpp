@@ -279,11 +279,11 @@ TEST(Cli, RejectsBadOutputCombinations) {
 TEST(Registry, BuiltinCoversWorkloadsBaselinesAndBenches) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   for (const char* name :
-       {"gemm", "hpl", "graph", "baselines", "fig6_translation",
-        "fig8_dl_comparison", "ablation_features", "area_power",
-        "ext_sparsity", "tables"}) {
+       {"gemm", "hpl", "graph", "baselines", "fig8_dl_comparison",
+        "area_power", "ext_sparsity", "tables", "micro_dram", "serve"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
+  EXPECT_EQ(registry.scenarios().size(), 10u);
 }
 
 TEST(Registry, EveryScenarioDeclaresTypedDefaults) {
@@ -349,6 +349,19 @@ TEST(Cli, GraphValidatesItsGrammar) {
   // --help needs no file.
   EXPECT_TRUE(parse_cli({"graph", "--help"}).ok);
   EXPECT_TRUE(parse_cli({"graph", "show", "--help"}).ok);
+}
+
+TEST(Cli, TraceBoundsTheChartWidth) {
+  const CliParse widest =
+      parse_cli({"trace", "t.trace.json", "--width", "1024"});
+  ASSERT_TRUE(widest.ok) << widest.error;
+  EXPECT_EQ(widest.options.trace_width, 1024u);
+  EXPECT_FALSE(parse_cli({"trace", "t.trace.json", "--width", "15"}).ok);
+  // One string of `width` characters per track: no unbounded allocation.
+  const CliParse huge =
+      parse_cli({"trace", "t.trace.json", "--width", "100000"});
+  EXPECT_FALSE(huge.ok);
+  EXPECT_NE(huge.error.find("--width"), std::string::npos) << huge.error;
 }
 
 TEST(GraphCommand, ResolvesBuiltinNamesLikeModelFile) {
@@ -480,8 +493,8 @@ TEST(HardwareKnobs, EnforcesMeshCapacityAcrossFields) {
       config);
   EXPECT_EQ(config.node_count, 64u);
   EXPECT_EQ(config.mesh.width, 8u);
-  EXPECT_EQ(config.link_load.width, 8u);
-  EXPECT_EQ(config.link_load.height, 8u);
+  EXPECT_EQ(config.link_load_config().width, 8u);
+  EXPECT_EQ(config.link_load_config().height, 8u);
   // A mesh too small for the DDR controllers at nodes {0,3,12,15}.
   config = core::SystemConfig::maco_default();
   EXPECT_THROW(

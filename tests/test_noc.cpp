@@ -2,8 +2,8 @@
 
 #include <map>
 
+#include "flit_mesh/mesh.hpp"
 #include "noc/link_load_model.hpp"
-#include "noc/mesh.hpp"
 #include "sim/engine.hpp"
 
 namespace maco::noc {

@@ -297,6 +297,55 @@ TEST(TraceCmd, RejectsDocumentsThatAreNotChromeTraces) {
                std::runtime_error);
 }
 
+// The message render_trace throws for `trace`, or "" when it renders.
+std::string render_error(const std::string& trace) {
+  try {
+    driver::render_trace(trace, 40);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(TraceCmd, RejectsOutOfRangeNumbers) {
+  // A valid trace with one NoC link; each case corrupts one number, which
+  // the renderer would otherwise cast to an integer unchecked.
+  const std::string valid =
+      R"({"traceEvents": [{"name": "s", "ph": "X", "tid": 7, "ts": 0,)"
+      R"( "dur": 1}], "maco": {"noc": {"width": 4, "height": 4,)"
+      R"( "window_ps": 1000, "links": [{"node": 5, "dir": "east",)"
+      R"( "flits": 3, "busy_ps": 500}]}}})";
+  ASSERT_EQ(render_error(valid), "");
+  const struct {
+    std::string from;
+    std::string to;
+    std::string member;
+  } cases[] = {
+      {R"("node": 5)", R"("node": -1)", "'node'"},
+      {R"("node": 5)", R"("node": 16)", "'node'"},  // off the 4x4 grid
+      {R"("flits": 3)", R"("flits": -3)", "'flits'"},
+      {R"("busy_ps": 500)", R"("busy_ps": 1e30)", "'busy_ps'"},
+      {R"("window_ps": 1000)", R"("window_ps": -5)", "'window_ps'"},
+      {R"("width": 4)", R"("width": 2.5)", "'width'"},
+      {R"("width": 4)", R"("width": 100000)", "'width'"},
+      {R"("height": 4)", R"("height": 0)", "'height'"},
+      {R"("tid": 7)", R"("tid": 1e300)", "'tid'"},
+      {R"("ts": 0)", R"("ts": -1)", "'ts'"},
+      {R"("dur": 1)", R"("dur": 1e30)", "'dur'"},
+  };
+  for (const auto& c : cases) {
+    std::string trace = valid;
+    trace.replace(trace.find(c.from), c.from.size(), c.to);
+    EXPECT_NE(render_error(trace).find(c.member), std::string::npos)
+        << c.to << ": " << render_error(trace);
+  }
+  // Each time fits the picosecond clock; the span's end does not.
+  EXPECT_NE(render_error(R"([{"name": "s", "ph": "X", "tid": 1,)"
+                         R"( "ts": 1e13, "dur": 1e13}])")
+                .find("overflows"),
+            std::string::npos);
+}
+
 TEST(TraceCmd, ReportsEmptyTracesInsteadOfCrashing) {
   const driver::TraceRender render =
       driver::render_trace("{\"traceEvents\": []}", 40);

@@ -18,12 +18,12 @@
 #include "core/gemm_mapper.hpp"
 #include "core/gemm_plus.hpp"
 #include "core/timing_model.hpp"
+#include "flit_mesh/mesh.hpp"
 #include "isa/assembler.hpp"
 #include "isa/params.hpp"
 #include "mem/cache.hpp"
 #include "mem/directory.hpp"
 #include "noc/link_load_model.hpp"
-#include "noc/mesh.hpp"
 #include "sa/latency_model.hpp"
 #include "sa/systolic_array.hpp"
 #include "sim/engine.hpp"

@@ -15,13 +15,6 @@ Workload builtin(const char* model, std::uint64_t batch = 0) {
   return graph::lower(graph::builtin_graph(model), options).workload;
 }
 
-TEST(Workload, PaperSizeSweeps) {
-  EXPECT_EQ(fig6_sizes().size(), 6u);
-  EXPECT_EQ(fig6_sizes().front(), 256u);
-  EXPECT_EQ(fig6_sizes().back(), 9216u);
-  EXPECT_EQ(fig7_sizes().size(), 11u);  // 256..9216 as in Fig. 7's x-axis
-}
-
 TEST(Workload, ExpandedShapesHonorRepeat) {
   Workload w;
   w.layers.push_back(Layer{"x", sa::TileShape{8, 8, 8}, PostOp::kNone, 3});

@@ -1,14 +1,16 @@
 #!/bin/sh
-# Writes the analytic golden CSVs: one default-knob CSV per analytic
-# scenario whose numbers must stay bit-identical across refactors of the
-# timing model, the TLB and the page enumeration.
+# Writes the analytic golden CSVs: one CSV per paper figure, table or
+# sensitivity study that an analytic `macosim` command reproduces. Their
+# numbers must stay bit-identical across refactors of the timing model,
+# the TLB and the page enumeration.
 #
 # Usage: analytic_golden.sh MACOSIM OUTDIR
 #
 # CI writes them to a scratch directory and diffs it against tests/golden/;
 # after an intended model change, re-record with OUTDIR=tests/golden and
 # commit the diff. fig8_dl_comparison is left out: its geomean goes through
-# libm pow, which may round differently across C library versions; so is
+# libm pow, which may round differently across C library versions (the
+# per-network throughputs it multiplies are pinned by baselines.csv); so is
 # micro_dram, which BENCH_dram.json already gates.
 set -eu
 
@@ -29,11 +31,28 @@ run() {
 run graph --scenario graph \
   --sweep model_file=resnet50-stage,bert-block,gpt3-block,tiny,moe-mlp \
   --sweep phase=prefill,decode
-run fig6_translation --scenario fig6_translation
-run gemm --scenario gemm --sweep size=256,1024,4096,9216 --sweep nodes=1,16
+# Fig. 6: one node with and without predictive translation.
+run fig6 --scenario gemm --set nodes=1 \
+  --sweep size=256,512,1024,2048,4096,9216 --sweep matlb=true,false
+# Fig. 7: independent GEMMs on 1-16 nodes over the paper's size axis.
+run gemm --scenario gemm \
+  --sweep size=256,512,1024,2048,3072,4096,5120,6144,7168,8192,9216 \
+  --sweep nodes=1,2,4,8,16
+# Feature ablation: mATLB x stash+lock on 16 nodes.
+run ablation --scenario gemm --set size=4096 \
+  --sweep matlb=true,false --sweep stash_lock=true,false
+# Sensitivity to the second-level tile, the page size and DDR efficiency.
+run inner_tile --scenario gemm --set size=2048 --set nodes=1 \
+  --sweep inner=16,32,64,128
+run page_size --scenario gemm --set size=2048 --set nodes=1 \
+  --sweep page_bytes=4096,65536,1048576 --sweep matlb=true,false
+run dram_efficiency --scenario gemm --set size=4096 \
+  --sweep dram_efficiency=0.6,0.72,0.85,1.0 --sweep nodes=1,16
 run hpl --scenario hpl
-run baselines --scenario baselines
-run ablation_features --scenario ablation_features
+# Fig. 8: the five systems on each network.
+run baselines --scenario baselines \
+  --sweep model_file=resnet50-stage,bert-block,gpt3-block
 run area_power --scenario area_power
-run ext_sparsity --scenario ext_sparsity
+run ext_sparsity --scenario ext_sparsity \
+  --sweep k=64,128,256,1024 --sweep kept=2,1
 run tables --scenario tables
