@@ -103,7 +103,6 @@ struct SystemConfig {
     c.kind = icnt;
     c.width = mesh.width;
     c.height = mesh.height;
-    c.hop_ps = mesh.cycle_ps;
     c.flit_bytes = mesh.flit_bytes;
     c.header_bytes = mesh.header_bytes;
     c.cycle_ps = mesh.cycle_ps;

@@ -93,7 +93,7 @@ unsigned IcntModel::hop_count(unsigned src, unsigned dst) const noexcept {
 sim::TimePs AnalyticIcnt::unloaded_round_trip_ps(
     int node, unsigned home, std::uint32_t /*bytes*/) const {
   const unsigned hops = hop_count(static_cast<unsigned>(node), home);
-  return static_cast<sim::TimePs>(2 * (hops + 1)) * config_.hop_ps;
+  return static_cast<sim::TimePs>(2 * (hops + 1)) * config_.cycle_ps;
 }
 
 sim::TimePs AnalyticIcnt::request_leg_ps(sim::TimePs /*now*/, int /*node*/,
@@ -114,10 +114,10 @@ sim::TimePs AnalyticIcnt::response_leg_ps(sim::TimePs /*now*/, unsigned home,
     const auto payload_flits = static_cast<std::uint64_t>(util::ceil_div(
         bytes + config_.header_bytes, config_.flit_bytes));
     for_each_link(config_.width, src, home, [&](unsigned link) {
-      record_link_traffic(link, 1, config_.hop_ps);
+      record_link_traffic(link, 1, config_.cycle_ps);
     });
     for_each_link(config_.width, home, src, [&](unsigned link) {
-      record_link_traffic(link, payload_flits, config_.hop_ps);
+      record_link_traffic(link, payload_flits, config_.cycle_ps);
     });
   }
   return unloaded_round_trip_ps(node, home, bytes);

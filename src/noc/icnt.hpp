@@ -33,10 +33,9 @@ struct IcntConfig {
   IcntKind kind = IcntKind::kAnalytic;
   unsigned width = 4;
   unsigned height = 4;
-  sim::TimePs hop_ps = 500;    // analytic: one NoC cycle per hop
   unsigned flit_bytes = 32;    // flit: link width (256-bit)
   unsigned header_bytes = 8;   // flit: head-flit routing/command header
-  sim::TimePs cycle_ps = 500;  // flit: link clock (2 GHz)
+  sim::TimePs cycle_ps = 500;  // link clock (2 GHz); analytic: one per hop
 };
 
 class IcntModel {

@@ -14,22 +14,25 @@ DynamicBatcher::DynamicBatcher(unsigned tenants, const BatchPolicy& policy)
 
 void DynamicBatcher::seal(unsigned tenant, sim::TimePs close_ps) {
   std::deque<Waiting>& queue = queues_[tenant];
-  Batch batch;
+  Batch& batch = sealed_.emplace_back();
   batch.tenant = tenant;
   batch.close_ps = close_ps;
+  if (!spare_.empty()) {
+    batch.requests = std::move(spare_.back());
+    spare_.pop_back();
+  }
   const unsigned take =
       std::min<unsigned>(policy_.max_batch,
                          static_cast<unsigned>(queue.size()));
   batch.requests.reserve(take);
   for (unsigned i = 0; i < take; ++i) {
-    batch.requests.push_back(queue.front().request_id);
+    batch.requests.push_back(queue.front());
     queue.pop_front();
   }
   ++batches_sealed_;
-  sealed_.push_back(std::move(batch));
 }
 
-void DynamicBatcher::enqueue(std::uint64_t request_id, unsigned tenant,
+void DynamicBatcher::enqueue(std::uint32_t request_id, unsigned tenant,
                              sim::TimePs now) {
   MACO_ASSERT(tenant < queues_.size());
   ++requests_admitted_;
@@ -50,7 +53,7 @@ std::optional<sim::TimePs> DynamicBatcher::next_deadline() const {
   return deadline;
 }
 
-std::vector<Batch> DynamicBatcher::collect(sim::TimePs now) {
+std::vector<Batch>& DynamicBatcher::collect(sim::TimePs now) {
   for (unsigned tenant = 0; tenant < queues_.size(); ++tenant) {
     // A seal can leave further timed-out waiters behind (more than
     // max_batch arrived inside one window): keep sealing until the
@@ -60,7 +63,16 @@ std::vector<Batch> DynamicBatcher::collect(sim::TimePs now) {
       seal(tenant, queues_[tenant].front().arrival_ps + policy_.timeout_ps);
     }
   }
-  return std::exchange(sealed_, {});
+  // Swap rather than hand out sealed_: both buffers keep their capacity,
+  // and the batches the caller moved out leave only empty shells behind.
+  collected_.clear();
+  collected_.swap(sealed_);
+  return collected_;
+}
+
+void DynamicBatcher::recycle(std::vector<Waiting>&& members) {
+  members.clear();
+  spare_.push_back(std::move(members));
 }
 
 bool DynamicBatcher::idle() const noexcept {

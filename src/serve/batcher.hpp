@@ -11,7 +11,11 @@
 //
 // The batcher is a pure state machine over simulated time: the serve loop
 // feeds it arrivals (enqueue) and clock advances (collect), and asks for
-// the next forced-close deadline so the event loop knows when to wake.
+// the next forced-close deadline so the event loop knows when to wake. A
+// sealed batch carries its members' ids and arrival times, so the loop
+// keeps no per-request state of its own; handing a finished batch's member
+// buffer back (recycle) lets a later seal reuse it, so a batch allocates
+// nothing in steady state.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +23,6 @@
 #include <optional>
 #include <vector>
 
-#include "serve/workload.hpp"
 #include "sim/time.hpp"
 
 namespace maco::serve {
@@ -29,11 +32,18 @@ struct BatchPolicy {
   sim::TimePs timeout_ps = 1000000;  // oldest-waiter age forcing a seal
 };
 
+// An admitted request: waiting in its tenant's queue, then a member of the
+// batch that seals it (whose tenant is the member's tenant).
+struct Waiting {
+  std::uint32_t request_id = 0;
+  sim::TimePs arrival_ps = 0;
+};
+
 // One sealed batch, ready for execution.
 struct Batch {
   unsigned tenant = 0;
-  std::vector<std::uint64_t> requests;  // request ids, admission order
-  sim::TimePs close_ps = 0;             // when the batch was sealed
+  std::vector<Waiting> requests;  // members, admission order
+  sim::TimePs close_ps = 0;       // when the batch was sealed
 
   unsigned size() const noexcept {
     return static_cast<unsigned>(requests.size());
@@ -47,7 +57,7 @@ class DynamicBatcher {
   // Admits a request at `now` (its arrival time). Time must not go
   // backwards across calls. Sealed batches accumulate internally; drain
   // them with collect().
-  void enqueue(std::uint64_t request_id, unsigned tenant, sim::TimePs now);
+  void enqueue(std::uint32_t request_id, unsigned tenant, sim::TimePs now);
 
   // Earliest forced-close deadline over all tenants with waiting
   // requests; nullopt when every queue is empty.
@@ -55,8 +65,12 @@ class DynamicBatcher {
 
   // Advances the batcher clock to `now`, sealing every tenant queue whose
   // deadline has passed, and returns all batches sealed so far (size- and
-  // timeout-sealed alike) in seal order.
-  std::vector<Batch> collect(sim::TimePs now);
+  // timeout-sealed alike) in seal order. The caller may move the batches
+  // out; the vector stays valid until the next collect().
+  std::vector<Batch>& collect(sim::TimePs now);
+
+  // Returns a finished batch's member buffer for reuse by a later seal.
+  void recycle(std::vector<Waiting>&& members);
 
   // True when no request is waiting and no sealed batch is uncollected.
   bool idle() const noexcept;
@@ -68,16 +82,13 @@ class DynamicBatcher {
   }
 
  private:
-  struct Waiting {
-    std::uint64_t request_id;
-    sim::TimePs arrival_ps;
-  };
-
   void seal(unsigned tenant, sim::TimePs close_ps);
 
   BatchPolicy policy_;
   std::vector<std::deque<Waiting>> queues_;  // per tenant
-  std::vector<Batch> sealed_;
+  std::vector<Batch> sealed_;     // sealed since the last collect()
+  std::vector<Batch> collected_;  // what the last collect() returned
+  std::vector<std::vector<Waiting>> spare_;  // recycled member buffers
   std::uint64_t batches_sealed_ = 0;
   std::uint64_t requests_admitted_ = 0;
 };

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -24,6 +25,31 @@ double ps_to_s(sim::TimePs ps) {
   return static_cast<double>(ps) / static_cast<double>(sim::kPsPerSecond);
 }
 
+void validate(const ServeConfig& config) {
+  // Before the loop builds its batcher, which asserts the same invariants.
+  if (config.instances == 0) {
+    throw std::invalid_argument("serve needs >= 1 model instance");
+  }
+  if (config.arrival.tenants == 0) {
+    throw std::invalid_argument("serve needs >= 1 tenant");
+  }
+  if (config.policy.max_batch == 0) {
+    throw std::invalid_argument("serve needs max_batch >= 1");
+  }
+  if (config.closed_loop && config.concurrency == 0) {
+    throw std::invalid_argument("closed loop needs >= 1 session");
+  }
+  if (config.closed_loop &&
+      (!std::isfinite(config.think_s) || config.think_s < 0.0)) {
+    throw std::invalid_argument("closed loop think_s must be >= 0");
+  }
+  if (config.closed_loop &&
+      config.arrival.requests > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "requests must be below 2^32 (request ids are 32-bit)");
+  }
+}
+
 // Discrete-event loop over three event kinds — request arrival, batcher
 // forced-close deadline, batch completion — merged in virtual time. Ties
 // resolve completion, then arrival, then deadline, so a request arriving
@@ -35,19 +61,6 @@ class ServeLoop {
         config_(config),
         batcher_(config.arrival.tenants, config.policy),
         think_rng_(0x7417ull ^ (config.arrival.seed * 0x94d049bb133111ebull)) {
-    if (config.instances == 0) {
-      throw std::invalid_argument("serve needs >= 1 model instance");
-    }
-    if (config.arrival.tenants == 0) {
-      throw std::invalid_argument("serve needs >= 1 tenant");
-    }
-    if (config.closed_loop && config.concurrency == 0) {
-      throw std::invalid_argument("closed loop needs >= 1 session");
-    }
-    if (config.closed_loop &&
-        (!std::isfinite(config.think_s) || config.think_s < 0.0)) {
-      throw std::invalid_argument("closed loop think_s must be >= 0");
-    }
     for (unsigned i = 0; i < config.instances; ++i) {
       instances_.push({0, i});
     }
@@ -55,10 +68,11 @@ class ServeLoop {
       const unsigned sessions = static_cast<unsigned>(std::min<std::uint64_t>(
           config.concurrency, config.arrival.requests));
       for (unsigned session = 0; session < sessions; ++session) {
-        spawn(session % config.arrival.tenants, think_delay_ps());
+        spawn(session % config.arrival.tenants, 0, draw_think_s());
       }
     } else {
-      records_ = LoadGenerator(config.arrival).schedule();
+      stream_.emplace(config.arrival);
+      has_next_ = stream_->next(next_);
     }
   }
 
@@ -71,7 +85,8 @@ class ServeLoop {
  private:
   struct Pending {  // a not-yet-admitted arrival (closed loop)
     sim::TimePs at;
-    std::uint64_t id;
+    std::uint32_t id;
+    std::uint32_t tenant;
     bool operator>(const Pending& other) const noexcept {
       return at != other.at ? at > other.at : id > other.id;
     }
@@ -90,35 +105,32 @@ class ServeLoop {
 
   using InstanceSlot = std::pair<sim::TimePs, unsigned>;  // free-at, index
 
-  sim::TimePs think_delay_ps() {
-    if (config_.think_s <= 0.0) return 0;
-    const double wait =
-        -std::log(1.0 - think_rng_.next_double()) * config_.think_s;
-    return static_cast<sim::TimePs>(
-        std::llround(wait * static_cast<double>(sim::kPsPerSecond)));
+  // Seconds of think time for the next closed-loop request: 0 without a
+  // draw when think_s is 0.
+  double draw_think_s() {
+    if (config_.think_s <= 0.0) return 0.0;
+    return -std::log(1.0 - think_rng_.next_double()) * config_.think_s;
   }
 
-  void spawn(unsigned tenant, sim::TimePs at) {  // closed loop only
+  // Issues a closed-loop request `think_s` after `after`, unless every
+  // request has been issued.
+  void spawn(unsigned tenant, sim::TimePs after, double think_s) {
     if (issued_ >= config_.arrival.requests) return;
-    ++issued_;
-    Request request;
-    request.id = records_.size();
-    request.tenant = tenant;
-    request.arrival_ps = at;
-    pending_.push(Pending{at, request.id});
-    records_.push_back(request);
+    const sim::TimePs at = arrival_time_ps(think_s, "think_ms", after);
+    pending_.push(
+        Pending{at, static_cast<std::uint32_t>(issued_++), tenant});
   }
 
   sim::TimePs next_arrival() const {
     if (config_.closed_loop) {
       return pending_.empty() ? kNever : pending_.top().at;
     }
-    return cursor_ < records_.size() ? records_[cursor_].arrival_ps : kNever;
+    return has_next_ ? next_.arrival_ps : kNever;
   }
 
   bool step() {
     const sim::TimePs t_completion =
-        completions_.empty() ? kNever : completions_.top().at;
+        completions_.empty() ? kNever : completions_.front().at;
     const sim::TimePs t_arrival = next_arrival();
     const sim::TimePs t_deadline =
         batcher_.next_deadline().value_or(kNever);
@@ -126,12 +138,19 @@ class ServeLoop {
     if (now == kNever) return false;
 
     if (t_completion == now) {
-      complete(completions_.top());
-      completions_.pop();
+      std::pop_heap(completions_.begin(), completions_.end(),
+                    std::greater<>{});
+      complete(completions_.back());
+      completions_.pop_back();
     } else if (t_arrival == now) {
-      const std::uint64_t id =
-          config_.closed_loop ? admit_pending() : records_[cursor_++].id;
-      batcher_.enqueue(id, records_[id].tenant, now);
+      if (config_.closed_loop) {
+        const Pending admitted = pending_.top();
+        pending_.pop();
+        batcher_.enqueue(admitted.id, admitted.tenant, now);
+      } else {
+        batcher_.enqueue(next_.id, next_.tenant, now);
+        has_next_ = stream_->next(next_);
+      }
     }
     // Deadline events need no handler of their own: collect() seals every
     // queue whose window expired at or before `now`.
@@ -141,13 +160,7 @@ class ServeLoop {
     return true;
   }
 
-  std::uint64_t admit_pending() {
-    const std::uint64_t id = pending_.top().id;
-    pending_.pop();
-    return id;
-  }
-
-  void dispatch(Batch batch) {
+  void dispatch(Batch&& batch) {
     const InstanceSlot slot = instances_.top();
     instances_.pop();
     // The instance free times of every earlier batch are already known, so
@@ -155,40 +168,43 @@ class ServeLoop {
     const sim::TimePs start = std::max(batch.close_ps, slot.first);
     const sim::TimePs done = start + cost_.batch_makespan_ps(batch.size());
     instances_.push({done, slot.second});
-    completions_.push(Completion{done, dispatch_seq_++, std::move(batch),
-                                 start, slot.second});
+    completions_.push_back(Completion{done, dispatch_seq_++, std::move(batch),
+                                      start, slot.second});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   std::greater<>{});
   }
 
-  void complete(const Completion& completion) {
+  void complete(Completion& completion) {
+    const Batch& batch = completion.batch;
     ++report_.batches;
     if (config_.record_trace) {
       report_.batch_log.push_back(ServeReport::BatchTrace{
-          completion.instance, completion.seq,
-          static_cast<unsigned>(completion.batch.requests.size()),
-          completion.batch.close_ps, completion.exec_start, completion.at});
+          completion.instance, completion.seq, batch.size(), batch.close_ps,
+          completion.exec_start, completion.at});
     }
-    for (const std::uint64_t id : completion.batch.requests) {
-      Request& request = records_[id];
-      request.batch_close_ps = completion.batch.close_ps;
+    for (const Waiting& member : batch.requests) {
+      Request request;
+      request.id = member.request_id;
+      request.tenant = batch.tenant;
+      request.arrival_ps = member.arrival_ps;
+      request.batch_close_ps = batch.close_ps;
       request.exec_start_ps = completion.exec_start;
       request.completion_ps = completion.at;
       record(request);
+      if (config_.record_trace) report_.request_log.push_back(request);
       if (config_.closed_loop) {
-        spawn(request.tenant, completion.at + think_delay_ps());
+        spawn(batch.tenant, completion.at, draw_think_s());
       }
     }
+    batcher_.recycle(std::move(completion.batch.requests));
   }
 
   void record(const Request& request) {
-    const double latency = ps_to_ms(request.completion_ps -
-                                    request.arrival_ps);
+    const double latency = ps_to_ms(request.latency_ps());
     report_.latency_ms.record(latency);
-    report_.batching_ms.record(
-        ps_to_ms(request.batch_close_ps - request.arrival_ps));
-    report_.queueing_ms.record(
-        ps_to_ms(request.exec_start_ps - request.batch_close_ps));
-    report_.execution_ms.record(
-        ps_to_ms(request.completion_ps - request.exec_start_ps));
+    report_.batching_ms.record(ps_to_ms(request.batching_delay_ps()));
+    report_.queueing_ms.record(ps_to_ms(request.queueing_delay_ps()));
+    report_.execution_ms.record(ps_to_ms(request.execution_ps()));
     ++report_.completed;
     if (report_.tenants.size() < config_.arrival.tenants) {
       report_.tenants.resize(config_.arrival.tenants);
@@ -238,11 +254,9 @@ class ServeLoop {
       report_.scheduler = *stats;
       report_.has_scheduler_stats = true;
     }
-    if (config_.record_trace) {
-      // Every spawned request has completed by now (the loop drains), so
-      // the records are the full lifecycle log.
-      report_.request_log = std::move(records_);
-    }
+    // Completion order to id order: the log reads like the schedule.
+    std::sort(report_.request_log.begin(), report_.request_log.end(),
+              [](const Request& a, const Request& b) { return a.id < b.id; });
     return std::move(report_);
   }
 
@@ -251,14 +265,14 @@ class ServeLoop {
   DynamicBatcher batcher_;
   util::Rng think_rng_;
 
-  std::vector<Request> records_;
-  std::size_t cursor_ = 0;       // open loop: next schedule entry
-  std::uint64_t issued_ = 0;     // closed loop: requests created so far
+  std::optional<ArrivalStream> stream_;  // open loop
+  Arrival next_;                         // open loop: the next arrival
+  bool has_next_ = false;
+  std::uint64_t issued_ = 0;  // closed loop: requests created so far
   std::uint64_t dispatch_seq_ = 0;
   std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
       pending_;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions_;
+  std::vector<Completion> completions_;  // min-heap on (at, seq)
   std::priority_queue<InstanceSlot, std::vector<InstanceSlot>,
                       std::greater<>>
       instances_;
@@ -271,6 +285,7 @@ class ServeLoop {
 }  // namespace
 
 ServeReport serve(BatchCostModel& cost, const ServeConfig& config) {
+  validate(config);
   return ServeLoop(cost, config).run();
 }
 

@@ -1,7 +1,7 @@
 // The multi-tenant serve loop.
 //
 // A discrete-event simulation in virtual time that wires the pieces
-// together: requests arrive (open-loop from a LoadGenerator schedule, or
+// together: requests arrive (open-loop from an ArrivalStream, or
 // closed-loop from a fixed pool of sessions with exponential think time),
 // the DynamicBatcher admits them into per-tenant queues and seals batches,
 // and sealed batches run on one of `instances` concurrent model instances
@@ -11,9 +11,11 @@
 // makespan) — and the report aggregates them into latency percentiles,
 // throughput, SLO goodput and per-tenant fairness.
 //
-// The loop is O(log instances) per batch and O(1) per request, so
-// million-request streams are cheap; the machine is only evaluated once
-// per distinct batch size (see serve/cost_model.hpp).
+// The loop reads arrivals one at a time and a batch carries its members,
+// so host memory grows with the requests in flight (waiting or executing),
+// not with the stream length. Each request costs O(1) and each batch
+// O(log batches in flight); the machine is only evaluated once per
+// distinct batch size (see serve/cost_model.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,30 @@
 #include "util/latency_histogram.hpp"
 
 namespace maco::serve {
+
+// One served request's lifecycle, as the trace log records it (see
+// ServeConfig::record_trace), with every timestamp in engine virtual time.
+struct Request {
+  std::uint64_t id = 0;
+  unsigned tenant = 0;
+  sim::TimePs arrival_ps = 0;      // entered the tenant's admission queue
+  sim::TimePs batch_close_ps = 0;  // the batch it joined was sealed
+  sim::TimePs exec_start_ps = 0;   // the batch began executing
+  sim::TimePs completion_ps = 0;   // the batch's makespan elapsed
+
+  sim::TimePs latency_ps() const noexcept {
+    return completion_ps - arrival_ps;
+  }
+  sim::TimePs batching_delay_ps() const noexcept {
+    return batch_close_ps - arrival_ps;
+  }
+  sim::TimePs queueing_delay_ps() const noexcept {
+    return exec_start_ps - batch_close_ps;
+  }
+  sim::TimePs execution_ps() const noexcept {
+    return completion_ps - exec_start_ps;
+  }
+};
 
 struct ServeConfig {
   ArrivalConfig arrival;  // tenants/requests/seed also govern closed loop
@@ -43,7 +69,7 @@ struct ServeConfig {
 
   // Keep the per-request and per-batch timestamp logs in the report so a
   // lifecycle trace can be rendered (--trace-out). Off by default: the
-  // logs are O(requests) memory that million-request streams don't want.
+  // logs are the only serve state that grows with the request count.
   bool record_trace = false;
 };
 
@@ -89,7 +115,8 @@ struct ServeReport {
   };
 
   // Trace logs (empty unless config.record_trace): every served request
-  // with its lifecycle timestamps filled in, and every executed batch.
+  // with its lifecycle timestamps filled in, in id order, and every
+  // executed batch in completion order.
   std::vector<Request> request_log;
   std::vector<BatchTrace> batch_log;
 };
@@ -97,7 +124,10 @@ struct ServeReport {
 // Runs the serve simulation to completion (every admitted request served)
 // and returns the report. Deterministic: equal configs give bit-identical
 // reports regardless of host, thread count or wall-clock. Throws
-// std::invalid_argument on inconsistent configuration.
+// std::invalid_argument on inconsistent configuration (zero instances,
+// tenants, max_batch or sessions, a negative think time, 2^32 or more
+// requests) and on an arrival the simulated clock cannot hold (see
+// arrival_time_ps).
 ServeReport serve(BatchCostModel& cost, const ServeConfig& config);
 
 }  // namespace maco::serve

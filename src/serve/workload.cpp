@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "graph/builtin_models.hpp"
 #include "graph/lowering.hpp"
-#include "util/rng.hpp"
 
 namespace maco::serve {
 
@@ -28,81 +28,103 @@ ArrivalKind parse_arrival_kind(const std::string& name) {
                               "' (want poisson|uniform|trace)");
 }
 
-LoadGenerator::LoadGenerator(const ArrivalConfig& config) : config_(config) {}
+sim::TimePs arrival_time_ps(double seconds, const char* knob,
+                            sim::TimePs base_ps) {
+  // 2^63 ps: llround is exact below it, and arrival + timeout + makespan
+  // sums stay far from wrapping the unsigned clock.
+  constexpr double kLimitPs = 0x1p63;
+  constexpr auto kLimit = static_cast<sim::TimePs>(kLimitPs);
+  const double ps = seconds * static_cast<double>(sim::kPsPerSecond);
+  if (ps >= 0.0 && ps < kLimitPs && base_ps < kLimit) {
+    const auto offset = static_cast<sim::TimePs>(std::llround(ps));
+    if (offset < kLimit - base_ps) return base_ps + offset;
+  }
+  std::ostringstream message;
+  message << knob << ": an arrival at " << sim::to_seconds(base_ps) + seconds
+          << " s is outside the simulated clock's range of 0 to 2^63 ps "
+             "(about 106.7 days)";
+  throw std::invalid_argument(message.str());
+}
 
-std::vector<Request> LoadGenerator::schedule() const {
-  if (config_.tenants == 0) {
+ArrivalStream::ArrivalStream(const ArrivalConfig& config)
+    : kind_(config.kind),
+      rate_rps_(config.rate_rps),
+      tenants_(config.tenants),
+      count_(config.kind == ArrivalKind::kTrace ? config.trace.size()
+                                                : config.requests),
+      arrival_rng_(0x5eefull ^ (config.seed * 0x9e3779b97f4a7c15ull)),
+      tenant_rng_(0x7e4a ^ (config.seed * 0xbf58476d1ce4e5b9ull)) {
+  if (tenants_ == 0) {
     throw std::invalid_argument("load generator needs >= 1 tenant");
   }
-  // Two independent seeded streams so the arrival timeline is unchanged
-  // by the tenant count (and vice versa): sweeping `tenants` compares the
-  // same traffic divided differently.
-  util::Rng arrival_rng(0x5eefull ^ (config_.seed * 0x9e3779b97f4a7c15ull));
-  util::Rng tenant_rng(0x7e4a ^ (config_.seed * 0xbf58476d1ce4e5b9ull));
-
-  std::vector<Request> requests;
-  const auto push = [&](double arrival_s, int pinned_tenant) {
-    Request request;
-    request.id = requests.size();
-    request.tenant =
-        pinned_tenant >= 0
-            ? static_cast<unsigned>(pinned_tenant) % config_.tenants
-            : static_cast<unsigned>(tenant_rng.next_below(config_.tenants));
-    request.arrival_ps = static_cast<sim::TimePs>(
-        std::llround(arrival_s * static_cast<double>(sim::kPsPerSecond)));
-    requests.push_back(request);
-  };
-
-  switch (config_.kind) {
-    case ArrivalKind::kPoisson: {
-      if (!(config_.rate_rps > 0.0)) {
-        throw std::invalid_argument("poisson arrivals need rate_rps > 0");
-      }
-      requests.reserve(config_.requests);
-      double t = 0.0;
-      for (std::uint64_t i = 0; i < config_.requests; ++i) {
-        // Exponential inter-arrival; 1 - U keeps the argument in (0, 1].
-        t += -std::log(1.0 - arrival_rng.next_double()) / config_.rate_rps;
-        push(t, -1);
-      }
-      break;
-    }
-    case ArrivalKind::kUniform: {
-      if (!(config_.rate_rps > 0.0)) {
-        throw std::invalid_argument("uniform arrivals need rate_rps > 0");
-      }
-      requests.reserve(config_.requests);
-      for (std::uint64_t i = 0; i < config_.requests; ++i) {
-        push(static_cast<double>(i + 1) / config_.rate_rps, -1);
-      }
-      break;
-    }
-    case ArrivalKind::kTrace: {
-      if (config_.trace.empty()) {
-        throw std::invalid_argument("trace arrivals need a non-empty trace");
-      }
-      requests.reserve(config_.trace.size());
-      for (const TraceEntry& entry : config_.trace) {
-        if (!(entry.arrival_s >= 0.0) || !std::isfinite(entry.arrival_s)) {
-          throw std::invalid_argument(
-              "trace arrival times must be finite and >= 0");
-        }
-        push(entry.arrival_s, entry.tenant);
-      }
-      // Poisson and uniform arrivals come out in non-decreasing order;
-      // only a trace can be out of order. Stable: simultaneous arrivals
-      // keep trace order.
-      std::stable_sort(requests.begin(), requests.end(),
-                       [](const Request& a, const Request& b) {
-                         return a.arrival_ps < b.arrival_ps;
-                       });
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        requests[i].id = i;
-      }
-      break;
-    }
+  if (kind_ != ArrivalKind::kTrace && !(rate_rps_ > 0.0)) {
+    throw std::invalid_argument(std::string(arrival_kind_name(kind_)) +
+                                " arrivals need rate_rps > 0");
   }
-  return requests;
+  if (count_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        kind_ == ArrivalKind::kTrace
+            ? "a trace holds at most 2^32 - 1 arrivals"
+            : "requests must be below 2^32 (request ids are 32-bit)");
+  }
+  if (kind_ != ArrivalKind::kTrace) return;
+  if (config.trace.empty()) {
+    throw std::invalid_argument("trace arrivals need a non-empty trace");
+  }
+  trace_.reserve(config.trace.size());
+  for (const TraceEntry& entry : config.trace) {
+    Arrival arrival;
+    arrival.arrival_ps = arrival_time_ps(entry.arrival_s, "trace time");
+    arrival.tenant =
+        entry.tenant >= 0
+            ? static_cast<unsigned>(entry.tenant) % tenants_
+            : static_cast<unsigned>(tenant_rng_.next_below(tenants_));
+    trace_.push_back(arrival);
+  }
+  // Poisson and uniform arrivals come out in non-decreasing order; only a
+  // trace can be out of order. Stable: simultaneous arrivals keep trace
+  // order.
+  std::stable_sort(trace_.begin(), trace_.end(),
+                   [](const Arrival& a, const Arrival& b) {
+                     return a.arrival_ps < b.arrival_ps;
+                   });
+  for (std::size_t i = 0; i < trace_.size(); ++i) {
+    trace_[i].id = static_cast<std::uint32_t>(i);
+  }
+}
+
+bool ArrivalStream::next(Arrival& out) {
+  if (index_ == count_) return false;
+  switch (kind_) {
+    case ArrivalKind::kPoisson:
+      // Exponential inter-arrival; 1 - U keeps the argument in (0, 1].
+      clock_s_ += -std::log(1.0 - arrival_rng_.next_double()) / rate_rps_;
+      out.arrival_ps =
+          arrival_time_ps(clock_s_, "arrival_rate_rps and requests");
+      break;
+    case ArrivalKind::kUniform:
+      out.arrival_ps =
+          arrival_time_ps(static_cast<double>(index_ + 1) / rate_rps_,
+                          "arrival_rate_rps and requests");
+      break;
+    case ArrivalKind::kTrace:
+      out = trace_[index_++];
+      return true;
+  }
+  out.id = static_cast<std::uint32_t>(index_++);
+  out.tenant = static_cast<unsigned>(tenant_rng_.next_below(tenants_));
+  return true;
+}
+
+LoadGenerator::LoadGenerator(const ArrivalConfig& config) : config_(config) {}
+
+std::vector<Arrival> LoadGenerator::schedule() const {
+  ArrivalStream stream(config_);
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(config_.kind == ArrivalKind::kTrace ? config_.trace.size()
+                                                        : config_.requests);
+  for (Arrival arrival; stream.next(arrival);) arrivals.push_back(arrival);
+  return arrivals;
 }
 
 std::vector<TraceEntry> parse_trace(const std::string& text) {

@@ -1,15 +1,16 @@
 // Serving load generation: request streams in simulated time.
 //
 // A serving simulation starts from an arrival process. This header owns
-// everything up to admission: the Request record that flows through the
-// serve pipeline (arrival -> admission -> batch -> schedule -> complete,
-// timestamps charged in engine virtual time), the seeded-deterministic
-// open-loop generators (Poisson, uniform, trace-driven replay) and the
-// model catalogue that maps a served model name to the GEMM layer list one
-// batch of B requests executes. Closed-loop (fixed-concurrency, think
-// time) arrivals depend on completions, so they are produced incrementally
-// by serve::Server using the same seeded streams; the generator here
-// covers every schedule that can be fixed before the simulation runs.
+// everything up to admission: the Arrival record (what is known of a
+// request before it runs: its id, tenant and arrival time), the
+// seeded-deterministic open-loop arrival streams (Poisson, uniform,
+// trace-driven replay) and the model catalogue that maps a served model
+// name to the GEMM layer list one batch of B requests executes. An
+// ArrivalStream yields one arrival at a time, so the serve loop holds only
+// the requests in flight; LoadGenerator drains a stream into the full
+// schedule. Closed-loop (fixed-concurrency, think time) arrivals depend on
+// completions, so serve::serve produces them incrementally with its own
+// seeded stream.
 //
 // Determinism contract: the same ArrivalConfig (including seed) yields a
 // bit-identical schedule — arrival times, tenants, order — on every run,
@@ -22,33 +23,17 @@
 
 #include "sa/types.hpp"
 #include "sim/time.hpp"
+#include "util/rng.hpp"
 #include "workloads/gemm_workload.hpp"
 
 namespace maco::serve {
 
-// One inference request travelling through the serving pipeline. The
-// timestamps after `arrival_ps` are filled in by serve::Server as the
-// request passes each stage.
-struct Request {
-  std::uint64_t id = 0;
-  unsigned tenant = 0;
-  sim::TimePs arrival_ps = 0;      // entered the tenant's admission queue
-  sim::TimePs batch_close_ps = 0;  // the batch it joined was sealed
-  sim::TimePs exec_start_ps = 0;   // the batch began executing
-  sim::TimePs completion_ps = 0;   // the batch's makespan elapsed
-
-  sim::TimePs latency_ps() const noexcept {
-    return completion_ps - arrival_ps;
-  }
-  sim::TimePs batching_delay_ps() const noexcept {
-    return batch_close_ps - arrival_ps;
-  }
-  sim::TimePs queueing_delay_ps() const noexcept {
-    return exec_start_ps - batch_close_ps;
-  }
-  sim::TimePs execution_ps() const noexcept {
-    return completion_ps - exec_start_ps;
-  }
+// One request as the arrival process produces it. Ids are dense and follow
+// arrival order; a u32 id bounds a stream at 2^32 - 1 requests.
+struct Arrival {
+  sim::TimePs arrival_ps = 0;  // enters the tenant's admission queue
+  std::uint32_t id = 0;
+  std::uint32_t tenant = 0;
 };
 
 enum class ArrivalKind {
@@ -79,14 +64,49 @@ struct ArrivalConfig {
   std::vector<TraceEntry> trace;
 };
 
+// `base_ps` plus `seconds` of simulated time, rounded to the nearest
+// picosecond. A serve run keeps every arrival below 2^63 ps (about 106.7
+// simulated days); a later, negative or non-finite time throws
+// std::invalid_argument naming `knob`, the setting that produced it.
+sim::TimePs arrival_time_ps(double seconds, const char* knob,
+                            sim::TimePs base_ps = 0);
+
+// The open-loop arrival process, one arrival at a time in arrival order.
+// Poisson and uniform arrivals are generated on demand; a trace is
+// validated, given its tenants (in trace order) and stable-sorted by time
+// when the stream is built. Throws std::invalid_argument on zero tenants,
+// a non-positive rate, 2^32 or more requests, or an empty or too long
+// trace; next() throws when an arrival time does not fit (arrival_time_ps).
+class ArrivalStream {
+ public:
+  explicit ArrivalStream(const ArrivalConfig& config);
+
+  // Writes the next arrival to `out`; false once the stream is exhausted.
+  bool next(Arrival& out);
+
+ private:
+  ArrivalKind kind_;
+  double rate_rps_;
+  unsigned tenants_;
+  std::uint64_t count_;      // arrivals the stream yields
+  std::uint64_t index_ = 0;  // arrivals yielded so far
+  double clock_s_ = 0.0;     // kPoisson: time of the last arrival
+  // Two independent seeded streams so the arrival timeline is unchanged
+  // by the tenant count (and vice versa): sweeping `tenants` compares the
+  // same traffic divided differently.
+  util::Rng arrival_rng_;
+  util::Rng tenant_rng_;
+  std::vector<Arrival> trace_;  // kTrace: the sorted replay
+};
+
 class LoadGenerator {
  public:
   explicit LoadGenerator(const ArrivalConfig& config);
 
-  // The full open-loop schedule, sorted by arrival time, ids in arrival
-  // order. Deterministic in the config (see header contract). Throws
-  // std::invalid_argument on a non-positive rate or an empty trace.
-  std::vector<Request> schedule() const;
+  // The full open-loop schedule: a fresh ArrivalStream drained into a
+  // vector, sorted by arrival time, ids in arrival order. Deterministic in
+  // the config (see header contract); throws as ArrivalStream does.
+  std::vector<Arrival> schedule() const;
 
   const ArrivalConfig& config() const noexcept { return config_; }
 

@@ -169,7 +169,7 @@ TEST(Icnt, AnalyticLegsPreserveTheClosedForm) {
     EXPECT_EQ(icnt.request_leg_ps(0, 0, 15), 0);
     EXPECT_EQ(icnt.response_leg_ps(0, 15, 0, kLine),
               static_cast<sim::TimePs>(2 * (hops + 1)) *
-                  icnt.config().hop_ps);
+                  icnt.config().cycle_ps);
   }
   EXPECT_EQ(icnt.unloaded_round_trip_ps(0, 15, kLine),
             icnt.response_leg_ps(0, 15, 0, kLine));

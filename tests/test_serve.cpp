@@ -2,11 +2,18 @@
 // virtual-time event simulation and its latency/goodput/fairness metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -15,6 +22,7 @@
 #include "exp/results.hpp"
 #include "serve/server.hpp"
 #include "util/latency_histogram.hpp"
+#include "util/rng.hpp"
 
 namespace maco::serve {
 namespace {
@@ -75,9 +83,9 @@ ArrivalConfig poisson_config(std::uint64_t seed, unsigned tenants = 2) {
 }
 
 TEST(LoadGenerator, SameSeedGivesBitIdenticalSchedules) {
-  const std::vector<Request> first =
+  const std::vector<Arrival> first =
       LoadGenerator(poisson_config(7)).schedule();
-  const std::vector<Request> second =
+  const std::vector<Arrival> second =
       LoadGenerator(poisson_config(7)).schedule();
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -88,8 +96,8 @@ TEST(LoadGenerator, SameSeedGivesBitIdenticalSchedules) {
 }
 
 TEST(LoadGenerator, DifferentSeedsGiveDifferentTimelines) {
-  const std::vector<Request> a = LoadGenerator(poisson_config(7)).schedule();
-  const std::vector<Request> b = LoadGenerator(poisson_config(8)).schedule();
+  const std::vector<Arrival> a = LoadGenerator(poisson_config(7)).schedule();
+  const std::vector<Arrival> b = LoadGenerator(poisson_config(8)).schedule();
   ASSERT_EQ(a.size(), b.size());
   bool any_difference = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -101,9 +109,9 @@ TEST(LoadGenerator, DifferentSeedsGiveDifferentTimelines) {
 TEST(LoadGenerator, TenantCountDoesNotPerturbTheArrivalTimeline) {
   // Separate seeded streams for arrivals and tenant assignment: sweeping
   // `tenants` compares the same traffic divided differently.
-  const std::vector<Request> one =
+  const std::vector<Arrival> one =
       LoadGenerator(poisson_config(7, /*tenants=*/1)).schedule();
-  const std::vector<Request> four =
+  const std::vector<Arrival> four =
       LoadGenerator(poisson_config(7, /*tenants=*/4)).schedule();
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
@@ -116,7 +124,7 @@ TEST(LoadGenerator, UniformArrivalsAreEquallySpaced) {
   config.kind = ArrivalKind::kUniform;
   config.rate_rps = 1000.0;  // 1 ms apart
   config.requests = 5;
-  const std::vector<Request> schedule = LoadGenerator(config).schedule();
+  const std::vector<Arrival> schedule = LoadGenerator(config).schedule();
   ASSERT_EQ(schedule.size(), 5u);
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     EXPECT_EQ(schedule[i].arrival_ps, (i + 1) * sim::kPsPerMs);
@@ -136,7 +144,7 @@ TEST(LoadGenerator, TraceReplaySortsAndPinsTenants) {
       "0.002 0  # ties keep trace order\n"
       "0.0005\n"
       "0.002 3\n");
-  const std::vector<Request> schedule = LoadGenerator(config).schedule();
+  const std::vector<Arrival> schedule = LoadGenerator(config).schedule();
   ASSERT_EQ(schedule.size(), 6u);
   EXPECT_EQ(schedule[0].arrival_ps, sim::kPsPerMs / 2);
   EXPECT_EQ(schedule[1].arrival_ps, 1 * sim::kPsPerMs);
@@ -153,6 +161,56 @@ TEST(LoadGenerator, TraceReplaySortsAndPinsTenants) {
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     EXPECT_EQ(schedule[i].id, i);  // ids follow sorted arrival order
   }
+}
+
+// Message of the std::invalid_argument `run` throws, or "" if none.
+template <typename Fn>
+std::string invalid_argument_of(Fn&& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(LoadGenerator, RejectsArrivalsPastTheClock) {
+  // 10^-6 req/s puts the ~10th arrival past 2^63 ps (~106.7 days); the
+  // clock used to saturate there and batch the rest together.
+  for (const ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kUniform}) {
+    ArrivalConfig config = poisson_config(1);
+    config.kind = kind;
+    config.rate_rps = 1e-6;
+    config.requests = 100;
+    const std::string error =
+        invalid_argument_of([&] { (void)LoadGenerator(config).schedule(); });
+    EXPECT_NE(error.find("arrival_rate_rps and requests"), std::string::npos)
+        << error;
+  }
+  ArrivalConfig config = poisson_config(1);
+  config.kind = ArrivalKind::kUniform;
+  config.rate_rps = 1e-6;
+  config.requests = 9;  // the last at 9e6 s, just below 2^63 ps
+  EXPECT_EQ(LoadGenerator(config).schedule().back().arrival_ps,
+            9'000'000 * sim::kPsPerSecond);
+}
+
+TEST(LoadGenerator, RejectsTraceTimesPastTheClock) {
+  ArrivalConfig config;
+  config.kind = ArrivalKind::kTrace;
+  config.trace = parse_trace("1e10\n2e10 1\n");
+  const std::string error =
+      invalid_argument_of([&] { (void)LoadGenerator(config).schedule(); });
+  EXPECT_NE(error.find("trace time"), std::string::npos) << error;
+  for (const double bad : {-1.0, std::nan("")}) {
+    config.trace = {TraceEntry{bad, -1}};
+    EXPECT_THROW((void)LoadGenerator(config).schedule(),
+                 std::invalid_argument);
+  }
+  config.trace = parse_trace("9e6\n");  // just below 2^63 ps
+  EXPECT_EQ(LoadGenerator(config).schedule().at(0).arrival_ps,
+            9'000'000 * sim::kPsPerSecond);
 }
 
 TEST(ParseTrace, RejectsMalformedLines) {
@@ -376,6 +434,537 @@ TEST(Serve, RejectsInconsistentConfiguration) {
   config.instances = 0;
   const auto cost = tiny_analytic_model();
   EXPECT_THROW(serve(*cost, config), std::invalid_argument);
+
+  // Typed errors, not the batcher's abort.
+  config = small_serve_config();
+  config.arrival.tenants = 0;
+  EXPECT_THROW(serve(*cost, config), std::invalid_argument);
+  config = small_serve_config();
+  config.policy.max_batch = 0;
+  EXPECT_THROW(serve(*cost, config), std::invalid_argument);
+}
+
+TEST(Serve, RejectsThinkTimesPastTheClock) {
+  ServeConfig config = small_serve_config();
+  config.closed_loop = true;
+  config.concurrency = 1;
+  config.arrival.requests = 50;
+  const auto cost = tiny_analytic_model();
+  // One think time beyond 2^63 ps (a mean of 10^9 s) ...
+  config.think_s = 1e9;
+  std::string error = invalid_argument_of([&] { serve(*cost, config); });
+  EXPECT_NE(error.find("think_ms"), std::string::npos) << error;
+  // ... and completion + think crossing it after many short thinks: 1000
+  // thinks of ~10^5 s each add up to ~10^20 ps, past even 2^64.
+  config.think_s = 1e5;
+  config.arrival.requests = 1000;
+  error = invalid_argument_of([&] { serve(*cost, config); });
+  EXPECT_NE(error.find("think_ms"), std::string::npos) << error;
+  config.arrival.requests = 40;  // ~4e6 s in all: fits
+  EXPECT_EQ(serve(*cost, config).completed, 40u);
+}
+
+TEST(Serve, RejectsRequestCountsPast32BitIds) {
+  ServeConfig config = small_serve_config();
+  config.arrival.requests = std::uint64_t{1} << 32;
+  EXPECT_THROW(ArrivalStream stream(config.arrival), std::invalid_argument);
+  EXPECT_THROW((void)LoadGenerator(config.arrival).schedule(),
+               std::invalid_argument);
+  const auto cost = tiny_analytic_model();
+  EXPECT_THROW(serve(*cost, config), std::invalid_argument);
+  config.closed_loop = true;
+  EXPECT_THROW(serve(*cost, config), std::invalid_argument);
+  // A trace ignores `requests`.
+  config.arrival.kind = ArrivalKind::kTrace;
+  config.arrival.trace = parse_trace("0.001\n");
+  EXPECT_EQ(LoadGenerator(config.arrival).schedule().size(), 1u);
+}
+
+// ---- reference model: the materialized generator and loop ----
+//
+// The load generator and serve loop as they were before arrivals were
+// streamed: the whole schedule built up front as Request records, a
+// batcher whose batches carry bare ids, and a loop that looks every member
+// up in the per-request table. The streaming loop must produce an equal
+// report, field by field.
+namespace reference {
+
+constexpr sim::TimePs kNever = std::numeric_limits<sim::TimePs>::max();
+
+std::vector<Request> schedule(const ArrivalConfig& config) {
+  util::Rng arrival_rng(0x5eefull ^ (config.seed * 0x9e3779b97f4a7c15ull));
+  util::Rng tenant_rng(0x7e4a ^ (config.seed * 0xbf58476d1ce4e5b9ull));
+  std::vector<Request> requests;
+  const auto push = [&](double arrival_s, int pinned_tenant) {
+    Request request;
+    request.id = requests.size();
+    request.tenant =
+        pinned_tenant >= 0
+            ? static_cast<unsigned>(pinned_tenant) % config.tenants
+            : static_cast<unsigned>(tenant_rng.next_below(config.tenants));
+    request.arrival_ps = static_cast<sim::TimePs>(
+        std::llround(arrival_s * static_cast<double>(sim::kPsPerSecond)));
+    requests.push_back(request);
+  };
+  switch (config.kind) {
+    case ArrivalKind::kPoisson: {
+      double t = 0.0;
+      for (std::uint64_t i = 0; i < config.requests; ++i) {
+        t += -std::log(1.0 - arrival_rng.next_double()) / config.rate_rps;
+        push(t, -1);
+      }
+      break;
+    }
+    case ArrivalKind::kUniform:
+      for (std::uint64_t i = 0; i < config.requests; ++i) {
+        push(static_cast<double>(i + 1) / config.rate_rps, -1);
+      }
+      break;
+    case ArrivalKind::kTrace:
+      for (const TraceEntry& entry : config.trace) {
+        push(entry.arrival_s, entry.tenant);
+      }
+      std::stable_sort(requests.begin(), requests.end(),
+                       [](const Request& a, const Request& b) {
+                         return a.arrival_ps < b.arrival_ps;
+                       });
+      for (std::size_t i = 0; i < requests.size(); ++i) requests[i].id = i;
+      break;
+  }
+  return requests;
+}
+
+struct IdBatch {
+  unsigned tenant = 0;
+  std::vector<std::uint64_t> requests;
+  sim::TimePs close_ps = 0;
+};
+
+class Batcher {
+ public:
+  Batcher(unsigned tenants, const BatchPolicy& policy)
+      : policy_(policy), queues_(tenants) {}
+
+  void enqueue(std::uint64_t request_id, unsigned tenant, sim::TimePs now) {
+    queues_[tenant].push_back(Waiting{request_id, now});
+    if (queues_[tenant].size() >= policy_.max_batch ||
+        policy_.timeout_ps == 0) {
+      seal(tenant, now);
+    }
+  }
+
+  std::optional<sim::TimePs> next_deadline() const {
+    std::optional<sim::TimePs> deadline;
+    for (const std::deque<Waiting>& queue : queues_) {
+      if (queue.empty()) continue;
+      const sim::TimePs due = queue.front().arrival_ps + policy_.timeout_ps;
+      if (!deadline || due < *deadline) deadline = due;
+    }
+    return deadline;
+  }
+
+  std::vector<IdBatch> collect(sim::TimePs now) {
+    for (unsigned tenant = 0; tenant < queues_.size(); ++tenant) {
+      while (!queues_[tenant].empty() &&
+             queues_[tenant].front().arrival_ps + policy_.timeout_ps <= now) {
+        seal(tenant, queues_[tenant].front().arrival_ps + policy_.timeout_ps);
+      }
+    }
+    return std::exchange(sealed_, {});
+  }
+
+ private:
+  struct Waiting {
+    std::uint64_t request_id;
+    sim::TimePs arrival_ps;
+  };
+
+  void seal(unsigned tenant, sim::TimePs close_ps) {
+    std::deque<Waiting>& queue = queues_[tenant];
+    IdBatch batch;
+    batch.tenant = tenant;
+    batch.close_ps = close_ps;
+    const unsigned take = std::min<unsigned>(
+        policy_.max_batch, static_cast<unsigned>(queue.size()));
+    for (unsigned i = 0; i < take; ++i) {
+      batch.requests.push_back(queue.front().request_id);
+      queue.pop_front();
+    }
+    sealed_.push_back(std::move(batch));
+  }
+
+  BatchPolicy policy_;
+  std::vector<std::deque<Waiting>> queues_;
+  std::vector<IdBatch> sealed_;
+};
+
+class ServeLoop {
+ public:
+  ServeLoop(BatchCostModel& cost, const ServeConfig& config)
+      : cost_(cost),
+        config_(config),
+        batcher_(config.arrival.tenants, config.policy),
+        think_rng_(0x7417ull ^ (config.arrival.seed * 0x94d049bb133111ebull)) {
+    for (unsigned i = 0; i < config.instances; ++i) {
+      instances_.push({0, i});
+    }
+    if (config.closed_loop) {
+      const unsigned sessions = static_cast<unsigned>(std::min<std::uint64_t>(
+          config.concurrency, config.arrival.requests));
+      for (unsigned session = 0; session < sessions; ++session) {
+        spawn(session % config.arrival.tenants, think_delay_ps());
+      }
+    } else {
+      records_ = schedule(config.arrival);
+    }
+  }
+
+  ServeReport run() {
+    while (step()) {
+    }
+    return finish();
+  }
+
+ private:
+  struct Pending {
+    sim::TimePs at;
+    std::uint64_t id;
+    bool operator>(const Pending& other) const noexcept {
+      return at != other.at ? at > other.at : id > other.id;
+    }
+  };
+
+  struct Completion {
+    sim::TimePs at;
+    std::uint64_t seq;
+    IdBatch batch;
+    sim::TimePs exec_start;
+    unsigned instance;
+    bool operator>(const Completion& other) const noexcept {
+      return at != other.at ? at > other.at : seq > other.seq;
+    }
+  };
+
+  using InstanceSlot = std::pair<sim::TimePs, unsigned>;
+
+  sim::TimePs think_delay_ps() {
+    if (config_.think_s <= 0.0) return 0;
+    const double wait =
+        -std::log(1.0 - think_rng_.next_double()) * config_.think_s;
+    return static_cast<sim::TimePs>(
+        std::llround(wait * static_cast<double>(sim::kPsPerSecond)));
+  }
+
+  void spawn(unsigned tenant, sim::TimePs at) {
+    if (issued_ >= config_.arrival.requests) return;
+    ++issued_;
+    Request request;
+    request.id = records_.size();
+    request.tenant = tenant;
+    request.arrival_ps = at;
+    pending_.push(Pending{at, request.id});
+    records_.push_back(request);
+  }
+
+  sim::TimePs next_arrival() const {
+    if (config_.closed_loop) {
+      return pending_.empty() ? kNever : pending_.top().at;
+    }
+    return cursor_ < records_.size() ? records_[cursor_].arrival_ps : kNever;
+  }
+
+  bool step() {
+    const sim::TimePs t_completion =
+        completions_.empty() ? kNever : completions_.top().at;
+    const sim::TimePs t_arrival = next_arrival();
+    const sim::TimePs t_deadline =
+        batcher_.next_deadline().value_or(kNever);
+    const sim::TimePs now = std::min({t_completion, t_arrival, t_deadline});
+    if (now == kNever) return false;
+    if (t_completion == now) {
+      complete(completions_.top());
+      completions_.pop();
+    } else if (t_arrival == now) {
+      std::uint64_t id;
+      if (config_.closed_loop) {
+        id = pending_.top().id;
+        pending_.pop();
+      } else {
+        id = records_[cursor_++].id;
+      }
+      batcher_.enqueue(id, records_[id].tenant, now);
+    }
+    for (IdBatch& batch : batcher_.collect(now)) dispatch(std::move(batch));
+    return true;
+  }
+
+  void dispatch(IdBatch batch) {
+    const InstanceSlot slot = instances_.top();
+    instances_.pop();
+    const sim::TimePs start = std::max(batch.close_ps, slot.first);
+    const auto size = static_cast<unsigned>(batch.requests.size());
+    const sim::TimePs done = start + cost_.batch_makespan_ps(size);
+    instances_.push({done, slot.second});
+    completions_.push(Completion{done, dispatch_seq_++, std::move(batch),
+                                 start, slot.second});
+  }
+
+  void complete(const Completion& completion) {
+    ++report_.batches;
+    if (config_.record_trace) {
+      report_.batch_log.push_back(ServeReport::BatchTrace{
+          completion.instance, completion.seq,
+          static_cast<unsigned>(completion.batch.requests.size()),
+          completion.batch.close_ps, completion.exec_start, completion.at});
+    }
+    for (const std::uint64_t id : completion.batch.requests) {
+      Request& request = records_[id];
+      request.batch_close_ps = completion.batch.close_ps;
+      request.exec_start_ps = completion.exec_start;
+      request.completion_ps = completion.at;
+      record(request);
+      if (config_.closed_loop) {
+        spawn(request.tenant, completion.at + think_delay_ps());
+      }
+    }
+  }
+
+  void record(const Request& request) {
+    const auto ms = [](sim::TimePs ps) {
+      return static_cast<double>(ps) / 1e9;
+    };
+    const double latency = ms(request.completion_ps - request.arrival_ps);
+    report_.latency_ms.record(latency);
+    report_.batching_ms.record(
+        ms(request.batch_close_ps - request.arrival_ps));
+    report_.queueing_ms.record(
+        ms(request.exec_start_ps - request.batch_close_ps));
+    report_.execution_ms.record(
+        ms(request.completion_ps - request.exec_start_ps));
+    ++report_.completed;
+    if (report_.tenants.size() < config_.arrival.tenants) {
+      report_.tenants.resize(config_.arrival.tenants);
+    }
+    TenantReport& tenant = report_.tenants[request.tenant];
+    ++tenant.completed;
+    tenant.latency_ms.record(latency);
+    if (latency <= config_.slo_ms) ++tenant.slo_met;
+    last_arrival_ps_ = std::max(last_arrival_ps_, request.arrival_ps);
+    last_completion_ps_ = std::max(last_completion_ps_, request.completion_ps);
+  }
+
+  ServeReport finish() {
+    report_.tenants.resize(config_.arrival.tenants);
+    report_.duration_s = sim::to_seconds(last_completion_ps_);
+    const double arrival_span_s = sim::to_seconds(last_arrival_ps_);
+    const double completed = static_cast<double>(report_.completed);
+    if (arrival_span_s > 0.0) report_.offered_rps = completed / arrival_span_s;
+    std::uint64_t slo_met = 0;
+    double tenant_sum = 0.0;
+    double tenant_sq = 0.0;
+    for (const TenantReport& tenant : report_.tenants) {
+      slo_met += tenant.slo_met;
+      const double share = static_cast<double>(tenant.completed);
+      tenant_sum += share;
+      tenant_sq += share * share;
+    }
+    if (report_.duration_s > 0.0) {
+      report_.throughput_rps = completed / report_.duration_s;
+      report_.goodput_rps = static_cast<double>(slo_met) / report_.duration_s;
+    }
+    if (report_.completed > 0) {
+      report_.slo_attainment = static_cast<double>(slo_met) / completed;
+      report_.fairness =
+          tenant_sum * tenant_sum /
+          (static_cast<double>(report_.tenants.size()) * tenant_sq);
+    }
+    if (report_.batches > 0) {
+      report_.mean_batch = completed / static_cast<double>(report_.batches);
+    }
+    if (const os::SchedulerStats* stats = cost_.scheduler_stats()) {
+      report_.scheduler = *stats;
+      report_.has_scheduler_stats = true;
+    }
+    if (config_.record_trace) report_.request_log = std::move(records_);
+    return std::move(report_);
+  }
+
+  BatchCostModel& cost_;
+  const ServeConfig& config_;
+  Batcher batcher_;
+  util::Rng think_rng_;
+  std::vector<Request> records_;
+  std::size_t cursor_ = 0;
+  std::uint64_t issued_ = 0;
+  std::uint64_t dispatch_seq_ = 0;
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
+      pending_;
+  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
+      completions_;
+  std::priority_queue<InstanceSlot, std::vector<InstanceSlot>,
+                      std::greater<>>
+      instances_;
+  sim::TimePs last_arrival_ps_ = 0;
+  sim::TimePs last_completion_ps_ = 0;
+  ServeReport report_;
+};
+
+}  // namespace reference
+
+void expect_histograms_equal(const util::LatencyHistogram& a,
+                             const util::LatencyHistogram& b,
+                             const char* what) {
+  EXPECT_EQ(a.buckets(), b.buckets()) << what;
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+}
+
+void expect_reports_equal(const ServeReport& a, const ServeReport& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.duration_s, b.duration_s);
+  EXPECT_EQ(a.offered_rps, b.offered_rps);
+  EXPECT_EQ(a.throughput_rps, b.throughput_rps);
+  EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+  EXPECT_EQ(a.slo_attainment, b.slo_attainment);
+  EXPECT_EQ(a.mean_batch, b.mean_batch);
+  EXPECT_EQ(a.fairness, b.fairness);
+  expect_histograms_equal(a.latency_ms, b.latency_ms, "latency");
+  expect_histograms_equal(a.batching_ms, b.batching_ms, "batching");
+  expect_histograms_equal(a.queueing_ms, b.queueing_ms, "queueing");
+  expect_histograms_equal(a.execution_ms, b.execution_ms, "execution");
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (std::size_t t = 0; t < a.tenants.size(); ++t) {
+    EXPECT_EQ(a.tenants[t].completed, b.tenants[t].completed) << t;
+    EXPECT_EQ(a.tenants[t].slo_met, b.tenants[t].slo_met) << t;
+    expect_histograms_equal(a.tenants[t].latency_ms, b.tenants[t].latency_ms,
+                            "tenant latency");
+  }
+  EXPECT_EQ(a.has_scheduler_stats, b.has_scheduler_stats);
+  ASSERT_EQ(a.request_log.size(), b.request_log.size());
+  for (std::size_t i = 0; i < a.request_log.size(); ++i) {
+    const Request& x = a.request_log[i];
+    const Request& y = b.request_log[i];
+    EXPECT_EQ(x.id, y.id) << i;
+    EXPECT_EQ(x.tenant, y.tenant) << i;
+    EXPECT_EQ(x.arrival_ps, y.arrival_ps) << i;
+    EXPECT_EQ(x.batch_close_ps, y.batch_close_ps) << i;
+    EXPECT_EQ(x.exec_start_ps, y.exec_start_ps) << i;
+    EXPECT_EQ(x.completion_ps, y.completion_ps) << i;
+  }
+  ASSERT_EQ(a.batch_log.size(), b.batch_log.size());
+  for (std::size_t i = 0; i < a.batch_log.size(); ++i) {
+    const ServeReport::BatchTrace& x = a.batch_log[i];
+    const ServeReport::BatchTrace& y = b.batch_log[i];
+    EXPECT_EQ(x.instance, y.instance) << i;
+    EXPECT_EQ(x.seq, y.seq) << i;
+    EXPECT_EQ(x.size, y.size) << i;
+    EXPECT_EQ(x.close_ps, y.close_ps) << i;
+    EXPECT_EQ(x.exec_start_ps, y.exec_start_ps) << i;
+    EXPECT_EQ(x.completion_ps, y.completion_ps) << i;
+  }
+}
+
+// A trace with ties (a 100 µs grid), entries out of time order and every
+// third entry pinned to a tenant, some beyond the tenant count.
+std::vector<TraceEntry> shuffled_trace() {
+  util::Rng rng(99);
+  std::vector<TraceEntry> trace;
+  for (int i = 0; i < 300; ++i) {
+    TraceEntry entry;
+    entry.arrival_s = 1e-4 * static_cast<double>(rng.next_below(400));
+    entry.tenant = i % 3 == 0 ? static_cast<int>(rng.next_below(5)) : -1;
+    trace.push_back(entry);
+  }
+  return trace;
+}
+
+std::vector<ArrivalConfig> arrival_grid() {
+  std::vector<ArrivalConfig> grid;
+  for (const ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kUniform, ArrivalKind::kTrace}) {
+    ArrivalConfig config;
+    config.kind = kind;
+    config.rate_rps = 6000.0;
+    config.requests = 300;
+    config.seed = 5;
+    if (kind == ArrivalKind::kTrace) config.trace = shuffled_trace();
+    grid.push_back(config);
+  }
+  return grid;
+}
+
+TEST(LoadGenerator, ScheduleIsTheDrainedStreamAndMatchesTheReference) {
+  for (ArrivalConfig config : arrival_grid()) {
+    for (const unsigned tenants : {1u, 3u}) {
+      config.tenants = tenants;
+      const std::vector<Arrival> schedule = LoadGenerator(config).schedule();
+      const std::vector<Request> expected = reference::schedule(config);
+      ArrivalStream stream(config);
+      ASSERT_EQ(schedule.size(), expected.size());
+      for (std::size_t i = 0; i < schedule.size(); ++i) {
+        Arrival drained;
+        ASSERT_TRUE(stream.next(drained));
+        EXPECT_EQ(drained.arrival_ps, schedule[i].arrival_ps) << i;
+        EXPECT_EQ(drained.id, schedule[i].id) << i;
+        EXPECT_EQ(drained.tenant, schedule[i].tenant) << i;
+        EXPECT_EQ(schedule[i].arrival_ps, expected[i].arrival_ps) << i;
+        EXPECT_EQ(schedule[i].id, expected[i].id) << i;
+        EXPECT_EQ(schedule[i].tenant, expected[i].tenant) << i;
+      }
+      Arrival past_the_end;
+      EXPECT_FALSE(stream.next(past_the_end));
+    }
+  }
+}
+
+// Poisson, uniform, the shuffled trace and the closed loop at think 0 and
+// 1 ms, each over tenants {1, 3} x max_batch {1, 4} x timeout {0, 200 us}
+// x instances {1, 2} x record_trace {off, on}.
+TEST(Serve, StreamingLoopMatchesTheMaterializedReference) {
+  const std::unique_ptr<BatchCostModel> costs[] = {tiny_analytic_model(1),
+                                                   tiny_analytic_model(2)};
+  std::vector<ServeConfig> loops;
+  for (const ArrivalConfig& arrival : arrival_grid()) {
+    ServeConfig config;
+    config.arrival = arrival;
+    loops.push_back(config);
+  }
+  for (const double think_s : {0.0, 0.001}) {
+    ServeConfig config;
+    config.arrival = arrival_grid().front();
+    config.closed_loop = true;
+    config.think_s = think_s;
+    loops.push_back(config);
+  }
+  int runs = 0;
+  for (ServeConfig config : loops) {
+    const std::uint64_t requests =
+        config.closed_loop || config.arrival.kind != ArrivalKind::kTrace
+            ? config.arrival.requests
+            : config.arrival.trace.size();
+    // Bit b of `point` selects the second value of the b-th knob.
+    for (unsigned point = 0; point < 32; ++point) {
+      config.arrival.tenants = (point & 1) != 0 ? 3 : 1;
+      config.policy.max_batch = (point & 2) != 0 ? 4 : 1;
+      config.policy.timeout_ps = (point & 4) != 0 ? 200 * sim::kPsPerUs : 0;
+      config.instances = (point & 8) != 0 ? 2 : 1;
+      config.record_trace = (point & 16) != 0;
+      SCOPED_TRACE(::testing::Message()
+                   << arrival_kind_name(config.arrival.kind)
+                   << " closed=" << config.closed_loop
+                   << " think=" << config.think_s << " point=" << point);
+      BatchCostModel& cost = *costs[config.instances - 1];
+      const ServeReport expected = reference::ServeLoop(cost, config).run();
+      const ServeReport actual = serve(cost, config);
+      EXPECT_EQ(actual.completed, requests);
+      expect_reports_equal(expected, actual);
+      ++runs;
+    }
+  }
+  EXPECT_EQ(runs, 160);
 }
 
 // ---- metric direction inference ----
