@@ -8,8 +8,7 @@ ComputeNode::ComputeNode(sim::SimEngine& engine, int node_id,
                          mmae::MemoryBackend& backend,
                          vm::MemoryLatencyOracle& walk_memory)
     : id_(node_id) {
-  cpu_ = std::make_unique<cpu::CpuCore>(engine, node_id, cpu_config,
-                                        walk_memory);
+  cpu_ = std::make_unique<cpu::CpuCore>(node_id, cpu_config, walk_memory);
   mmae_ = std::make_unique<mmae::AcceleratorController>(
       engine, node_id, mmae_config, backend, *cpu_);
   cpu_->attach_accelerator(mmae_.get());

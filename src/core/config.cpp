@@ -24,7 +24,6 @@ SystemConfig SystemConfig::maco_default() {
 
   config.cpu.frequency_hz = 2.2e9;
   config.cpu.issue_width = 4;
-  config.cpu.mmu.l1_tlb_entries = 48;
   config.cpu.mmu.l2_tlb_entries = 1024;
 
   config.mmae.frequency_hz = 2.5e9;

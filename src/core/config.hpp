@@ -21,10 +21,10 @@ namespace maco::core {
 // Observability level of the detailed machine. kOff (default) records
 // nothing beyond what components count anyway and is bit-identical in
 // timing to a build without the knob; kCounters additionally enables
-// per-link NoC traffic accounting and, after the run, publishes every
-// component counter into the engine's StatRegistry under hierarchical
-// dotted names so obs::collect can roll them into metrics. Profiling
-// never feeds back into timing (pinned by tests/test_obs.cpp).
+// per-link NoC traffic accounting and, after the run, has obs::collect
+// gather every component counter under hierarchical dotted names and roll
+// them into metrics. Profiling never feeds back into timing (pinned by
+// tests/test_obs.cpp).
 enum class ProfileMode : unsigned { kOff = 0, kCounters = 1 };
 
 const char* profile_mode_name(ProfileMode mode) noexcept;

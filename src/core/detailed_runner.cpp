@@ -45,8 +45,7 @@ void check_machine_supported(const SystemConfig& config,
       options.sync_overhead_per_tile_ps != 0 ||
       options.dma_bandwidth_scale != 1.0 ||
       options.simd_ways_override != 0 || options.sa_rows_override != 0 ||
-      options.sa_cols_override != 0 || options.pte_always_cold ||
-      options.pte_walks_warm) {
+      options.sa_cols_override != 0 || options.pte_walks_warm) {
     unsupported(fidelity,
                 "does not support the analytic baseline overrides");
   }

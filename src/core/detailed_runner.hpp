@@ -44,7 +44,7 @@ inline constexpr std::uint64_t kDetailedMaxDim = 2048;
 // `timing.os`.
 //
 // With a non-null `observation` the run additionally captures what its
-// want_* flags ask for — registry counters and NoC traffic
+// want_* flags ask for — component counters and NoC traffic
 // (want_counters, meaningful under config.profile=counters) and per-node
 // MMAE task spans plus OS job spans (want_trace). Capture happens after
 // the engine quiesces and never changes the returned timing.

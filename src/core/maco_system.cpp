@@ -257,8 +257,4 @@ unsigned MacoSystem::ccm_home_node(vm::PhysAddr pa) const noexcept {
   return static_cast<unsigned>((pa / mem::kLineBytes) % config_.ccm_count);
 }
 
-mem::DramModel& MacoSystem::dram_for(vm::PhysAddr pa) {
-  return *drams_[ccm_home_node(pa) % config_.dram_channels];
-}
-
 }  // namespace maco::core

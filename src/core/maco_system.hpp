@@ -107,7 +107,6 @@ class MacoSystem {
   // ---- memory-system internals (used by the backend/oracle) ----
   mem::DirectoryCcm& ccm_for(vm::PhysAddr pa);
   unsigned ccm_home_node(vm::PhysAddr pa) const noexcept;
-  mem::DramModel& dram_for(vm::PhysAddr pa);
   // Enumeration by index (used by obs::collect's counter walk).
   unsigned dram_channel_count() const noexcept {
     return static_cast<unsigned>(drams_.size());

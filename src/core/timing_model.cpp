@@ -121,7 +121,6 @@ SystemTimingModel::TranslationKey SystemTimingModel::translation_key(
   key.tlb_entries = options.tlb_entries_override
                         ? options.tlb_entries_override
                         : config_.cpu.mmu.l2_tlb_entries;
-  key.pte_always_cold = options.pte_always_cold;
   key.pte_walks_warm = options.pte_walks_warm;
   return key;
 }
@@ -225,13 +224,10 @@ TranslationEstimate SystemTimingModel::simulate_translation(
       static_cast<double>(measured_walks) / static_cast<double>(measured_tiles);
 
   // Per-walk leaf-PTE latency. Engines that walk through the host MMU's
-  // page-walk caches stay warm; a standalone walker is always cold; by
-  // default the leaf is cold once walks recur enough that the data stream
-  // evicts the page-table lines from L3.
+  // page-walk caches stay warm; by default the leaf is cold once walks
+  // recur enough that the data stream evicts the page-table lines from L3.
   sim::TimePs per_walk;
-  if (key.pte_always_cold) {
-    per_walk = config_.pte_cold_latency_ps;
-  } else if (key.pte_walks_warm) {
+  if (key.pte_walks_warm) {
     per_walk = config_.pte_warm_latency_ps;
   } else {
     per_walk = estimate.walks_per_tile > 4.0 ? config_.pte_cold_latency_ps

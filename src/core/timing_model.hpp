@@ -58,9 +58,8 @@ struct TimingOptions {
   unsigned sa_cols_override = 0;
   // Per-walk leaf-PTE latency policy. Default: heuristic (cold when walks
   // recur enough to thrash the L3's page-table lines, warm otherwise).
-  bool pte_always_cold = false;  // standalone walker, no PWC (stress case)
-  bool pte_walks_warm = false;   // walks ride the host MMU's page-walk
-                                 // caches (in-core / host-PTW engines)
+  bool pte_walks_warm = false;  // walks ride the host MMU's page-walk
+                                // caches (in-core / host-PTW engines)
 
   // fidelity=sampled knobs (read only by the sampled estimator; the other
   // backends ignore them, so a fidelity sweep can carry them harmlessly).
@@ -166,7 +165,6 @@ class SystemTimingModel {
     std::uint64_t elem_bytes = 0;
     std::uint64_t page_bytes = 0;
     std::size_t tlb_entries = 0;
-    bool pte_always_cold = false;
     bool pte_walks_warm = false;
     auto operator<=>(const TranslationKey&) const = default;
   };

@@ -28,14 +28,11 @@ constexpr sim::Cycles issue_cost(isa::Mnemonic op) noexcept {
 
 }  // namespace
 
-CpuCore::CpuCore(sim::SimEngine& engine, int node_id, const CpuConfig& config,
+CpuCore::CpuCore(int node_id, const CpuConfig& config,
                  vm::MemoryLatencyOracle& walk_memory)
-    : sim::Component(engine, "node" + std::to_string(node_id) + ".cpu"),
-      node_id_(node_id), config_(config),
-      mtq_(config.mtq_entries),
-      mmu_(name() + ".mmu", config.mmu, walk_memory),
-      l1d_(name() + ".l1d", config.l1d),
-      l2_(name() + ".l2", config.l2) {}
+    : node_id_(node_id), name_("node" + std::to_string(node_id) + ".cpu"),
+      config_(config), mtq_(config.mtq_entries),
+      mmu_(name_ + ".mmu", config.mmu, walk_memory) {}
 
 void CpuCore::set_context(vm::Asid asid, const vm::PageTable* table) {
   asid_ = asid;
@@ -56,13 +53,12 @@ sim::Cycles CpuCore::step(const isa::Instruction& instruction,
       if (!maid) {
         regs_.write(instruction.rd, kMaidAllocFailed);
         ++stats.mtq_alloc_failures;
-        counter("mtq_alloc_failures").inc();
         break;
       }
       regs_.write(instruction.rd, *maid);
       const isa::ParamBlock params = regs_.read_param_block(instruction.rn);
       MACO_ASSERT_MSG(accelerator_ != nullptr,
-                      name() << ": MPAIS dispatch without an attached MMAE");
+                      name_ << ": MPAIS dispatch without an attached MMAE");
       if (!accelerator_->submit(*maid, instruction.op, params, asid_)) {
         // Slave queue refused (should not happen when STQ mirrors MTQ
         // capacity); surface as an exception so software can recover.
@@ -70,7 +66,6 @@ sim::Cycles CpuCore::step(const isa::Instruction& instruction,
         ++stats.submit_rejections;
       } else {
         ++stats.tasks_dispatched;
-        counter("tasks_dispatched").inc();
       }
       break;
     }
@@ -108,10 +103,10 @@ CpuCore::ExecStats CpuCore::execute(
 CpuCore::ExecStats CpuCore::execute_source(std::string_view source) {
   const isa::AsmResult assembled = isa::assemble(source);
   MACO_ASSERT_MSG(assembled.ok(),
-                  name() << ": assembly failed: "
-                         << (assembled.errors.empty()
-                                 ? ""
-                                 : assembled.errors.front().message));
+                  name_ << ": assembly failed: "
+                        << (assembled.errors.empty()
+                                ? ""
+                                : assembled.errors.front().message));
   return execute(assembled.program);
 }
 

@@ -3,10 +3,13 @@
 // The core is modeled at the level this study needs: it architecturally
 // executes MPAIS instructions (allocating MTQ entries, marshalling the six
 // parameter registers to the MMAE, querying/releasing task state), owns the
-// MMU and private caches, and accounts cycles for the instructions it
-// issues. General scalar/vector computation is represented by the kernel
-// cost models in scalar_kernels.hpp rather than per-instruction simulation —
-// Table I's resources (issue width, ports) parameterize those models.
+// MMU whose shared sTLB the MMAE translates through, and accounts cycles for
+// the instructions it issues. General scalar/vector computation is
+// represented by the kernel cost models in scalar_kernels.hpp rather than
+// per-instruction simulation — Table I's resources (issue width, ports)
+// parameterize those models. No MMAE path touches the core's private L1/L2
+// caches or L1 DTLB, so they are not modeled; their Table I sizes enter
+// only the area model (model::CpuParams).
 #pragma once
 
 #include <cstdint>
@@ -20,18 +23,13 @@
 #include "isa/encoding.hpp"
 #include "isa/params.hpp"
 #include "isa/regfile.hpp"
-#include "mem/cache.hpp"
-#include "sim/component.hpp"
+#include "sim/time.hpp"
 
 namespace maco::cpu {
 
 struct CpuConfig {
   double frequency_hz = 2.2e9;   // Table IV
   unsigned issue_width = 4;      // Table I: four-issue
-  unsigned pipeline_stages = 12; // Table I: 12+
-  mem::CacheConfig l1i{48 * 1024, 4, mem::kLineBytes};   // Table I (48 KiB)
-  mem::CacheConfig l1d{48 * 1024, 4, mem::kLineBytes};
-  mem::CacheConfig l2{512 * 1024, 8, mem::kLineBytes};   // Table I: private
   MmuConfig mmu;
   unsigned mtq_entries = 8;
   CpuKernelModel kernels;
@@ -50,10 +48,12 @@ class AcceleratorPort {
                       const isa::ParamBlock& params, vm::Asid asid) = 0;
 };
 
-class CpuCore : public sim::Component {
+class CpuCore {
  public:
-  CpuCore(sim::SimEngine& engine, int node_id, const CpuConfig& config,
+  CpuCore(int node_id, const CpuConfig& config,
           vm::MemoryLatencyOracle& walk_memory);
+  CpuCore(const CpuCore&) = delete;
+  CpuCore& operator=(const CpuCore&) = delete;
 
   int node_id() const noexcept { return node_id_; }
   const CpuConfig& config() const noexcept { return config_; }
@@ -70,8 +70,6 @@ class CpuCore : public sim::Component {
   isa::RegFile& regs() noexcept { return regs_; }
   MasterTaskQueue& mtq() noexcept { return mtq_; }
   Mmu& mmu() noexcept { return mmu_; }
-  mem::SetAssocCache& l1d() noexcept { return l1d_; }
-  mem::SetAssocCache& l2() noexcept { return l2_; }
   const CpuKernelModel& kernels() const noexcept { return config_.kernels; }
 
   struct ExecStats {
@@ -98,12 +96,11 @@ class CpuCore : public sim::Component {
 
  private:
   int node_id_;
+  std::string name_;  // "node<N>.cpu", for diagnostics
   CpuConfig config_;
   isa::RegFile regs_;
   MasterTaskQueue mtq_;
   Mmu mmu_;
-  mem::SetAssocCache l1d_;
-  mem::SetAssocCache l2_;
   AcceleratorPort* accelerator_ = nullptr;
   vm::Asid asid_ = 0;
   const vm::PageTable* table_ = nullptr;

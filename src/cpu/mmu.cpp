@@ -2,53 +2,11 @@
 
 namespace maco::cpu {
 
-Mmu::Mmu(std::string name, const MmuConfig& config,
+Mmu::Mmu(const std::string& name, const MmuConfig& config,
          vm::MemoryLatencyOracle& walk_memory)
-    : name_(std::move(name)), config_(config),
-      l1_tlb_(name_ + ".dtlb", config.l1_tlb_entries),
-      shared_tlb_(name_ + ".stlb", config.l2_tlb_entries),
+    : config_(config),
+      shared_tlb_(name + ".stlb", config.l2_tlb_entries),
       walker_(walk_memory) {}
-
-TranslationResult Mmu::walk_and_fill(vm::Asid asid,
-                                     const vm::PageTable& table,
-                                     vm::VirtAddr va, bool fill_l1,
-                                     sim::TimePs latency_so_far) {
-  const vm::WalkOutcome outcome = walker_.walk(asid, table, va);
-  TranslationResult result;
-  result.latency = latency_so_far + outcome.latency;
-  if (!outcome.valid) {
-    result.source = TranslationSource::kFault;
-    return result;
-  }
-  result.valid = true;
-  result.phys = outcome.phys;
-  result.source = TranslationSource::kPageWalk;
-  const std::uint64_t vpn = vm::vpn_of(va);
-  const std::uint64_t ppn = vm::ppn_of(outcome.phys);
-  shared_tlb_.insert(asid, vpn, ppn);
-  if (fill_l1) l1_tlb_.insert(asid, vpn, ppn);
-  return result;
-}
-
-TranslationResult Mmu::translate(vm::Asid asid, const vm::PageTable& table,
-                                 vm::VirtAddr va) {
-  const std::uint64_t vpn = vm::vpn_of(va);
-  if (const auto ppn = l1_tlb_.lookup(asid, vpn)) {
-    return TranslationResult{true, (*ppn << vm::kPageBits) |
-                                       vm::page_offset(va),
-                             config_.l1_tlb_latency_ps,
-                             TranslationSource::kL1Tlb};
-  }
-  if (const auto ppn = shared_tlb_.lookup(asid, vpn)) {
-    l1_tlb_.insert(asid, vpn, *ppn);
-    return TranslationResult{true, (*ppn << vm::kPageBits) |
-                                       vm::page_offset(va),
-                             config_.l2_tlb_latency_ps,
-                             TranslationSource::kSharedTlb};
-  }
-  return walk_and_fill(asid, table, va, /*fill_l1=*/true,
-                       config_.l2_tlb_latency_ps);
-}
 
 TranslationResult Mmu::translate_for_accelerator(vm::Asid asid,
                                                  const vm::PageTable& table,
@@ -60,14 +18,18 @@ TranslationResult Mmu::translate_for_accelerator(vm::Asid asid,
                              config_.l2_tlb_latency_ps,
                              TranslationSource::kSharedTlb};
   }
-  return walk_and_fill(asid, table, va, /*fill_l1=*/false,
-                       config_.l2_tlb_latency_ps);
-}
-
-void Mmu::context_switch_flush(vm::Asid old_asid) {
-  // ASID-tagged TLBs need no flush on a context switch; provided for
-  // completeness and for tests that model ASID reuse.
-  l1_tlb_.invalidate_asid(old_asid);
+  const vm::WalkOutcome outcome = walker_.walk(asid, table, va);
+  TranslationResult result;
+  result.latency = config_.l2_tlb_latency_ps + outcome.latency;
+  if (!outcome.valid) {
+    result.source = TranslationSource::kFault;
+    return result;
+  }
+  result.valid = true;
+  result.phys = outcome.phys;
+  result.source = TranslationSource::kPageWalk;
+  shared_tlb_.insert(asid, vpn, vm::ppn_of(outcome.phys));
+  return result;
 }
 
 }  // namespace maco::cpu

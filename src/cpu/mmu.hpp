@@ -1,10 +1,11 @@
-// CPU memory-management unit: L1 DTLB (48-entry) backed by the shared
-// 1024-entry L2 TLB (sTLB) and a hardware page-table walker.
+// CPU memory-management unit: the shared 1024-entry L2 TLB (sTLB) and a
+// hardware page-table walker.
 //
 // The MMAE has no MMU of its own (paper Section II: LCA defect (2)); it
 // reaches translation through the CPU's sTLB via a customized interface —
-// `translate_for_accelerator` models that port (it bypasses the L1 DTLB,
-// which stays private to the core's load/store pipeline).
+// `translate_for_accelerator` models that port. The core's private L1
+// DTLB sits on its load/store pipeline, which no MMAE path uses, so it is
+// not modeled.
 #pragma once
 
 #include <cstdint>
@@ -18,13 +19,11 @@
 namespace maco::cpu {
 
 struct MmuConfig {
-  std::size_t l1_tlb_entries = 48;    // Table I: L1 ITLB/DTLB, fully assoc.
   std::size_t l2_tlb_entries = 1024;  // Table I: L2 TLB, fully assoc.
-  sim::TimePs l1_tlb_latency_ps = 0;      // hidden in the pipeline
   sim::TimePs l2_tlb_latency_ps = 1365;   // ~3 CPU cycles @ 2.2 GHz
 };
 
-enum class TranslationSource { kL1Tlb, kSharedTlb, kPageWalk, kFault };
+enum class TranslationSource { kSharedTlb, kPageWalk, kFault };
 
 struct TranslationResult {
   bool valid = false;
@@ -35,32 +34,19 @@ struct TranslationResult {
 
 class Mmu {
  public:
-  Mmu(std::string name, const MmuConfig& config,
+  Mmu(const std::string& name, const MmuConfig& config,
       vm::MemoryLatencyOracle& walk_memory);
 
-  // Full path: L1 DTLB -> sTLB -> walk.
-  TranslationResult translate(vm::Asid asid, const vm::PageTable& table,
-                              vm::VirtAddr va);
-
-  // Accelerator path: sTLB -> walk (fills sTLB but not the L1 DTLB).
+  // Accelerator path: sTLB -> walk (a walk fills the sTLB).
   TranslationResult translate_for_accelerator(vm::Asid asid,
                                               const vm::PageTable& table,
                                               vm::VirtAddr va);
 
-  void context_switch_flush(vm::Asid old_asid);
-
-  vm::Tlb& l1_tlb() noexcept { return l1_tlb_; }
   vm::Tlb& shared_tlb() noexcept { return shared_tlb_; }
   vm::PageTableWalker& walker() noexcept { return walker_; }
 
  private:
-  TranslationResult walk_and_fill(vm::Asid asid, const vm::PageTable& table,
-                                  vm::VirtAddr va, bool fill_l1,
-                                  sim::TimePs latency_so_far);
-
-  std::string name_;
   MmuConfig config_;
-  vm::Tlb l1_tlb_;
   vm::Tlb shared_tlb_;
   vm::PageTableWalker walker_;
 };

@@ -638,9 +638,9 @@ std::string usage() {
          "\n"
          "Parameters are scenario knobs (e.g. size, precision, nodes,\n"
          "fidelity) or hardware config knobs (e.g. node_count, sa_rows,\n"
-         "dram_efficiency, l2_kib, l3_slice_kib, stlb_entries,\n"
-         "dma_outstanding). Every value is validated against the typed\n"
-         "schema before any run starts. Scenarios supporting it accept\n"
+         "dram_efficiency, l3_slice_kib, stlb_entries, dma_outstanding).\n"
+         "Every value is validated against the typed schema before any\n"
+         "run starts. Scenarios supporting it accept\n"
          "fidelity=analytic|detailed|sampled: the analytic timing model,\n"
          "the detailed MacoSystem machine (<= 2048 per dimension), or\n"
          "the sampled estimator (detailed fidelity at any scale via\n"

@@ -38,8 +38,8 @@ const exp::ParamSchema& hardware_schema() {
                 "link booking (fidelity=detailed|sampled)");
     s.enumerant("profile", std::string(core::profile_mode_name(d.profile)),
                 {"off", "counters"},
-                "observability: publish component counters into the "
-                "engine StatRegistry and roll them into metrics "
+                "observability: collect component counters after the "
+                "run and roll them into metrics "
                 "(fidelity=detailed; off is zero-overhead)");
     s.u64("dram_banks", d.dram.banks, "banks per DDR channel (dram=queued)",
           1, 64);
@@ -52,8 +52,6 @@ const exp::ParamSchema& hardware_schema() {
     s.u64("matlb_entries", d.mmae.matlb_entries, "mATLB capacity", 1,
           65536);
     s.u64("inner_k", d.mmae.inner_k, "second-level K chunk", 1, 65535);
-    s.u64("l2_kib", d.cpu.l2.size_bytes / 1024,
-          "private L2 cache per CPU core (KiB)", 64, 16384);
     s.u64("l3_slice_kib", d.ccm.l3.size_bytes / 1024,
           "L3 capacity per CCM slice (KiB)", 64, 65536);
     s.u64("stlb_entries", d.cpu.mmu.l2_tlb_entries,
@@ -121,9 +119,6 @@ void apply_hardware_params(const exp::ParamSet& params,
   });
   u64_knob("inner_k", [&](std::uint64_t v) {
     config.mmae.inner_k = static_cast<unsigned>(v);
-  });
-  u64_knob("l2_kib", [&](std::uint64_t v) {
-    config.cpu.l2.size_bytes = static_cast<std::size_t>(v) * 1024;
   });
   u64_knob("l3_slice_kib", [&](std::uint64_t v) {
     config.ccm.l3.size_bytes = static_cast<std::size_t>(v) * 1024;

@@ -78,8 +78,8 @@ CrossRule backends_need_detail_rule() {
       }};
 }
 
-// profile=counters publishes the detailed machine's component counters;
-// the closed forms have nothing to publish, so a counters point that
+// profile=counters collects the detailed machine's component counters;
+// the closed forms have nothing to collect, so a counters point that
 // doesn't run the detailed backend would silently report no counters —
 // make it a typed error instead. Scenarios whose fidelity list excludes
 // "detailed" reject profile=counters outright through this rule.

@@ -7,17 +7,6 @@
 
 namespace maco::mem {
 
-const char* coherence_state_name(CoherenceState s) noexcept {
-  switch (s) {
-    case CoherenceState::kInvalid: return "I";
-    case CoherenceState::kShared: return "S";
-    case CoherenceState::kExclusive: return "E";
-    case CoherenceState::kOwned: return "O";
-    case CoherenceState::kModified: return "M";
-  }
-  return "?";
-}
-
 SetAssocCache::SetAssocCache(std::string name, const CacheConfig& config)
     : name_(std::move(name)), config_(config) {
   MACO_ASSERT_MSG(util::is_pow2(config.line_bytes),

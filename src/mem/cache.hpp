@@ -27,8 +27,6 @@ enum class CoherenceState : std::uint8_t {
   kModified,
 };
 
-const char* coherence_state_name(CoherenceState s) noexcept;
-
 struct CacheConfig {
   std::uint64_t size_bytes = 512 * 1024;
   unsigned ways = 8;

@@ -11,10 +11,12 @@ AcceleratorController::AcceleratorController(sim::SimEngine& engine, int node,
                                              const MmaeConfig& config,
                                              MemoryBackend& backend,
                                              cpu::CpuCore& cpu)
-    : sim::Component(engine, "node" + std::to_string(node) + ".mmae"),
-      config_(config), node_(node), stq_(config.stq_entries),
-      backend_(backend), ade_(name() + ".ade", node, config.dma, backend),
-      matlb_(name() + ".matlb", config.matlb_entries),
+    : engine_(engine), config_(config), node_(node),
+      stq_(config.stq_entries), backend_(backend),
+      ade_("node" + std::to_string(node) + ".mmae.ade", node, config.dma,
+           backend),
+      matlb_("node" + std::to_string(node) + ".mmae.matlb",
+             config.matlb_entries),
       cpu_(cpu) {
   // Default single-process lookup: the CPU's current context.
   table_lookup_ = [this](vm::Asid asid) -> const vm::PageTable* {
@@ -26,7 +28,6 @@ bool AcceleratorController::submit(cpu::Maid maid, isa::Mnemonic op,
                                    const isa::ParamBlock& params,
                                    vm::Asid asid) {
   if (!stq_.push(maid, op, params, asid)) return false;
-  counter("tasks_accepted").inc();
   try_start_next();
   return true;
 }
@@ -48,16 +49,14 @@ void AcceleratorController::try_start_next() {
   task_running_ = true;
   stq_.mark_running(*next);
   const StqEntry entry = stq_.entry(*next);  // copy: entry survives release
-  const sim::TimePs start = std::max(now(), busy_until_);
+  const sim::TimePs start = std::max(engine_.now(), busy_until_);
 
   TaskReport report = execute_task(entry, start);
   busy_until_ = report.end;
   reports_.push_back(report);
-  counter("tasks_executed").inc();
-  counter("dma_bytes").inc(report.dma_bytes);
 
   const unsigned index = *next;
-  engine().schedule_at(report.end, [this, index, report] {
+  engine_.schedule_at(report.end, [this, index, report] {
     stq_.complete(index, report.exception);
     // Report status to the matching MTQ entry (paper: STQ "responds the
     // status of the GEMM task to the corresponding MTQ entry").

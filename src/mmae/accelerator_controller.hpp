@@ -25,7 +25,7 @@
 #include "mmae/data_engine.hpp"
 #include "mmae/stq.hpp"
 #include "sa/systolic_array.hpp"
-#include "sim/component.hpp"
+#include "sim/engine.hpp"
 #include "vm/matlb.hpp"
 
 namespace maco::mmae {
@@ -68,8 +68,7 @@ struct TaskReport {
   }
 };
 
-class AcceleratorController : public sim::Component,
-                              public cpu::AcceleratorPort {
+class AcceleratorController : public cpu::AcceleratorPort {
  public:
   // Called when a task finishes (after MTQ update), e.g. to wake schedulers.
   using CompletionFn =
@@ -78,6 +77,8 @@ class AcceleratorController : public sim::Component,
   AcceleratorController(sim::SimEngine& engine, int node,
                         const MmaeConfig& config, MemoryBackend& backend,
                         cpu::CpuCore& cpu);
+  AcceleratorController(const AcceleratorController&) = delete;
+  AcceleratorController& operator=(const AcceleratorController&) = delete;
 
   // cpu::AcceleratorPort:
   bool submit(cpu::Maid maid, isa::Mnemonic op, const isa::ParamBlock& params,
@@ -120,6 +121,7 @@ class AcceleratorController : public sim::Component,
                            sim::TimePs start);
   TranslationContext context_for(const StqEntry& entry);
 
+  sim::SimEngine& engine_;
   MmaeConfig config_;
   int node_;
   SlaveTaskQueue stq_;

@@ -28,15 +28,16 @@ double AreaPowerModel::mmae_power(const MmaeParams& params) const {
 
 double AreaPowerModel::cpu_area(const CpuParams& params) const {
   return tech_.cpu_logic_base_mm2 + tech_.fmac_mm2 * params.fmacs +
-         tech_.sram_mm2_per_kib * (params.l1_kib + params.l2_kib) +
+         tech_.sram_mm2_per_kib *
+             (params.l1_cache_kib + params.l2_cache_kib) +
          tech_.cam_mm2_per_entry * params.tlb_entries;
 }
 
 double AreaPowerModel::cpu_power(const CpuParams& params) const {
   const double fmac_watts =
       params.fmacs * params.frequency_hz * tech_.fmac_energy_pj * 1e-12;
-  const double sram_watts =
-      tech_.sram_watts_per_kib_active * (params.l1_kib + params.l2_kib);
+  const double sram_watts = tech_.sram_watts_per_kib_active *
+                            (params.l1_cache_kib + params.l2_cache_kib);
   const double leakage = tech_.leakage_watts_per_mm2 * cpu_area(params);
   return fmac_watts + sram_watts + leakage + tech_.cpu_ooo_overhead_watts;
 }

@@ -42,9 +42,9 @@ struct MmaeParams {
 struct CpuParams {
   double frequency_hz = 2.2e9;
   unsigned fmacs = 8;
-  unsigned l1_kib = 96;   // 48 KiB I + 48 KiB D
-  unsigned l2_kib = 512;
-  unsigned tlb_entries = 1072;  // 48 + 1024
+  unsigned l1_cache_kib = 96;   // Table I: 48 KiB I + 48 KiB D
+  unsigned l2_cache_kib = 512;  // Table I: private L2
+  unsigned tlb_entries = 1072;  // Table I: 48-entry L1 DTLB + 1024 sTLB
 };
 
 struct AreaBreakdown {

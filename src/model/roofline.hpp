@@ -1,17 +1,9 @@
-// Roofline helpers used by the baselines.
+// Roofline helper used by the CPU-only baseline.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 namespace maco::model {
-
-// Attainable FLOP/s under a compute roof and a bandwidth roof at the given
-// arithmetic intensity (FLOPs per byte of traffic).
-inline double attainable_flops(double peak_flops, double bandwidth_bytes,
-                               double arithmetic_intensity) noexcept {
-  return std::min(peak_flops, bandwidth_bytes * arithmetic_intensity);
-}
 
 // Arithmetic intensity of a cache-blocked GEMM: 2·m·n·k FLOPs over the
 // traffic a (bm × bn) block schedule generates beyond the blocking cache.

@@ -4,47 +4,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "noc/mesh_config.hpp"
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
 namespace maco::noc {
-namespace {
-
-// Directed-link directions, matching LinkLoadModel's link set.
-enum : unsigned { kEject = 0, kNorthL = 1, kSouthL = 2, kEastL = 3, kWestL = 4 };
-
-// Visits each directed link on the X-Y route src -> dst, including the
-// final ejection port (X first, then Y, matching Router::route).
-template <typename Fn>
-void for_each_link(unsigned width, unsigned src, unsigned dst, Fn&& fn) {
-  unsigned x = src % width;
-  unsigned y = src / width;
-  const unsigned dx = dst % width;
-  const unsigned dy = dst / width;
-  while (x != dx) {
-    const unsigned node = y * width + x;
-    if (dx > x) {
-      fn(node * 5 + kEastL);
-      ++x;
-    } else {
-      fn(node * 5 + kWestL);
-      --x;
-    }
-  }
-  while (y != dy) {
-    const unsigned node = y * width + x;
-    if (dy > y) {
-      fn(node * 5 + kSouthL);
-      ++y;
-    } else {
-      fn(node * 5 + kNorthL);
-      --y;
-    }
-  }
-  fn(dst * 5 + kEject);
-}
-
-}  // namespace
 
 std::string_view icnt_kind_name(IcntKind kind) noexcept {
   switch (kind) {
@@ -80,19 +44,12 @@ void IcntModel::record_link_traffic(unsigned link, std::uint64_t flits,
   stat.busy_ps += busy_ps;
 }
 
-unsigned IcntModel::hop_count(unsigned src, unsigned dst) const noexcept {
-  const unsigned sx = src % config_.width;
-  const unsigned sy = src / config_.width;
-  const unsigned dx = dst % config_.width;
-  const unsigned dy = dst / config_.width;
-  return (sx > dx ? sx - dx : dx - sx) + (sy > dy ? sy - dy : dy - sy);
-}
-
 // ---------------- AnalyticIcnt ----------------
 
 sim::TimePs AnalyticIcnt::unloaded_round_trip_ps(
     int node, unsigned home, std::uint32_t /*bytes*/) const {
-  const unsigned hops = hop_count(static_cast<unsigned>(node), home);
+  const unsigned hops =
+      xy_hop_count(config_.width, static_cast<unsigned>(node), home);
   return static_cast<sim::TimePs>(2 * (hops + 1)) * config_.cycle_ps;
 }
 
@@ -113,10 +70,10 @@ sim::TimePs AnalyticIcnt::response_leg_ps(sim::TimePs /*now*/, unsigned home,
     const auto src = static_cast<unsigned>(node);
     const auto payload_flits = static_cast<std::uint64_t>(util::ceil_div(
         bytes + config_.header_bytes, config_.flit_bytes));
-    for_each_link(config_.width, src, home, [&](unsigned link) {
+    for_each_xy_link(config_.width, src, home, [&](unsigned link) {
       record_link_traffic(link, 1, config_.cycle_ps);
     });
-    for_each_link(config_.width, home, src, [&](unsigned link) {
+    for_each_xy_link(config_.width, home, src, [&](unsigned link) {
       record_link_traffic(link, payload_flits, config_.cycle_ps);
     });
   }
@@ -144,7 +101,7 @@ sim::TimePs FlitIcnt::traverse(sim::TimePs start, unsigned src, unsigned dst,
   // streams behind it; each link stays occupied for the packet's full flit
   // count, so a contending packet waits for the tail to pass.
   sim::TimePs head = start;
-  for_each_link(config_.width, src, dst, [&](unsigned link) {
+  for_each_xy_link(config_.width, src, dst, [&](unsigned link) {
     sim::TimePs enter = head;
     if (link_free != nullptr) {
       enter = std::max(enter, (*link_free)[link]);

@@ -67,9 +67,6 @@ class IcntModel {
   virtual sim::TimePs unloaded_round_trip_ps(int node, unsigned home,
                                              std::uint32_t bytes) const = 0;
 
-  // X-Y hop count (zero for node == home; excludes in/ejection).
-  unsigned hop_count(unsigned src, unsigned dst) const noexcept;
-
   const IcntConfig& config() const noexcept { return config_; }
 
   // ---- optional per-link traffic accounting (profile=counters) ----

@@ -12,40 +12,11 @@ LinkLoadModel::LinkLoadModel(const LinkLoadConfig& config)
   MACO_ASSERT(config.link_bytes_per_second > 0);
 }
 
-template <typename Fn>
-void LinkLoadModel::for_each_link(NodeId src, NodeId dst, Fn&& fn) const {
-  unsigned x = static_cast<unsigned>(src) % config_.width;
-  unsigned y = static_cast<unsigned>(src) / config_.width;
-  const unsigned dx = static_cast<unsigned>(dst) % config_.width;
-  const unsigned dy = static_cast<unsigned>(dst) / config_.width;
-  // X first, then Y (must match Router::route).
-  while (x != dx) {
-    const unsigned node = y * config_.width + x;
-    if (dx > x) {
-      fn(link_index(static_cast<NodeId>(node), kEastL));
-      ++x;
-    } else {
-      fn(link_index(static_cast<NodeId>(node), kWestL));
-      --x;
-    }
-  }
-  while (y != dy) {
-    const unsigned node = y * config_.width + x;
-    if (dy > y) {
-      fn(link_index(static_cast<NodeId>(node), kSouthL));
-      ++y;
-    } else {
-      fn(link_index(static_cast<NodeId>(node), kNorthL));
-      --y;
-    }
-  }
-  fn(link_index(dst, kEject));
-}
-
 void LinkLoadModel::add_flow(NodeId src, NodeId dst,
                              double bytes_per_second) {
-  for_each_link(src, dst,
-                [&](unsigned link) { load_[link] += bytes_per_second; });
+  for_each_xy_link(config_.width, src, dst, [&](unsigned link) {
+    load_[link] += bytes_per_second;
+  });
 }
 
 void LinkLoadModel::clear() {
@@ -59,20 +30,10 @@ double LinkLoadModel::max_utilization() const noexcept {
 
 double LinkLoadModel::path_utilization(NodeId src, NodeId dst) const noexcept {
   double peak = 0.0;
-  for_each_link(src, dst, [&](unsigned link) {
+  for_each_xy_link(config_.width, src, dst, [&](unsigned link) {
     peak = std::max(peak, load_[link]);
   });
   return peak / config_.link_bytes_per_second;
-}
-
-unsigned LinkLoadModel::hop_count(NodeId src, NodeId dst) const noexcept {
-  const unsigned sx = static_cast<unsigned>(src) % config_.width;
-  const unsigned sy = static_cast<unsigned>(src) / config_.width;
-  const unsigned dx = static_cast<unsigned>(dst) % config_.width;
-  const unsigned dy = static_cast<unsigned>(dst) / config_.width;
-  const unsigned hx = sx > dx ? sx - dx : dx - sx;
-  const unsigned hy = sy > dy ? sy - dy : dy - sy;
-  return hx + hy;
 }
 
 }  // namespace maco::noc

@@ -41,21 +41,9 @@ class LinkLoadModel {
     return u <= 1.0 ? 1.0 : 1.0 / u;
   }
 
-  // X-Y hop count (zero for src == dst; excludes in/ejection).
-  unsigned hop_count(NodeId src, NodeId dst) const noexcept;
-
   double link_capacity() const noexcept { return config_.link_bytes_per_second; }
 
  private:
-  // Directed link index: 5 per node (Local ejection + 4 mesh directions).
-  enum : unsigned { kEject = 0, kNorthL = 1, kSouthL = 2, kEastL = 3, kWestL = 4 };
-  unsigned link_index(NodeId node, unsigned dir) const noexcept {
-    return static_cast<unsigned>(node) * 5 + dir;
-  }
-  // Visit each directed link on the X-Y path, including final ejection.
-  template <typename Fn>
-  void for_each_link(NodeId src, NodeId dst, Fn&& fn) const;
-
   LinkLoadConfig config_;
   std::vector<double> load_;  // bytes/s per directed link
 };

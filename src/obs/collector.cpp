@@ -17,132 +17,87 @@
 #include "mmae/accelerator_controller.hpp"
 #include "noc/icnt.hpp"
 #include "sim/engine.hpp"
-#include "util/stats.hpp"
 #include "vm/matlb.hpp"
 #include "vm/tlb.hpp"
 #include "vm/walker.hpp"
 
 namespace maco::obs {
-namespace {
 
-// Publication is a snapshot, not an increment: re-publishing after more
-// work replaces each value with the component's current count.
-void set_counter(util::StatRegistry& stats, const std::string& name,
-                 std::uint64_t value) {
-  util::Counter& counter = stats.counter(name);
-  counter.reset();
-  counter.inc(value);
-}
-
-void publish_cache(util::StatRegistry& stats, const std::string& prefix,
-                   const mem::SetAssocCache& cache) {
-  set_counter(stats, prefix + ".hits", cache.hits());
-  set_counter(stats, prefix + ".misses", cache.misses());
-  set_counter(stats, prefix + ".evictions", cache.evictions());
-  set_counter(stats, prefix + ".writebacks", cache.writebacks());
-}
-
-void publish_tlb(util::StatRegistry& stats, const std::string& prefix,
-                 const vm::Tlb& tlb) {
-  set_counter(stats, prefix + ".hits", tlb.hits());
-  set_counter(stats, prefix + ".misses", tlb.misses());
-  set_counter(stats, prefix + ".evictions", tlb.evictions());
-}
-
-}  // namespace
-
-void publish_counters(core::MacoSystem& system) {
-  util::StatRegistry& stats = system.engine().stats();
+void collect(core::MacoSystem& system, RunObservation& out) {
+  std::map<std::string, std::uint64_t>& counters = out.counters;
 
   for (unsigned n = 0; n < system.node_count(); ++n) {
     core::ComputeNode& node = system.node(n);
     const std::string base = "node" + std::to_string(n);
     cpu::CpuCore& core = node.cpu();
-    publish_cache(stats, base + ".cpu.l1d", core.l1d());
-    publish_cache(stats, base + ".cpu.l2", core.l2());
-    set_counter(stats, base + ".cpu.mtq.enqueues", core.mtq().allocations());
-    set_counter(stats, base + ".cpu.mtq.backoffs",
-                core.mtq().allocation_failures());
-    publish_tlb(stats, base + ".vm.l1_tlb", core.mmu().l1_tlb());
-    publish_tlb(stats, base + ".vm.stlb", core.mmu().shared_tlb());
+    counters[base + ".cpu.mtq.enqueues"] += core.mtq().allocations();
+    counters[base + ".cpu.mtq.backoffs"] += core.mtq().allocation_failures();
+    const vm::Tlb& stlb = core.mmu().shared_tlb();
+    counters[base + ".vm.stlb.hits"] += stlb.hits();
+    counters[base + ".vm.stlb.misses"] += stlb.misses();
+    counters[base + ".vm.stlb.evictions"] += stlb.evictions();
     const vm::PageTableWalker& walker = core.mmu().walker();
-    set_counter(stats, base + ".vm.walker.walks", walker.walks());
-    set_counter(stats, base + ".vm.walker.faults", walker.faults());
-    set_counter(stats, base + ".vm.walker.pte_reads", walker.pte_reads());
-    set_counter(stats, base + ".vm.walker.walk_cache_hits",
-                walker.walk_cache_hits());
+    counters[base + ".vm.walker.walks"] += walker.walks();
+    counters[base + ".vm.walker.faults"] += walker.faults();
+    counters[base + ".vm.walker.pte_reads"] += walker.pte_reads();
+    counters[base + ".vm.walker.walk_cache_hits"] += walker.walk_cache_hits();
     const vm::Matlb& matlb = node.mmae().matlb();
-    set_counter(stats, base + ".mmae.matlb.hits", matlb.hits());
-    set_counter(stats, base + ".mmae.matlb.misses", matlb.misses());
-    set_counter(stats, base + ".mmae.matlb.retired", matlb.retired());
-    set_counter(stats, base + ".mmae.matlb.late_predictions",
-                matlb.late_predictions());
+    counters[base + ".mmae.matlb.hits"] += matlb.hits();
+    counters[base + ".mmae.matlb.misses"] += matlb.misses();
+    counters[base + ".mmae.matlb.retired"] += matlb.retired();
+    counters[base + ".mmae.matlb.late_predictions"] +=
+        matlb.late_predictions();
   }
 
   for (unsigned s = 0; s < system.ccm_slice_count(); ++s) {
     const mem::DirectoryCcm& ccm = system.ccm_slice(s);
     const std::string base = "ccm" + std::to_string(s);
-    publish_cache(stats, base + ".l3", ccm.l3());
-    set_counter(stats, base + ".recalls", ccm.recalls());
-    set_counter(stats, base + ".stash_hits", ccm.stash_hits());
-    set_counter(stats, base + ".stash_fills", ccm.stash_fills());
+    const mem::SetAssocCache& l3 = ccm.l3();
+    counters[base + ".l3.hits"] += l3.hits();
+    counters[base + ".l3.misses"] += l3.misses();
+    counters[base + ".l3.evictions"] += l3.evictions();
+    counters[base + ".l3.writebacks"] += l3.writebacks();
+    counters[base + ".recalls"] += ccm.recalls();
+    counters[base + ".stash_hits"] += ccm.stash_hits();
+    counters[base + ".stash_fills"] += ccm.stash_fills();
   }
 
   for (unsigned d = 0; d < system.dram_channel_count(); ++d) {
     const mem::DramModel& dram = system.dram_channel(d);
     const std::string base = "dram" + std::to_string(d);
-    set_counter(stats, base + ".requests", dram.requests());
-    set_counter(stats, base + ".bytes", dram.bytes_transferred());
-    set_counter(stats, base + ".busy_ps", dram.busy_ps());
+    counters[base + ".requests"] += dram.requests();
+    counters[base + ".bytes"] += dram.bytes_transferred();
+    counters[base + ".busy_ps"] += dram.busy_ps();
     if (const auto* queued =
             dynamic_cast<const mem::QueuedDramController*>(&dram)) {
-      set_counter(stats, base + ".row_hits", queued->row_hits());
-      set_counter(stats, base + ".row_misses", queued->row_misses());
-      set_counter(stats, base + ".row_conflicts", queued->row_conflicts());
+      counters[base + ".row_hits"] += queued->row_hits();
+      counters[base + ".row_misses"] += queued->row_misses();
+      counters[base + ".row_conflicts"] += queued->row_conflicts();
     }
   }
 
-  set_counter(stats, "engine.events", system.engine().events_executed());
+  counters["engine.events"] += system.engine().events_executed();
 
   const noc::IcntModel& icnt = system.icnt();
   if (const auto* flit = dynamic_cast<const noc::FlitIcnt*>(&icnt)) {
-    set_counter(stats, "noc.icnt.transfers", flit->transfers());
+    counters["noc.icnt.transfers"] += flit->transfers();
   }
   if (icnt.link_stats_enabled()) {
-    const sim::TimePs window = system.engine().now();
-    util::Histogram& occupancy =
-        stats.histogram("noc.link_occupancy", 0.0, 1.0, 20);
-    occupancy.reset();
     const auto& links = icnt.link_stats();
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      if (links[i].flits != 0) {
-        const std::string base = "noc.link" + std::to_string(i);
-        set_counter(stats, base + ".flits", links[i].flits);
-        set_counter(stats, base + ".busy_ps",
-                    static_cast<std::uint64_t>(links[i].busy_ps));
-      }
-      if (window > 0) {
-        occupancy.record(static_cast<double>(links[i].busy_ps) /
-                         static_cast<double>(window));
-      }
-    }
-  }
-}
-
-void collect(core::MacoSystem& system, RunObservation& out) {
-  publish_counters(system);
-  for (const auto& [name, counter] : system.engine().stats().counters()) {
-    out.counters[name] += counter.value();
-  }
-  const noc::IcntModel& icnt = system.icnt();
-  if (icnt.link_stats_enabled()) {
     RunObservation traffic;
     traffic.noc.width = icnt.config().width;
     traffic.noc.height = icnt.config().height;
     traffic.noc.window_ps = system.engine().now();
-    traffic.noc.links.reserve(icnt.link_stats().size());
-    for (const noc::IcntModel::LinkTraffic& link : icnt.link_stats()) {
-      traffic.noc.links.push_back(LinkTrafficRec{link.flits, link.busy_ps});
+    traffic.noc.links.reserve(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (links[i].flits != 0) {
+        const std::string base = "noc.link" + std::to_string(i);
+        counters[base + ".flits"] += links[i].flits;
+        counters[base + ".busy_ps"] +=
+            static_cast<std::uint64_t>(links[i].busy_ps);
+      }
+      traffic.noc.links.push_back(
+          LinkTrafficRec{links[i].flits, links[i].busy_ps});
     }
     out.merge(traffic, 0);
   }
@@ -195,13 +150,7 @@ void add_hit_rate(exp::ScenarioResult& result, const RunObservation& obs,
 
 void add_counter_metrics(exp::ScenarioResult& result,
                          const RunObservation& obs) {
-  add_hit_rate(result, obs, "l1d_hit_rate", "node", ".cpu.l1d.hits",
-               ".cpu.l1d.misses");
-  add_hit_rate(result, obs, "l2_hit_rate", "node", ".cpu.l2.hits",
-               ".cpu.l2.misses");
   add_hit_rate(result, obs, "l3_hit_rate", "ccm", ".l3.hits", ".l3.misses");
-  add_hit_rate(result, obs, "l1_tlb_hit_rate", "node", ".vm.l1_tlb.hits",
-               ".vm.l1_tlb.misses");
   add_hit_rate(result, obs, "stlb_hit_rate", "node", ".vm.stlb.hits",
                ".vm.stlb.misses");
   add_hit_rate(result, obs, "matlb_hit_rate", "node", ".mmae.matlb.hits",

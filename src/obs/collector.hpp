@@ -1,16 +1,15 @@
-// obs::Collector — rolls component counters up into registry entries,
-// RunObservations and typed ScenarioResult metrics.
+// obs::Collector — rolls component counters up into RunObservations and
+// typed ScenarioResult metrics.
 //
 // Components count unconditionally (a cache always knows its hit count);
-// what profile=counters adds is the PUBLICATION step after a run:
-// publish_counters walks the machine and registers every counter in the
-// engine's StatRegistry under hierarchical dotted names
-// ("node3.cpu.l2.hits", "dram0.row_conflicts", "noc.link17.flits"), and
-// collect additionally snapshots them — plus per-link NoC traffic — into
-// a RunObservation. add_counter_metrics then derives the headline rates
-// (l2_hit_rate, dram_row_hit_rate, noc_max_link_util, ...) that flow
-// through CSV/JSON, the campaign store and `report --compare`. Everything
-// here runs after the engine has quiesced, so it cannot perturb timing.
+// what profile=counters adds is the COLLECTION step after a run: collect
+// walks the machine and writes every counter into a RunObservation under
+// hierarchical dotted names ("node3.vm.stlb.hits", "dram0.row_conflicts",
+// "noc.link17.flits"), plus per-link NoC traffic. add_counter_metrics then
+// derives the headline rates (l3_hit_rate, dram_row_hit_rate,
+// noc_max_link_util, ...) that flow through CSV/JSON, the campaign store
+// and `report --compare`. Everything here runs after the engine has
+// quiesced, so it cannot perturb timing.
 #pragma once
 
 #include <cstdint>
@@ -30,18 +29,11 @@ struct ScenarioResult;
 
 namespace maco::obs {
 
-// Registers every component counter of `system` in the engine's
-// StatRegistry (dotted names, see docs/OBSERVABILITY.md for the
-// catalogue) and records the per-link occupancy histogram
-// "noc.link_occupancy" when link stats are enabled. Idempotent per value:
-// re-publishing overwrites with the current snapshot rather than
-// double-counting.
-void publish_counters(core::MacoSystem& system);
-
-// publish_counters + snapshot: accumulates the registry's counters into
-// `out.counters` (summing, so several machines can fold into one
-// observation) and captures per-link NoC traffic into `out.noc` with the
-// engine's current time as the window.
+// Adds every component counter of `system` to `out.counters` (dotted
+// names, see docs/OBSERVABILITY.md for the catalogue; summing, so several
+// machines can fold into one observation) and, when link stats are
+// enabled, its per-link NoC traffic to `out.noc` with the engine's current
+// time as the window.
 void collect(core::MacoSystem& system, RunObservation& out);
 
 // Appends node `node`'s MMAE task reports to `spans` on track

@@ -49,7 +49,7 @@ struct NocTraffic {
 };
 
 struct RunObservation {
-  bool want_counters = false;  // collect registry counters + NoC traffic
+  bool want_counters = false;  // collect component counters + NoC traffic
   bool want_trace = false;     // collect spans
 
   std::map<std::string, std::uint64_t> counters;

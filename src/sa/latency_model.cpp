@@ -49,8 +49,4 @@ SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config) {
   return t;
 }
 
-sim::Cycles tile_gemm_cycles(const TileShape& shape, const SaConfig& config) {
-  return compute_sa_timing(shape, config).total_cycles;
-}
-
 }  // namespace maco::sa

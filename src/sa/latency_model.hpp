@@ -36,7 +36,4 @@ struct SaTiming {
 // `config` is read for rows/cols/precision/double_buffered_b.
 SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config);
 
-// Convenience: cycles for a tile on the given config.
-sim::Cycles tile_gemm_cycles(const TileShape& shape, const SaConfig& config);
-
 }  // namespace maco::sa

@@ -26,9 +26,9 @@ void TileBuffer::release(std::uint64_t bytes) noexcept {
 }
 
 BufferSet BufferSet::maco_default() {
-  return BufferSet{TileBuffer("a_buffer", 64 * util::kKiB),
-                   TileBuffer("b_buffer", 64 * util::kKiB),
-                   TileBuffer("c_buffer", 64 * util::kKiB)};
+  return BufferSet{TileBuffer("a_buffer", 64 * 1024),
+                   TileBuffer("b_buffer", 64 * 1024),
+                   TileBuffer("c_buffer", 64 * 1024)};
 }
 
 }  // namespace maco::sa

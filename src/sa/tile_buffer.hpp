@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "util/units.hpp"
-
 namespace maco::sa {
 
 class TileBuffer {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/stats.hpp"
 
 namespace maco::sim {
 
@@ -43,9 +42,6 @@ class SimEngine {
 
   std::uint64_t events_executed() const noexcept { return events_executed_; }
 
-  util::StatRegistry& stats() noexcept { return stats_; }
-  const util::StatRegistry& stats() const noexcept { return stats_; }
-
  private:
   struct Event {
     TimePs time;
@@ -66,7 +62,6 @@ class SimEngine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  util::StatRegistry stats_;
 };
 
 }  // namespace maco::sim

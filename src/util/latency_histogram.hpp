@@ -3,8 +3,8 @@
 // Serving simulations record millions of per-request latencies spanning
 // five-plus orders of magnitude (microsecond cache hits to multi-second
 // saturated queues), and the metrics that matter are tail quantiles
-// (p95/p99/p999). A uniform-bucket histogram (util::Histogram) cannot hold
-// that range at useful resolution, so this one spaces bucket edges
+// (p95/p99/p999). A histogram with uniform buckets cannot hold that range
+// at useful resolution, so this one spaces bucket edges
 // geometrically: every bucket spans the same RATIO, giving a constant
 // relative error bound (~2.2% at 32 buckets per decade) from 1 ns-scale
 // values to 10^4 seconds in a few hundred fixed-size bins. Recording is

@@ -1,7 +1,7 @@
 // Fully-associative LRU TLB, keyed by (ASID, VPN).
 //
-// Models the paper's L1 ITLB/DTLB (48 entries) and the shared L2 TLB
-// (1024 entries) that the MMAE reaches through its custom sTLB interface.
+// Models the paper's shared L2 TLB (1024 entries) that the MMAE reaches
+// through its custom sTLB interface.
 //
 // Storage is flat: `capacity` entry slots reserved up front, recency kept as
 // a doubly linked list of slot indices (head = most recent), and an

@@ -68,8 +68,4 @@ WalkOutcome PageTableWalker::walk(Asid asid, const PageTable& table,
   return outcome;
 }
 
-void PageTableWalker::invalidate_walk_cache() noexcept {
-  for (auto& entry : cache_) entry.valid = false;
-}
-
 }  // namespace maco::vm

@@ -47,8 +47,6 @@ class PageTableWalker {
 
   WalkOutcome walk(Asid asid, const PageTable& table, VirtAddr va);
 
-  void invalidate_walk_cache() noexcept;
-
   std::uint64_t walks() const noexcept { return walks_; }
   std::uint64_t faults() const noexcept { return faults_; }
   std::uint64_t pte_reads() const noexcept { return pte_reads_; }

@@ -6,7 +6,7 @@
 namespace maco::noc {
 
 MeshNetwork::MeshNetwork(sim::SimEngine& engine, const MeshConfig& config)
-    : sim::Component(engine, "noc"), config_(config),
+    : engine_(engine), config_(config),
       endpoints_(node_count()), injection_queues_(node_count()) {
   MACO_ASSERT(config.width > 0 && config.height > 0);
   routers_.reserve(node_count());
@@ -35,7 +35,7 @@ std::uint64_t MeshNetwork::inject(Packet packet) {
   MACO_ASSERT(packet.dst >= 0 &&
               packet.dst < static_cast<NodeId>(node_count()));
   packet.id = next_packet_id_++;
-  packet.injected_at = now();
+  packet.injected_at = engine_.now();
   const unsigned flits = flits_for(packet.payload_bytes);
   Packet* slot = &packets_.emplace_back(packet);
   for (unsigned i = 0; i < flits; ++i) {
@@ -52,8 +52,8 @@ void MeshNetwork::pump() {
   tick_scheduled_ = true;
   // Align to the next NoC clock edge.
   const sim::TimePs edge =
-      util::align_up(now() + 1, config_.cycle_ps);
-  engine().schedule_at(edge, [this] { tick(); });
+      util::align_up(engine_.now() + 1, config_.cycle_ps);
+  engine_.schedule_at(edge, [this] { tick(); });
 }
 
 void MeshNetwork::tick() {
@@ -180,7 +180,7 @@ void MeshNetwork::deliver(const Flit& flit) {
   if (!flit.tail) return;  // deliver the packet once, on its tail flit
   const Packet& pkt = *flit.packet;
   ++delivered_;
-  latency_sum_ps_ += static_cast<double>(now() - pkt.injected_at);
+  latency_sum_ps_ += static_cast<double>(engine_.now() - pkt.injected_at);
   if (endpoints_[pkt.dst]) endpoints_[pkt.dst](pkt);
 }
 

@@ -16,16 +16,18 @@
 #include "flit_mesh/packet.hpp"
 #include "flit_mesh/router.hpp"
 #include "noc/mesh_config.hpp"
-#include "sim/component.hpp"
+#include "sim/engine.hpp"
 
 namespace maco::noc {
 
-class MeshNetwork : public sim::Component {
+class MeshNetwork {
  public:
   using DeliverFn = std::function<void(const Packet&)>;
 
   // Every router gets the default RouterConfig (2 VCs of 4 flits).
   MeshNetwork(sim::SimEngine& engine, const MeshConfig& config);
+  MeshNetwork(const MeshNetwork&) = delete;
+  MeshNetwork& operator=(const MeshNetwork&) = delete;
 
   const MeshConfig& config() const noexcept { return config_; }
   unsigned node_count() const noexcept {
@@ -63,6 +65,7 @@ class MeshNetwork : public sim::Component {
     unsigned out_vc;
   };
 
+  sim::SimEngine& engine_;
   MeshConfig config_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<DeliverFn> endpoints_;

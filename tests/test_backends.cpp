@@ -163,8 +163,8 @@ TEST(Icnt, AnalyticLegsPreserveTheClosedForm) {
   // the pre-trait code did) and the response leg the full 2*(hops+1)
   // round trip, load-blind.
   noc::AnalyticIcnt icnt(icnt_config(noc::IcntKind::kAnalytic));
-  const unsigned hops = icnt.hop_count(0, 15);  // corner to corner: 6
-  EXPECT_EQ(hops, 6u);
+  const unsigned hops = noc::xy_hop_count(icnt.config().width, 0, 15);
+  EXPECT_EQ(hops, 6u);  // corner to corner
   for (int repeat = 0; repeat < 3; ++repeat) {
     EXPECT_EQ(icnt.request_leg_ps(0, 0, 15), 0);
     EXPECT_EQ(icnt.response_leg_ps(0, 15, 0, kLine),

@@ -314,11 +314,10 @@ TEST(TimingModelMemo, EveryTranslationInputIsPartOfTheKey) {
       {"inner", [](TimingOptions& o) { o.inner = 128; }},
       {"precision",
        [](TimingOptions& o) { o.precision = sa::Precision::kFp32; }},
-      {"pte_always_cold", [](TimingOptions& o) { o.pte_always_cold = true; }},
       {"pte_walks_warm", [](TimingOptions& o) { o.pte_walks_warm = true; }},
   };
   // 512³ defaults to warm leaf PTEs (2 walks per tile), 640³ to cold (4.16),
-  // so each PTE policy flag changes the stall on one of the two bases.
+  // so the PTE policy flag changes the stall on the 640³ base.
   constexpr std::size_t kVariants = std::size(variants);
   bool changed[kVariants] = {};
   for (const std::uint64_t size : {512, 640}) {

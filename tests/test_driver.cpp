@@ -426,7 +426,6 @@ TEST(HardwareKnobs, ExplicitKnobsFoldIntoSystemConfig) {
        {"sa_rows", "8"},
        {"sa_cols", "8"},
        {"dram_efficiency", "0.5"},
-       {"l2_kib", "1024"},
        {"l3_slice_kib", "4096"},
        {"stlb_entries", "2048"},
        {"dma_outstanding", "16"},
@@ -437,7 +436,6 @@ TEST(HardwareKnobs, ExplicitKnobsFoldIntoSystemConfig) {
   EXPECT_EQ(config.mmae.sa.rows, 8u);
   EXPECT_EQ(config.mmae.sa.cols, 8u);
   EXPECT_DOUBLE_EQ(config.dram_efficiency, 0.5);
-  EXPECT_EQ(config.cpu.l2.size_bytes, 1024u * 1024u);
   EXPECT_EQ(config.ccm.l3.size_bytes, 4096u * 1024u);
   EXPECT_EQ(config.cpu.mmu.l2_tlb_entries, 2048u);
   EXPECT_EQ(config.mmae.dma.max_outstanding, 16u);
@@ -466,7 +464,6 @@ TEST(HardwareKnobs, DefaultsMatchMacoDefaultConfig) {
   EXPECT_EQ(default_u64("ccm_count"), config.ccm_count);
   EXPECT_EQ(default_u64("matlb_entries"), config.mmae.matlb_entries);
   EXPECT_EQ(default_u64("inner_k"), config.mmae.inner_k);
-  EXPECT_EQ(default_u64("l2_kib") * 1024, config.cpu.l2.size_bytes);
   EXPECT_EQ(default_u64("l3_slice_kib") * 1024, config.ccm.l3.size_bytes);
   EXPECT_EQ(default_u64("stlb_entries"), config.cpu.mmu.l2_tlb_entries);
   EXPECT_EQ(default_u64("dma_outstanding"),

@@ -98,8 +98,7 @@ class MmaeFixture : public ::testing::Test {
   MmaeFixture()
       : backend_(memory_), walk_oracle_(8'000),
         space_(kAsid, 0x0100000000, 0x1000000000) {
-    cpu_ = std::make_unique<cpu::CpuCore>(engine_, 0, cpu::CpuConfig{},
-                                          walk_oracle_);
+    cpu_ = std::make_unique<cpu::CpuCore>(0, cpu::CpuConfig{}, walk_oracle_);
     MmaeConfig config;
     ac_ = std::make_unique<AcceleratorController>(engine_, 0, config,
                                                   backend_, *cpu_);

@@ -67,13 +67,6 @@ TEST(AreaPower, AreaScalesWithBuffers) {
             model.mmae_area(big).total_mm2);
 }
 
-TEST(Roofline, ComputeVsBandwidthRegimes) {
-  // High intensity: compute-bound.
-  EXPECT_DOUBLE_EQ(attainable_flops(100e9, 10e9, 1000.0), 100e9);
-  // Low intensity: bandwidth-bound.
-  EXPECT_DOUBLE_EQ(attainable_flops(100e9, 10e9, 1.0), 10e9);
-}
-
 TEST(Roofline, GemmIntensityGrowsWithBlocking) {
   const double small = gemm_arithmetic_intensity(4096, 4096, 4096, 64, 64, 8);
   const double big = gemm_arithmetic_intensity(4096, 4096, 4096, 512, 512, 8);

@@ -170,11 +170,11 @@ TEST(MeshThroughput, SaturatesNearLinkRate) {
 }
 
 TEST(LinkLoad, HopCount) {
-  LinkLoadModel model(LinkLoadConfig{});
-  EXPECT_EQ(model.hop_count(0, 0), 0u);
-  EXPECT_EQ(model.hop_count(0, 3), 3u);
-  EXPECT_EQ(model.hop_count(0, 15), 6u);
-  EXPECT_EQ(model.hop_count(5, 6), 1u);
+  const unsigned width = LinkLoadConfig{}.width;
+  EXPECT_EQ(xy_hop_count(width, 0, 0), 0u);
+  EXPECT_EQ(xy_hop_count(width, 0, 3), 3u);
+  EXPECT_EQ(xy_hop_count(width, 0, 15), 6u);
+  EXPECT_EQ(xy_hop_count(width, 5, 6), 1u);
 }
 
 TEST(LinkLoad, SingleFlowUtilization) {

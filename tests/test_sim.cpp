@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "sim/clock.hpp"
-#include "sim/component.hpp"
 #include "sim/engine.hpp"
 
 namespace maco::sim {
@@ -64,30 +62,6 @@ TEST(Engine, EventCountTracked) {
   EXPECT_EQ(engine.events_executed(), 10u);
 }
 
-TEST(Clock, PaperFrequencies) {
-  EXPECT_EQ(make_cpu_clock().period_ps(), 455u);   // 2.2 GHz rounded
-  EXPECT_EQ(make_mmae_clock().period_ps(), 400u);  // 2.5 GHz exact
-  EXPECT_EQ(make_noc_clock().period_ps(), 500u);   // 2.0 GHz exact
-}
-
-TEST(Clock, CycleConversions) {
-  const ClockDomain mmae = make_mmae_clock();
-  EXPECT_EQ(mmae.cycles_to_ps(1000), 400'000u);
-  EXPECT_EQ(mmae.ps_to_cycles(400'000), 1000u);
-  EXPECT_EQ(mmae.ps_to_cycles(401), 2u);  // partial cycles round up
-  EXPECT_EQ(mmae.next_edge_at_or_after(401), 800u);
-  EXPECT_EQ(mmae.next_edge_at_or_after(400), 400u);
-}
-
-TEST(Component, HierarchicalNamesAndStats) {
-  SimEngine engine;
-  Component parent(engine, "node0");
-  Component child(parent, "mmae");
-  EXPECT_EQ(child.name(), "node0.mmae");
-  child.counter("ops").inc(5);
-  EXPECT_EQ(engine.stats().counter("node0.mmae.ops").value(), 5u);
-}
-
 }  // namespace
 }  // namespace maco::sim
 
@@ -130,27 +104,6 @@ TEST(SimEngineMore, RunUntilLeavesLaterEventsQueued) {
   engine.run();
   EXPECT_EQ(fired, 3);
   EXPECT_TRUE(engine.idle());
-}
-
-TEST(ClockDomainMore, PaperFrequenciesRoundToDocumentedPeriods) {
-  EXPECT_EQ(make_cpu_clock().period_ps(), 455u);   // 2.2 GHz (+0.1%)
-  EXPECT_EQ(make_mmae_clock().period_ps(), 400u);  // 2.5 GHz exact
-  EXPECT_EQ(make_noc_clock().period_ps(), 500u);   // 2.0 GHz exact
-}
-
-TEST(ClockDomainMore, CycleConversionsRoundTrip) {
-  const ClockDomain clock = make_mmae_clock();
-  for (const Cycles c : {1ull, 7ull, 1000ull, 123456ull}) {
-    EXPECT_EQ(clock.ps_to_cycles(clock.cycles_to_ps(c)), c);
-  }
-}
-
-TEST(ClockDomainMore, NextEdgeAligns) {
-  const ClockDomain clock = make_noc_clock();  // 500 ps
-  EXPECT_EQ(clock.next_edge_at_or_after(0), 0u);
-  EXPECT_EQ(clock.next_edge_at_or_after(1), 500u);
-  EXPECT_EQ(clock.next_edge_at_or_after(500), 500u);
-  EXPECT_EQ(clock.next_edge_at_or_after(501), 1000u);
 }
 
 }  // namespace

@@ -4,9 +4,7 @@
 
 #include "util/bits.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 namespace maco::util {
 namespace {
@@ -76,46 +74,6 @@ TEST(Rng, DoubleInUnitInterval) {
   }
 }
 
-TEST(Scalar, TracksMinMeanMax) {
-  Scalar s;
-  s.record(1.0);
-  s.record(3.0);
-  s.record(2.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(Histogram, BucketsAndPercentiles) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.record(i + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.percentile(0.5), 50.0, 10.0);
-  EXPECT_NEAR(h.percentile(0.9), 90.0, 10.0);
-}
-
-TEST(Histogram, UnderOverflow) {
-  Histogram h(10.0, 20.0, 5);
-  h.record(5.0);
-  h.record(25.0);
-  EXPECT_EQ(h.buckets().front(), 1u);
-  EXPECT_EQ(h.buckets().back(), 1u);
-}
-
-TEST(StatRegistry, CountersAndReport) {
-  StatRegistry reg;
-  reg.counter("a.b").inc(3);
-  reg.counter("a.c").inc();
-  reg.scalar("x").record(1.5);
-  std::ostringstream oss;
-  reg.report(oss);
-  const std::string out = oss.str();
-  EXPECT_NE(out.find("a.b 3"), std::string::npos);
-  EXPECT_NE(out.find("a.c 1"), std::string::npos);
-  EXPECT_NE(out.find("x count=1"), std::string::npos);
-}
-
 TEST(Table, AlignedOutput) {
   Table t({"name", "value"});
   t.row().cell("alpha").cell(std::uint64_t{42});
@@ -126,78 +84,6 @@ TEST(Table, AlignedOutput) {
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("93.5%"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-TEST(Units, Formatting) {
-  EXPECT_EQ(format_bytes(48 * kKiB), "48.00 KiB");
-  EXPECT_EQ(format_flops(1.1e12), "1.10 TFLOPS");
-  EXPECT_EQ(format_frequency(2.5e9), "2.50 GHz");
-  EXPECT_EQ(format_bandwidth(64e9), "64.00 GB/s");
-}
-
-}  // namespace
-}  // namespace maco::util
-
-#include "util/stats.hpp"
-
-namespace maco::util {
-namespace {
-
-TEST(Histogram, PercentilesAndBounds) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.record(static_cast<double>(i) + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_NEAR(h.percentile(0.5), 50.0, 10.0);
-  EXPECT_NEAR(h.percentile(0.9), 90.0, 10.0);
-  EXPECT_LE(h.percentile(0.0), h.percentile(1.0));
-}
-
-TEST(Histogram, OutOfRangeSamplesLandInOverflowBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.record(-5.0);
-  h.record(100.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.buckets().front(), 1u);  // underflow
-  EXPECT_EQ(h.buckets().back(), 1u);   // overflow
-}
-
-TEST(StatRegistryMore, HistogramsRegisterOnceAndReport) {
-  StatRegistry registry;
-  Histogram& occupancy =
-      registry.histogram("noc.link_occupancy", 0.0, 1.0, 20);
-  occupancy.record(0.25);
-  occupancy.record(0.75);
-  // A later call with a different shape returns the existing histogram.
-  Histogram& again = registry.histogram("noc.link_occupancy", 0.0, 5.0, 3);
-  EXPECT_EQ(&occupancy, &again);
-  EXPECT_EQ(again.count(), 2u);
-  ASSERT_EQ(registry.histograms().count("noc.link_occupancy"), 1u);
-
-  std::ostringstream oss;
-  registry.report(oss);
-  const std::string out = oss.str();
-  EXPECT_NE(out.find("noc.link_occupancy count=2"), std::string::npos);
-  EXPECT_NE(out.find("p95="), std::string::npos);
-}
-
-TEST(StatRegistryMore, NamesAreStableAndShared) {
-  StatRegistry registry;
-  registry.counter("node0.mmae.tasks").inc(3);
-  registry.counter("node0.mmae.tasks").inc(2);
-  EXPECT_EQ(registry.counter("node0.mmae.tasks").value(), 5u);
-  registry.counter("node1.mmae.tasks").inc();
-  EXPECT_EQ(registry.counter("node1.mmae.tasks").value(), 1u);
-}
-
-TEST(ScalarMore, ResetClearsEverything) {
-  Scalar s;
-  s.record(5.0);
-  s.record(-1.0);
-  ASSERT_EQ(s.count(), 2u);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Writes the analytic golden CSVs: one CSV per paper figure, table or
-# sensitivity study that an analytic `macosim` command reproduces. Their
-# numbers must stay bit-identical across refactors of the timing model,
-# the TLB and the page enumeration.
+# Writes the golden CSVs: one CSV per paper figure, table or sensitivity
+# study that an analytic `macosim` command reproduces, plus
+# detailed_counters.csv, a detailed gemm sweep over every DRAM and
+# interconnect backend with profile=counters (its host_* wall-time columns
+# dropped). Their numbers must stay bit-identical across refactors of the
+# timing model, the TLB, the page enumeration and the detailed machine.
 #
 # Usage: analytic_golden.sh MACOSIM OUTDIR
 #
@@ -56,3 +58,15 @@ run area_power --scenario area_power
 run ext_sparsity --scenario ext_sparsity \
   --sweep k=64,128,256,1024 --sweep kept=2,1
 run tables --scenario tables
+# The detailed machine and its counter-derived metrics, on every backend.
+run detailed_counters_with_host --scenario gemm --set fidelity=detailed \
+  --set size=256 --set profile=counters --sweep nodes=1,4 \
+  --sweep dram=simple,queued --sweep icnt=analytic,flit
+awk -F, '
+  NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
+  {
+    line = ""; sep = ""
+    for (i = 1; i <= NF; i++) if (keep[i]) { line = line sep $i; sep = "," }
+    print line
+  }' "$out/detailed_counters_with_host.csv" > "$out/detailed_counters.csv"
+rm "$out/detailed_counters_with_host.csv"
