@@ -1,6 +1,7 @@
 // System-level configuration: the paper's published parameters (Table I,
-// Table IV, Section III.A) plus the calibrated model constants DESIGN.md
-// documents. Every hardware knob of `macosim` sets a field here.
+// Table IV, Section III.A) plus the analytic model's constants, each
+// documented where it is declared. Every hardware knob of `macosim` sets a
+// field here.
 #pragma once
 
 #include <array>
@@ -48,7 +49,8 @@ struct SystemConfig {
   // keep the default.
   bool carry_values = true;
 
-  // Fast-model latency constants (calibrated; see DESIGN.md §5).
+  // Latency constants of the analytic timing model (the detailed machine
+  // times each walk through its own caches and DRAM instead).
   sim::TimePs pte_cold_latency_ps = 80'000;  // leaf PTE read when the page
                                              // table line is cold (DRAM)
   sim::TimePs pte_warm_latency_ps = 14'000;  // leaf PTE read hitting L3

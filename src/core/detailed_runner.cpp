@@ -7,11 +7,8 @@
 #include <string>
 #include <thread>
 
-#include "core/maco_system.hpp"
-#include "isa/params.hpp"
 #include "obs/collector.hpp"
 #include "obs/host_profile.hpp"
-#include "os/scheduler.hpp"
 #include "sa/host_matrix.hpp"
 #include "util/rng.hpp"
 #include "vm/types.hpp"
@@ -81,40 +78,21 @@ void check_supported(const SystemConfig& config,
   }
 }
 
-// Builds one GEMM task (build_detailed_gemm_task) and issues it `tasks`
-// times through the node's CPU — the direct programming path of
-// run_detailed_tiles, which measures MMAE task spans without OS overhead.
-void program_gemm_tasks(MacoSystem& system, unsigned node, Process& process,
-                        const sa::TileShape& shape,
-                        const TimingOptions& options,
-                        std::uint64_t a_offset, std::uint64_t b_offset,
-                        std::uint64_t c_offset, unsigned tasks) {
-  const isa::GemmParams gemm =
-      build_detailed_gemm_task(system, process, shape, options, a_offset,
-                               b_offset, c_offset, /*data_seed=*/0);
-  cpu::CpuCore& cpu = system.node(node).cpu();
-  cpu.regs().write_param_block(10, gemm.pack());
-  for (unsigned t = 0; t < tasks; ++t) {
-    cpu.execute_source("ma_cfg x5, x10");
+// The report of the last task on `node` that completed without an
+// exception: a repaired page fault leaves an exception report before the
+// successful retry.
+const mmae::TaskReport& last_clean_report(MacoSystem& system,
+                                          unsigned node) {
+  const mmae::TaskReport* completed = nullptr;
+  for (const mmae::TaskReport& report : system.node(node).mmae().reports()) {
+    if (report.exception == cpu::ExceptionType::kNone) completed = &report;
   }
-}
-
-void check_task_reports(unsigned node, std::size_t expected,
-                        const std::vector<mmae::TaskReport>& reports) {
-  if (reports.size() < expected) {
+  if (completed == nullptr) {
     throw std::runtime_error("detailed run failed on node " +
-                             std::to_string(node) + ": only " +
-                             std::to_string(reports.size()) + " of " +
-                             std::to_string(expected) +
-                             " task(s) completed");
+                             std::to_string(node) +
+                             ": no completed task report");
   }
-  for (const mmae::TaskReport& report : reports) {
-    if (report.exception != cpu::ExceptionType::kNone) {
-      throw std::runtime_error("detailed run failed on node " +
-                               std::to_string(node) +
-                               ": task raised an exception");
-    }
-  }
+  return *completed;
 }
 
 }  // namespace
@@ -173,52 +151,63 @@ isa::GemmParams build_detailed_gemm_task(
   return gemm;
 }
 
+DetailedRun run_detailed_jobs(const SystemConfig& config,
+                              const TimingOptions& options, unsigned nodes,
+                              const std::vector<DetailedJob>& jobs,
+                              const char* fidelity) {
+  SystemConfig machine = config;
+  machine.node_count = nodes;
+  machine.mmae.use_matlb = options.use_matlb;
+  machine.carry_values = false;
+
+  obs::ScopedPhase setup_phase("setup");
+  DetailedRun run;
+  run.system = std::make_unique<MacoSystem>(machine);
+  os::Scheduler::Options sched_options;
+  sched_options.nodes = nodes;
+  os::Scheduler scheduler(*run.system, sched_options);
+  for (const DetailedJob& job : jobs) {
+    Process& process = run.system->create_process();
+    os::Job& os_job = scheduler.add_job(process);
+    for (const DetailedTask& task : job.tasks) {
+      const os::GemmTask gemm{build_detailed_gemm_task(
+          *run.system, process, task.shape, options, task.a_page_offset,
+          task.b_page_offset, task.c_page_offset, /*data_seed=*/0)};
+      if (job.warm_up) os_job.tasks.push_back(gemm);
+      os_job.tasks.push_back(gemm);
+    }
+  }
+  setup_phase.stop();
+
+  obs::ScopedPhase sim_phase("sim");
+  run.stats = scheduler.run_all();
+  sim_phase.stop();
+  if (run.stats.tasks_failed > 0) {
+    throw std::runtime_error(
+        std::string("fidelity=") + fidelity + " run failed: " +
+        std::to_string(run.stats.tasks_failed) +
+        " task(s) raised unrepairable exceptions under the scheduler");
+  }
+  return run;
+}
+
 SystemTiming run_detailed_gemm(const SystemConfig& config,
                                const TimingOptions& options,
                                obs::RunObservation* observation) {
   check_supported(config, options);
 
-  SystemConfig detailed_config = config;
-  detailed_config.node_count = std::max(
-      1u, std::min(options.active_nodes, config.node_count));
-  detailed_config.mmae.use_matlb = options.use_matlb;
-  detailed_config.carry_values = false;
-
-  obs::ScopedPhase setup_phase("setup");
-  MacoSystem system(detailed_config);
-  const unsigned nodes = system.node_count();
-
   // One independent GEMM per node (Fig. 7's independent mode), each in
-  // its own process/address space, driven by the OS scheduler instead of
-  // hand-programmed CPUs. With a single-task job per node, round-robin
-  // lands job i on node i and every dispatch happens before the engine
-  // first runs — the MMAE-side timing is the same as the historic direct
-  // path, and the run additionally exercises (and reports) the real OS
-  // machinery: context switches, MA_STATE harvesting, MTQ backoff, demand
-  // repair.
-  os::Scheduler::Options sched_options;
-  sched_options.nodes = nodes;
-  os::Scheduler scheduler(system, sched_options);
-  for (unsigned n = 0; n < nodes; ++n) {
-    Process& process = system.create_process();
-    os::Job& job = scheduler.add_job(process);
-    job.tasks.push_back(os::GemmTask{build_detailed_gemm_task(
-        system, process, options.shape, options, /*a_page_offset=*/0,
-        /*b_page_offset=*/0, /*c_page_offset=*/0, /*data_seed=*/0)});
-  }
-  setup_phase.stop();
-
-  obs::ScopedPhase sim_phase("sim");
-  const os::SchedulerStats sched_stats = scheduler.run_all();
-  sim_phase.stop();
+  // its own process and address space.
+  const unsigned nodes =
+      std::max(1u, std::min(options.active_nodes, config.node_count));
+  const DetailedJob job{{DetailedTask{options.shape}}};
+  const DetailedRun run = run_detailed_jobs(
+      config, options, nodes, std::vector<DetailedJob>(nodes, job), "detailed");
+  MacoSystem& system = *run.system;
+  const os::SchedulerStats& sched_stats = run.stats;
   obs::ScopedPhase collect_phase("collect");
-  if (sched_stats.tasks_failed > 0) {
-    throw std::runtime_error(
-        "detailed run failed: " + std::to_string(sched_stats.tasks_failed) +
-        " task(s) raised unrepairable exceptions under the scheduler");
-  }
 
-  const double peak_macs = detailed_config.mmae_peak_macs(options.precision);
+  const double peak_macs = config.mmae_peak_macs(options.precision);
   const auto tiles_along = [&](std::uint64_t extent) {
     return (extent + options.inner - 1) / options.inner;
   };
@@ -232,22 +221,7 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
   double stall_ps = 0.0;
   std::uint64_t total_macs = 0;
   for (unsigned n = 0; n < nodes; ++n) {
-    const auto& reports = system.node(n).mmae().reports();
-    // A repaired page fault leaves an exception report before the
-    // successful retry, so take the last clean report on the node (the
-    // completed attempt of its one task).
-    const mmae::TaskReport* completed = nullptr;
-    for (const mmae::TaskReport& candidate : reports) {
-      if (candidate.exception == cpu::ExceptionType::kNone) {
-        completed = &candidate;
-      }
-    }
-    if (completed == nullptr) {
-      throw std::runtime_error("detailed run failed on node " +
-                               std::to_string(n) +
-                               ": no completed task report");
-    }
-    const mmae::TaskReport& report = *completed;
+    const mmae::TaskReport& report = last_clean_report(system, n);
     NodeTiming node;
     node.span_ps = report.end - report.start;
     node.compute_ps = report.sa_busy_ps;
@@ -309,14 +283,14 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
   return timing;
 }
 
-std::vector<DetailedTileMeasurement> run_detailed_tiles(
+std::vector<mmae::TaskReport> run_detailed_tiles(
     const SystemConfig& config, const TimingOptions& options,
-    const std::vector<DetailedTileJob>& jobs, unsigned concurrent,
+    const std::vector<DetailedTask>& tiles, unsigned concurrent,
     unsigned workers) {
   check_machine_supported(config, options, "sampled");
-  for (const DetailedTileJob& job : jobs) {
+  for (const DetailedTask& tile : tiles) {
     const std::uint64_t largest =
-        std::max({job.shape.m, job.shape.n, job.shape.k});
+        std::max({tile.shape.m, tile.shape.n, tile.shape.k});
     if (largest > kDetailedMaxDim) {
       unsupported("sampled",
                   "caps each tile dimension at " +
@@ -324,22 +298,22 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
                       std::to_string(largest) +
                       "); shrink the first-level tile");
     }
-    if (job.shape.m == 0 || job.shape.n == 0 || job.shape.k == 0) {
+    if (tile.shape.m == 0 || tile.shape.n == 0 || tile.shape.k == 0) {
       unsupported("sampled", "needs non-empty tile shapes");
     }
-    if (job.a_page_offset >= vm::kPageSize ||
-        job.b_page_offset >= vm::kPageSize ||
-        job.c_page_offset >= vm::kPageSize) {
+    if (tile.a_page_offset >= vm::kPageSize ||
+        tile.b_page_offset >= vm::kPageSize ||
+        tile.c_page_offset >= vm::kPageSize) {
       unsupported("sampled", "wants in-page offsets below the 4 KiB page "
                              "size");
     }
   }
-  if (jobs.empty()) return {};
+  if (tiles.empty()) return {};
 
   concurrent = std::max(1u, std::min(concurrent, config.node_count));
-  const std::size_t batches = (jobs.size() + concurrent - 1) / concurrent;
+  const std::size_t batches = (tiles.size() + concurrent - 1) / concurrent;
 
-  std::vector<DetailedTileMeasurement> measurements(jobs.size());
+  std::vector<mmae::TaskReport> measured(tiles.size());
 
   // One batch = one fresh MacoSystem running up to `concurrent` tiles, one
   // per node, all nodes concurrently — co-scheduled tiles share the NoC,
@@ -347,38 +321,16 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
   // sample just as it is in a real mapped run.
   const auto run_batch = [&](std::size_t batch) {
     const std::size_t begin = batch * concurrent;
-    const std::size_t end = std::min(jobs.size(), begin + concurrent);
-    const unsigned width = static_cast<unsigned>(end - begin);
-
-    SystemConfig batch_config = config;
-    batch_config.node_count = width;
-    batch_config.mmae.use_matlb = options.use_matlb;
-    batch_config.carry_values = false;
-
-    MacoSystem system(batch_config);
-    for (unsigned n = 0; n < width; ++n) {
-      const DetailedTileJob& job = jobs[begin + n];
-      Process& process = system.create_process();
-      system.schedule_process(n, process);
-      program_gemm_tasks(system, n, process, job.shape, options,
-                         job.a_page_offset, job.b_page_offset,
-                         job.c_page_offset, job.warmup_tasks + 1);
+    const std::size_t end = std::min(tiles.size(), begin + concurrent);
+    std::vector<DetailedJob> jobs;
+    for (std::size_t i = begin; i < end; ++i) {
+      jobs.push_back(DetailedJob{{tiles[i]}, /*warm_up=*/true});
     }
-    system.run();
-
+    const unsigned width = static_cast<unsigned>(jobs.size());
+    const DetailedRun run =
+        run_detailed_jobs(config, options, width, jobs, "sampled");
     for (unsigned n = 0; n < width; ++n) {
-      const DetailedTileJob& job = jobs[begin + n];
-      const auto& reports = system.node(n).mmae().reports();
-      check_task_reports(n, job.warmup_tasks + 1, reports);
-      const mmae::TaskReport& report = reports[job.warmup_tasks];
-      DetailedTileMeasurement& m = measurements[begin + n];
-      m.span_ps = report.end - report.start;
-      m.sa_busy_ps = report.sa_busy_ps;
-      m.translation_stall_ps = report.translation_stall_ps;
-      m.macs = report.macs;
-      m.dma_bytes = report.dma_bytes;
-      m.blocking_walks = report.blocking_walks;
-      m.matlb_hits = report.matlb_hits;
+      measured[begin + n] = last_clean_report(*run.system, n);
     }
   };
 
@@ -413,7 +365,7 @@ std::vector<DetailedTileMeasurement> run_detailed_tiles(
     for (std::thread& thread : threads) thread.join();
     if (first_error) std::rethrow_exception(first_error);
   }
-  return measurements;
+  return measured;
 }
 
 }  // namespace maco::core

@@ -7,8 +7,8 @@
 // the full MPAIS path (program -> MTQ/STQ -> DMA -> systolic array ->
 // memory). Operand values travel along it only when
 // SystemConfig::carry_values is set: direct MacoSystem users (tests,
-// examples) keep that default and read results back, while the detailed
-// runners (core/detailed_runner.hpp, serve's detailed oracle) switch it
+// examples) keep that default and read results back, while every detailed
+// run (core::run_detailed_jobs in core/detailed_runner.hpp) switches it
 // off, because timing never reads a value. Paper-scale sweeps use
 // core::SystemTimingModel instead.
 #pragma once

@@ -479,12 +479,6 @@ CliParse parse_cli(const std::vector<std::string>& args) {
         return result;
       }
       options.trace_out = value;
-    } else if (arg == "--csv") {
-      if (!value_of(i, value)) return result;
-      options.csv_path = value;
-    } else if (arg == "--json") {
-      if (!value_of(i, value)) return result;
-      options.json_path = value;
     } else if (arg == "--output" || arg == "-o") {
       if (!value_of(i, value)) return result;
       options.output_path = value;
@@ -528,17 +522,6 @@ CliParse parse_cli(const std::vector<std::string>& args) {
       return result;
     }
   }
-  if (!options.output_path.empty()) {
-    const bool json = options.output_format == "json";
-    if (json && !options.json_path.empty()) {
-      result.error = "--output with --format json conflicts with --json";
-      return result;
-    }
-    if (!json && !options.csv_path.empty()) {
-      result.error = "--output (CSV) conflicts with --csv";
-      return result;
-    }
-  }
   result.ok = true;
   return result;
 }
@@ -571,13 +554,12 @@ std::string usage() {
          "                         executed point that produced spans\n"
          "                         (detailed runs and serve; open in\n"
          "                         ui.perfetto.dev or macosim trace)\n"
-         "  --output FILE          write results to FILE (see --format)\n"
+         "  --output FILE          write results to FILE, '-' for CSV on\n"
+         "                         stdout (see --format); without it no\n"
+         "                         file is written\n"
          "  --format csv|json      format for --output (inferred from a\n"
          "                         .csv/.json extension; other extensions\n"
          "                         need an explicit --format)\n"
-         "  --csv FILE             write results CSV (default\n"
-         "                         macosim_results.csv; '-' for stdout)\n"
-         "  --json FILE            also write results as JSON\n"
          "  --quiet                suppress the progress/result table\n"
          "  --list-scenarios       list scenarios with their typed\n"
          "                         parameters (type, default, range) and\n"

@@ -50,10 +50,8 @@ struct CliOptions {
   std::map<std::string, std::string> params;  // --set key=value overrides
   std::vector<SweepAxis> sweeps;              // --sweep axes (Cartesian)
   unsigned threads = 1;
-  std::string output_path;    // --output FILE (format from --format)
+  std::string output_path;    // --output FILE: "-" => stdout, "" => none
   std::string output_format;  // sweep: "csv"/"json"; report: +"md"/"table"
-  std::string csv_path;       // --csv: empty => default; "-" => stdout
-  std::string json_path;      // --json: empty => no JSON output
   std::string store_path;     // --store: campaign database (both commands)
   std::string import_path;    // store import: the sweep JSON to load
   std::string trace_out;      // --trace-out DIR: per-point trace JSONs

@@ -51,7 +51,6 @@ const exp::ParamSchema& hardware_schema() {
     s.u64("ccm_count", d.ccm_count, "L3/CCM slices", 1, 64);
     s.u64("matlb_entries", d.mmae.matlb_entries, "mATLB capacity", 1,
           65536);
-    s.u64("inner_k", d.mmae.inner_k, "second-level K chunk", 1, 65535);
     s.u64("l3_slice_kib", d.ccm.l3.size_bytes / 1024,
           "L3 capacity per CCM slice (KiB)", 64, 65536);
     s.u64("stlb_entries", d.cpu.mmu.l2_tlb_entries,
@@ -116,9 +115,6 @@ void apply_hardware_params(const exp::ParamSet& params,
   });
   u64_knob("matlb_entries", [&](std::uint64_t v) {
     config.mmae.matlb_entries = static_cast<std::size_t>(v);
-  });
-  u64_knob("inner_k", [&](std::uint64_t v) {
-    config.mmae.inner_k = static_cast<unsigned>(v);
   });
   u64_knob("l3_slice_kib", [&](std::uint64_t v) {
     config.ccm.l3.size_bytes = static_cast<std::size_t>(v) * 1024;

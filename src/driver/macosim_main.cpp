@@ -436,28 +436,12 @@ int main(int argc, char** argv) {
               << " new point(s) executed\n";
   }
 
-  // --output names one destination in the chosen --format; the legacy
-  // --csv/--json flags remain as independent destinations. The default CSV
-  // is only written when no explicit --output/--csv destination was given.
-  const bool output_is_json = options.output_format == "json";
-  if (!options.output_path.empty()) {
-    if (!write_to(options.output_path, options.quiet, results,
-                  output_is_json ? driver::write_json : driver::write_csv)) {
-      return 2;
-    }
-  }
-  if (options.output_path.empty() || !options.csv_path.empty()) {
-    const std::string csv_path =
-        options.csv_path.empty() ? "macosim_results.csv" : options.csv_path;
-    if (!write_to(csv_path, options.quiet, results, driver::write_csv)) {
-      return 2;
-    }
-  }
-  if (!options.json_path.empty()) {
-    if (!write_to(options.json_path, options.quiet, results,
-                  driver::write_json)) {
-      return 2;
-    }
+  // --output is the one result destination, in the chosen --format.
+  if (!options.output_path.empty() &&
+      !write_to(options.output_path, options.quiet, results,
+                options.output_format == "json" ? driver::write_json
+                                                : driver::write_csv)) {
+    return 2;
   }
   return results.failures() == 0 ? 0 : 1;
 }

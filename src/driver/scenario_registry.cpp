@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -400,50 +399,6 @@ Scenario baselines_scenario() {
     }
     result.add("speedup_vs_best_rival",
                best_rival > 0.0 ? maco_gflops / best_rival : 0.0, "x");
-    return result;
-  };
-  return s;
-}
-
-Scenario fig8_scenario() {
-  Scenario s;
-  s.name = "fig8_dl_comparison";
-  s.description =
-      "Fig. 8: five-system geomean over ResNet-50 + BERT + GPT-3 (FP32, 256 "
-      "PEs)";
-  declare_nodes(s.schema, "MACO node count");
-  s.cross_rules.push_back(nodes_fit_hardware_rule());
-  s.cross_rules.push_back(backends_fixed_rule());
-  s.run = [](const ScenarioRequest& request) {
-    const baseline::Comparator comparator(request.config,
-                                          active_nodes_from(request));
-    std::vector<wl::Workload> workloads;
-    for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
-      workloads.push_back(graph::lower(graph::builtin_graph(model)).workload);
-    }
-    // system name -> product of per-workload gflops (for the geomean).
-    std::vector<std::pair<std::string, double>> products;
-    for (const wl::Workload& workload : workloads) {
-      const auto runs = comparator.run_all(workload);
-      if (products.empty()) {
-        for (const auto& run : runs) products.emplace_back(run.system, 1.0);
-      }
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        products[i].second *= runs[i].gflops;
-      }
-    }
-    ScenarioResult result;
-    double maco = 0.0;
-    double baseline1 = 0.0;
-    for (auto& [system, product] : products) {
-      const double geomean =
-          std::pow(product, 1.0 / static_cast<double>(workloads.size()));
-      result.add("geomean_gflops_" + metric_key(system), geomean, "GFLOP/s");
-      if (system == "MACO") maco = geomean;
-      if (baseline1 == 0.0) baseline1 = geomean;  // first system in order
-    }
-    result.add("maco_vs_baseline1",
-               baseline1 > 0.0 ? maco / baseline1 : 0.0, "x");
     return result;
   };
   return s;
@@ -877,7 +832,6 @@ ScenarioRegistry ScenarioRegistry::builtin() {
   registry.add(gemm_scenario());
   registry.add(hpl_scenario());
   registry.add(baselines_scenario());
-  registry.add(fig8_scenario());
   registry.add(area_power_scenario());
   registry.add(sparsity_scenario());
   registry.add(tables_scenario());

@@ -112,7 +112,11 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
   }
   const std::uint64_t ttr = p.inner_tile_rows;
   const std::uint64_t ttc = p.inner_tile_cols;
-  const std::uint64_t ttk = config_.inner_k;
+  // The K chunk is the inner tile's column count, so a task programmed
+  // with ttr = ttc = inner (as the detailed runners do) works on inner³
+  // blocks, as the analytic model tiles. 64 matches the paper's
+  // <ttr,ttc> = <64,64> buffers (a 64×64 FP64 tile fills one 32 KiB bank).
+  const std::uint64_t ttk = ttc;
   if (ttr == 0 || ttc == 0) return fail(cpu::ExceptionType::kInvalidConfig);
   // Inner tiles must fit one buffer bank (double buffering uses the other).
   const std::uint64_t elem = sizeof(double);
@@ -126,7 +130,7 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
   if (ctx.table == nullptr) return fail(cpu::ExceptionType::kPageFault);
 
   // Functional matrices are FP64-backed; the precision mode drives SIMD
-  // timing (see DESIGN.md).
+  // timing (see sa/host_matrix.hpp).
   const vm::MatrixDesc a_desc{p.a_base, p.m, p.k, elem, 0};
   const vm::MatrixDesc b_desc{p.b_base, p.k, p.n, elem, 0};
   const vm::MatrixDesc c_desc{p.c_base, p.m, p.n, elem, 0};

@@ -37,9 +37,6 @@ struct MmaeConfig {
   std::size_t matlb_entries = 256;
   DmaConfig dma{};
   unsigned stq_entries = 8;
-  // Inner K-chunk of the second-level tiling; 64 matches the paper's
-  // <ttr,ttc> = <64,64> buffers (a 64×64 FP64 tile fills one 32 KiB bank).
-  unsigned inner_k = 64;
 };
 
 struct TaskReport {

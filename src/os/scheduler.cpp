@@ -22,17 +22,20 @@ Job& Scheduler::add_job(core::Process& process) {
 
 bool Scheduler::dispatch_slice(unsigned node, Job& job) {
   cpu::CpuCore& cpu = system_.node(node).cpu();
-  // Context switch: install the job's address space on this node. MTQ/STQ
-  // entries of other processes are untouched (Section III.C).
-  system_.schedule_process(node, *job.process);
-  ++stats_.context_switches;
-
   unsigned dispatched = 0;
   for (std::size_t t = 0;
        t < job.tasks.size() && dispatched < options_.slice_tasks; ++t) {
     GemmTask& task = job.tasks[t];
     if (task.done || task.failed || task.dispatches > 0) continue;
 
+    if (dispatched == 0) {
+      // Context switch before the job's first dispatch (a job with no
+      // eligible task costs none): install its address space on this
+      // node. MTQ/STQ entries of other processes are untouched (Section
+      // III.C).
+      system_.schedule_process(node, *job.process);
+      ++stats_.context_switches;
+    }
     cpu.regs().write_param_block(10, task.params.pack());
     cpu.execute_source("ma_cfg x5, x10");
     const std::uint64_t maid = cpu.regs().read(5);

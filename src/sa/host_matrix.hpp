@@ -2,8 +2,8 @@
 //
 // Values are held in double regardless of the simulated precision mode: the
 // precision mode changes SIMD width and therefore timing, while functional
-// checks compare against a double-precision reference (documented in
-// DESIGN.md; the paper's evaluation is throughput, not numerics).
+// checks compare against a double-precision reference (the paper's
+// evaluation is throughput, not numerics).
 #pragma once
 
 #include <cmath>

@@ -49,39 +49,35 @@ core::SystemTiming run_sampled_layers(
   request.inner = options.inner;
   request.peak_macs_per_second = config.mmae_peak_macs(options.precision);
 
-  // The measurement callback: sampled coordinates become tile jobs on the
-  // detailed system — in-page operand offsets reproduce each tile's
+  // The measurement callback: sampled coordinates become tile tasks on
+  // the detailed system — in-page operand offsets reproduce each tile's
   // position in the full matrices, `active_nodes` tiles run concurrently
   // per system instantiation (NoC/CCM/DRAM contention included), and one
-  // warm-up task per tile puts the measured task in the steady state an
+  // warm-up issue per tile puts the measured task in the steady state an
   // interior tile of a long mapped run executes in.
   const MeasureFn measure = [&](const std::vector<TileRequest>& requests) {
-    std::vector<core::DetailedTileJob> jobs;
-    jobs.reserve(requests.size());
+    std::vector<core::DetailedTask> tiles;
+    tiles.reserve(requests.size());
     for (const TileRequest& tile_request : requests) {
       const Stratum& stratum = strata[tile_request.stratum];
       const TileOffsets offsets =
           tile_page_offsets(stratum, tile_request.coord);
-      core::DetailedTileJob job;
-      job.shape = stratum.tile_shape;
-      job.a_page_offset = offsets.a;
-      job.b_page_offset = offsets.b;
-      job.c_page_offset = offsets.c;
-      jobs.push_back(job);
+      tiles.push_back(core::DetailedTask{stratum.tile_shape, offsets.a,
+                                         offsets.b, offsets.c});
     }
-    const std::vector<core::DetailedTileMeasurement> measurements =
-        core::run_detailed_tiles(config, options, jobs, active_nodes,
+    const std::vector<mmae::TaskReport> reports =
+        core::run_detailed_tiles(config, options, tiles, active_nodes,
                                  options.sample_workers);
     std::vector<TileSample> samples;
-    samples.reserve(measurements.size());
-    for (const core::DetailedTileMeasurement& m : measurements) {
+    samples.reserve(reports.size());
+    for (const mmae::TaskReport& report : reports) {
       TileSample sample;
-      sample.span_ps = static_cast<double>(m.span_ps);
-      sample.sa_busy_ps = static_cast<double>(m.sa_busy_ps);
+      sample.span_ps = static_cast<double>(report.end - report.start);
+      sample.sa_busy_ps = static_cast<double>(report.sa_busy_ps);
       sample.translation_stall_ps =
-          static_cast<double>(m.translation_stall_ps);
-      sample.blocking_walks = static_cast<double>(m.blocking_walks);
-      sample.matlb_hits = static_cast<double>(m.matlb_hits);
+          static_cast<double>(report.translation_stall_ps);
+      sample.blocking_walks = static_cast<double>(report.blocking_walks);
+      sample.matlb_hits = static_cast<double>(report.matlb_hits);
       samples.push_back(sample);
     }
     return samples;

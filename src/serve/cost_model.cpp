@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/detailed_runner.hpp"
-#include "core/maco_system.hpp"
 #include "core/timing_model.hpp"
 #include "obs/collector.hpp"
 #include "obs/host_profile.hpp"
@@ -63,8 +62,6 @@ class DetailedCostModel final : public BatchCostModel {
       : config_(config), model_(std::move(model)), options_(options) {
     (void)nodes_per_instance(options);  // validates instances vs nodes
     config_.node_count = std::min(options.nodes, config.node_count);
-    // Only the makespan is read back, and timing never reads a value.
-    config_.carry_values = false;
   }
 
   sim::TimePs batch_makespan_ps(unsigned batch) override {
@@ -105,43 +102,26 @@ class DetailedCostModel final : public BatchCostModel {
     // so the scheduler-driven makespan IS the batch cost. All instances
     // co-run as separate processes — the measurement bakes in the
     // multi-process contention a loaded server would see.
-    obs::ScopedPhase setup_phase("setup");
-    core::MacoSystem system(config_);
-    os::Scheduler::Options sched_options;
-    sched_options.nodes = system.node_count();
-    os::Scheduler scheduler(system, sched_options);
-
     core::TimingOptions task_options;
     task_options.precision = model_.precision;
+    task_options.use_matlb = config_.mmae.use_matlb;
     task_options.tile_rows = options_.tile;
     task_options.tile_cols = options_.tile;
     task_options.inner = options_.inner;
-    for (unsigned instance = 0; instance < options_.instances; ++instance) {
-      core::Process& process = system.create_process();
-      os::Job& job = scheduler.add_job(process);
-      for (const sa::TileShape& layer : layers) {
-        job.tasks.push_back(os::GemmTask{core::build_detailed_gemm_task(
-            system, process, layer, task_options, /*a_page_offset=*/0,
-            /*b_page_offset=*/0, /*c_page_offset=*/0, /*data_seed=*/0)});
-      }
+    core::DetailedJob job;
+    for (const sa::TileShape& layer : layers) {
+      job.tasks.push_back(core::DetailedTask{layer});
     }
-
-    setup_phase.stop();
-    obs::ScopedPhase sim_phase("sim");
-    const os::SchedulerStats run_stats = scheduler.run_all();
-    sim_phase.stop();
+    const core::DetailedRun run = core::run_detailed_jobs(
+        config_, task_options, config_.node_count,
+        std::vector<core::DetailedJob>(options_.instances, job), "detailed");
     obs::ScopedPhase collect_phase("collect");
-    accumulate(run_stats);
-    if (run_stats.tasks_failed > 0) {
-      throw std::runtime_error(
-          "serve fidelity=detailed: batch measurement left " +
-          std::to_string(run_stats.tasks_failed) + " task(s) failed");
-    }
+    accumulate(run.stats);
     if (config_.profile == core::ProfileMode::kCounters) {
       observation_.want_counters = true;
-      obs::collect(system, observation_);
+      obs::collect(*run.system, observation_);
     }
-    return system.engine().now();
+    return run.system->engine().now();
   }
 
   void accumulate(const os::SchedulerStats& run) noexcept {

@@ -1,5 +1,5 @@
-// Cross-validation of the two fidelity layers (DESIGN.md §2): the detailed
-// MacoSystem (real data, line/flit/cycle granularity) and the
+// Cross-validation of the two fidelity layers (docs/ARCHITECTURE.md): the
+// detailed MacoSystem (real data, line/flit/cycle granularity) and the
 // SystemTimingModel (closed forms + contention) must agree on overlapping
 // configurations — the benches' credibility rests on this.
 #include <gtest/gtest.h>

@@ -57,7 +57,7 @@ TEST(Cli, ParsesFullCommandLine) {
   const CliParse parse = parse_cli(
       {"--scenario", "gemm", "--sweep", "nodes=1,4,16", "--sweep",
        "size=1024,4096", "--set", "precision=fp32", "--threads", "4",
-       "--csv", "out.csv", "--json", "out.json", "--quiet"});
+       "--output", "out.json", "--quiet"});
   ASSERT_TRUE(parse.ok) << parse.error;
   const CliOptions& options = parse.options;
   EXPECT_EQ(options.scenario, "gemm");
@@ -69,8 +69,8 @@ TEST(Cli, ParsesFullCommandLine) {
   ASSERT_EQ(options.params.count("precision"), 1u);
   EXPECT_EQ(options.params.at("precision"), "fp32");
   EXPECT_EQ(options.threads, 4u);
-  EXPECT_EQ(options.csv_path, "out.csv");
-  EXPECT_EQ(options.json_path, "out.json");
+  EXPECT_EQ(options.output_path, "out.json");
+  EXPECT_EQ(options.output_format, "json");
   EXPECT_TRUE(options.quiet);
 }
 
@@ -89,6 +89,14 @@ TEST(Cli, RejectsUnknownFlag) {
   const CliParse parse = parse_cli({"--scenario", "gemm", "--frobnicate"});
   EXPECT_FALSE(parse.ok);
   EXPECT_NE(parse.error.find("--frobnicate"), std::string::npos);
+  // --output is the one result destination: --csv and --json are unknown.
+  for (const char* flag : {"--csv", "--json"}) {
+    const CliParse removed = parse_cli({"--scenario", "gemm", flag, "x"});
+    EXPECT_FALSE(removed.ok) << flag;
+    EXPECT_NE(removed.error.find(std::string("unknown argument '") + flag),
+              std::string::npos)
+        << removed.error;
+  }
 }
 
 TEST(Cli, RejectsMissingValue) {
@@ -257,21 +265,12 @@ TEST(Cli, RejectsBadOutputCombinations) {
                    .ok);
   // --format without --output.
   EXPECT_FALSE(parse_cli({"--scenario", "gemm", "--format", "json"}).ok);
-  // Two destinations for the same format.
-  EXPECT_FALSE(parse_cli({"--scenario", "gemm", "--output", "a.csv",
-                          "--csv", "b.csv"})
-                   .ok);
-  EXPECT_FALSE(parse_cli({"--scenario", "gemm", "--output", "a.json",
-                          "--format", "json", "--json", "b.json"})
-                   .ok);
-  // The inferred .json format participates in the conflict check too.
-  EXPECT_FALSE(parse_cli({"--scenario", "gemm", "--output", "a.json",
-                          "--json", "b.json"})
-                   .ok);
-  // --output csv + --json is fine (different formats).
-  EXPECT_TRUE(parse_cli({"--scenario", "gemm", "--output", "a.csv",
-                         "--json", "b.json"})
-                  .ok);
+  // An extension that names no format, without --format.
+  EXPECT_FALSE(parse_cli({"--scenario", "gemm", "--output", "a.txt"}).ok);
+  // "-" is CSV on stdout.
+  EXPECT_EQ(parse_cli({"--scenario", "gemm", "--output", "-"})
+                .options.output_format,
+            "csv");
 }
 
 // ---- scenario registry ----
@@ -279,11 +278,11 @@ TEST(Cli, RejectsBadOutputCombinations) {
 TEST(Registry, BuiltinCoversWorkloadsBaselinesAndBenches) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   for (const char* name :
-       {"gemm", "hpl", "graph", "baselines", "fig8_dl_comparison",
-        "area_power", "ext_sparsity", "tables", "micro_dram", "serve"}) {
+       {"gemm", "hpl", "graph", "baselines", "area_power", "ext_sparsity",
+        "tables", "micro_dram", "serve"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
-  EXPECT_EQ(registry.scenarios().size(), 10u);
+  EXPECT_EQ(registry.scenarios().size(), 9u);
 }
 
 TEST(Registry, EveryScenarioDeclaresTypedDefaults) {
@@ -463,7 +462,6 @@ TEST(HardwareKnobs, DefaultsMatchMacoDefaultConfig) {
   EXPECT_EQ(default_u64("dram_channels"), config.dram_channels);
   EXPECT_EQ(default_u64("ccm_count"), config.ccm_count);
   EXPECT_EQ(default_u64("matlb_entries"), config.mmae.matlb_entries);
-  EXPECT_EQ(default_u64("inner_k"), config.mmae.inner_k);
   EXPECT_EQ(default_u64("l3_slice_kib") * 1024, config.ccm.l3.size_bytes);
   EXPECT_EQ(default_u64("stlb_entries"), config.cpu.mmu.l2_tlb_entries);
   EXPECT_EQ(default_u64("dma_outstanding"),

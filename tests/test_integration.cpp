@@ -240,7 +240,8 @@ namespace {
 
 TEST(Integration, Fp32PrecisionSameResultFasterArray) {
   // The SIMD compute modes (Fig. 2(c)): FP32 mode doubles MACs/cycle.
-  // Functional values are FP64-backed (DESIGN.md); timing reflects the mode.
+  // Functional values are FP64-backed (sa/host_matrix.hpp); timing
+  // reflects the mode.
   sim::TimePs busy[2];
   for (int mode = 0; mode < 2; ++mode) {
     MacoSystem system(small_config(1));

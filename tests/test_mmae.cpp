@@ -9,6 +9,7 @@
 #include "mmae/accelerator_controller.hpp"
 #include "mmae/stq.hpp"
 #include "sa/host_matrix.hpp"
+#include "sa/latency_model.hpp"
 #include "util/rng.hpp"
 
 namespace maco::mmae {
@@ -208,11 +209,21 @@ TEST_F(MmaeFixture, NonAccumulateOverwritesC) {
   params.c_base = c_desc.base;
   params.m = params.n = params.k = dim;
   params.accumulate = false;
+  // 32×32 inner tiles: K is chunked by the inner tile too, so the array
+  // runs eight 32³ blocks.
+  params.inner_tile_rows = params.inner_tile_cols = 32;
   dispatch_gemm(params);
 
   sa::HostMatrix expected(dim, dim);
   sa::reference_gemm(a, b, expected);
   EXPECT_TRUE(read_matrix(c_desc).approx_equal(expected, 1e-9));
+
+  ASSERT_EQ(ac_->reports().size(), 1u);
+  sa::SaConfig sa_config = ac_->config().sa;
+  sa_config.precision = params.precision;
+  const sim::TimePs block_ps = ac_->cycles_to_ps(
+      sa::compute_sa_timing(sa::TileShape{32, 32, 32}, sa_config).total_cycles);
+  EXPECT_EQ(ac_->reports().front().sa_busy_ps, 8 * block_ps);
 }
 
 TEST_F(MmaeFixture, UnmappedMatrixRaisesPageFault) {

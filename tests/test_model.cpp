@@ -51,7 +51,7 @@ TEST(AreaPower, PaperRatiosEmerge) {
   EXPECT_NEAR(mmae.area_efficiency() / cpu.area_efficiency(), 9.0, 1.0);
   // "2x theoretical computation efficiency (GFLOPS/W)". Table IV's own
   // numbers actually give (80/1.5)/(35.2/2.0) ~ 3x, so the paper's "2x" is
-  // a floor; assert at least 2x (see EXPERIMENTS.md on this inconsistency).
+  // a floor; assert at least 2x.
   EXPECT_GE(mmae.power_efficiency() / cpu.power_efficiency(), 2.0);
   // "power consumption of MMAE is 25% lower than CPU"
   EXPECT_NEAR(1.0 - mmae.power_watts / cpu.power_watts, 0.25, 0.08);

@@ -88,6 +88,26 @@ TEST(Scheduler, ThreeJobsTwoNodesAllComplete) {
   }
 }
 
+TEST(Scheduler, OneContextSwitchPerDispatchingJob) {
+  // N single-task jobs on N nodes: each node dispatches one job, and the
+  // jobs it probes without an eligible task cost no context switch.
+  for (const unsigned nodes : {1u, 4u, 16u}) {
+    core::MacoSystem system(config_with(nodes));
+    util::Rng rng(89);
+    Scheduler::Options options;
+    options.nodes = nodes;
+    Scheduler scheduler(system, options);
+    for (unsigned j = 0; j < nodes; ++j) {
+      core::Process& process = system.create_process();
+      scheduler.add_job(process).tasks.push_back(
+          GemmTask{prepare_gemm(system, process, rng, 32).params});
+    }
+    const SchedulerStats stats = scheduler.run_all();
+    EXPECT_EQ(stats.tasks_completed, nodes);
+    EXPECT_EQ(stats.context_switches, nodes) << nodes << " nodes";
+  }
+}
+
 TEST(Scheduler, DemandPagingRepairsLazyOutput) {
   core::MacoSystem system(config_with(1));
   util::Rng rng(67);

@@ -1,19 +1,21 @@
 #!/bin/sh
 # Writes the golden CSVs: one CSV per paper figure, table or sensitivity
-# study that an analytic `macosim` command reproduces, plus
-# detailed_counters.csv, a detailed gemm sweep over every DRAM and
-# interconnect backend with profile=counters (its host_* wall-time columns
-# dropped). Their numbers must stay bit-identical across refactors of the
-# timing model, the TLB, the page enumeration and the detailed machine.
+# study that an analytic `macosim` command reproduces; detailed_counters.csv,
+# a detailed gemm sweep over every DRAM and interconnect backend with
+# profile=counters (its host_* wall-time columns dropped); and two sampled
+# runs, sampled_gemm.csv (a gemm beyond the detailed cap over every backend
+# and 1/4 nodes) and sampled_graph.csv (gpt3-block decode, macobench's
+# sampled_llm point). Their numbers must stay bit-identical across refactors
+# of the timing model, the TLB, the page enumeration, the detailed machine
+# and the sampled estimator. The sampled files are as portable as the
+# analytic ones: the estimator's only libm call is sqrt, which is correctly
+# rounded, and its estimates do not depend on the worker count.
 #
 # Usage: analytic_golden.sh MACOSIM OUTDIR
 #
 # CI writes them to a scratch directory and diffs it against tests/golden/;
 # after an intended model change, re-record with OUTDIR=tests/golden and
-# commit the diff. fig8_dl_comparison is left out: its geomean goes through
-# libm pow, which may round differently across C library versions (the
-# per-network throughputs it multiplies are pinned by baselines.csv); so is
-# micro_dram, which BENCH_dram.json already gates.
+# commit the diff. micro_dram is left out: BENCH_dram.json already gates it.
 set -eu
 
 if [ "$#" -ne 2 ]; then
@@ -27,7 +29,7 @@ mkdir -p "$out"
 run() {
   name=$1
   shift
-  "$macosim" "$@" --quiet --threads 4 --csv "$out/$name.csv"
+  "$macosim" "$@" --quiet --threads 4 --output "$out/$name.csv"
 }
 
 run graph --scenario graph \
@@ -62,6 +64,13 @@ run tables --scenario tables
 run detailed_counters_with_host --scenario gemm --set fidelity=detailed \
   --set size=256 --set profile=counters --sweep nodes=1,4 \
   --sweep dram=simple,queued --sweep icnt=analytic,flit
+# Beyond the detailed cap: statistical tile sampling on the detailed
+# machine, over every backend and node count, and an LLM decode step.
+run sampled_gemm --scenario gemm --set fidelity=sampled --set size=2304 \
+  --set tile=256 --set sample_frac=0.005 --sweep nodes=1,4 \
+  --sweep dram=simple,queued --sweep icnt=analytic,flit
+run sampled_graph --scenario graph --set model_file=gpt3-block \
+  --set phase=decode --set fidelity=sampled
 awk -F, '
   NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
   {
