@@ -9,7 +9,7 @@
 #include <string>
 
 #include "cpu/core.hpp"
-#include "mem/directory.hpp"
+#include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mmae/accelerator_controller.hpp"
 #include "noc/icnt.hpp"

@@ -255,8 +255,6 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
 
   timing.os.present = true;
   timing.os.context_switches = sched_stats.context_switches;
-  timing.os.mtq_full_backoffs = sched_stats.mtq_full_backoffs;
-  timing.os.faults_repaired = sched_stats.faults_repaired;
   timing.os.scheduling_rounds = sched_stats.scheduling_rounds;
   timing.os.tasks_completed = sched_stats.tasks_completed;
 

@@ -100,9 +100,9 @@ struct DetailedRun {
 // per job with every task's operands allocated once, then lets
 // os::Scheduler issue the tasks and run the engine dry. The "setup" host
 // phase covers machine construction and task building, "sim" the run.
-// Throws std::runtime_error naming `fidelity` when a task fails. With at
-// most one job per node and at most two tasks per job, every job runs on
-// the node of its own index.
+// Throws std::runtime_error naming `fidelity` when a task fails. A job
+// runs its tasks in order on the node that took its first one; with at
+// most one job per node, every job runs on the node of its own index.
 DetailedRun run_detailed_jobs(const SystemConfig& config,
                               const TimingOptions& options, unsigned nodes,
                               const std::vector<DetailedJob>& jobs,

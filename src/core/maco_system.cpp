@@ -28,20 +28,17 @@ sim::TimePs SystemMemoryBackend::transfer(int node, vm::PhysAddr pa,
   const std::uint64_t first = mem::line_addr(pa);
   const std::uint64_t last = mem::line_addr(pa + bytes - 1);
   for (std::uint64_t line = first; line <= last; line += mem::kLineBytes) {
-    mem::DirectoryCcm& ccm = system_.ccm_for(line);
+    mem::Ccm& ccm = system_.ccm_for(line);
     const unsigned home = system_.ccm_home_node(line);
-    mem::CcmRequest request;
-    request.type = (type == mem::CcmReqType::kStash && lock)
-                       ? mem::CcmReqType::kStashLock
-                       : type;
+    mem::CcmReqType line_type = (type == mem::CcmReqType::kStash && lock)
+                                    ? mem::CcmReqType::kStashLock
+                                    : type;
     // Stores covering a whole line stream without a fetch (the DMA writes
     // every byte, so read-for-ownership data would be thrown away).
     if (type == mem::CcmReqType::kGetM && line >= pa &&
         line + mem::kLineBytes <= pa + bytes) {
-      request.type = mem::CcmReqType::kPutFull;
+      line_type = mem::CcmReqType::kPutFull;
     }
-    request.node = node;
-    request.addr = line;
     // Two-leg protocol: the home slice services the request at its ARRIVAL
     // time, so a queueing interconnect and a queueing DRAM each charge
     // their own backlog exactly once (handing the slice the injection time
@@ -49,8 +46,8 @@ sim::TimePs SystemMemoryBackend::transfer(int node, vm::PhysAddr pa,
     noc::IcntModel& icnt = system_.icnt();
     const sim::TimePs req_arrive =
         t + icnt.request_leg_ps(t, node, home);
-    const mem::CcmResponse response = ccm.handle(request, req_arrive);
-    const sim::TimePs data_ready = req_arrive + response.latency;
+    const sim::TimePs data_ready =
+        req_arrive + ccm.handle(line_type, line, req_arrive);
     const sim::TimePs line_ready =
         data_ready +
         icnt.response_leg_ps(data_ready, home, node, mem::kLineBytes);
@@ -87,21 +84,15 @@ sim::TimePs SystemMemoryBackend::stash(int node, vm::PhysAddr pa,
 
 sim::TimePs WalkMemoryOracle::read_latency(vm::PhysAddr addr,
                                            std::uint32_t /*bytes*/) {
-  mem::DirectoryCcm& ccm = system_.ccm_for(addr);
+  mem::Ccm& ccm = system_.ccm_for(addr);
   const unsigned home = system_.ccm_home_node(addr);
-  mem::CcmRequest request;
-  request.type = mem::CcmReqType::kGetS;
-  request.node = node_;
-  request.addr = mem::line_addr(addr);
   // The walker has no notion of current time, so the PTE read must not
   // book the shared DRAM bus or NoC links (a stale timestamp would surface
   // the backlog as walk latency); it still updates L3 state, so page-table
   // locality emerges across walks.
-  const mem::CcmResponse response =
-      ccm.handle(request, 0, /*queue_dram=*/false);
   return system_.icnt().unloaded_round_trip_ps(node_, home,
                                                mem::kLineBytes) +
-         response.latency;
+         ccm.handle(mem::CcmReqType::kGetS, addr, 0, /*queue_dram=*/false);
 }
 
 // ---------------- MacoSystem ----------------
@@ -122,7 +113,7 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
   for (unsigned s = 0; s < config_.ccm_count; ++s) {
     // Channel interleaving: slice s drains to channel s % channels.
     mem::DramModel& dram = *drams_[s % config_.dram_channels];
-    ccms_.push_back(std::make_unique<mem::DirectoryCcm>(
+    ccms_.push_back(std::make_unique<mem::Ccm>(
         "ccm" + std::to_string(s), config_.ccm, dram));
   }
 
@@ -248,7 +239,7 @@ sa::HostMatrix MacoSystem::read_matrix(Process& process,
   return out;
 }
 
-mem::DirectoryCcm& MacoSystem::ccm_for(vm::PhysAddr pa) {
+mem::Ccm& MacoSystem::ccm_for(vm::PhysAddr pa) {
   return *ccms_[ccm_home_node(pa)];
 }
 

@@ -20,7 +20,7 @@
 
 #include "core/compute_node.hpp"
 #include "core/config.hpp"
-#include "mem/directory.hpp"
+#include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mem/physical_memory.hpp"
 #include "noc/icnt.hpp"
@@ -105,7 +105,7 @@ class MacoSystem {
   sa::HostMatrix read_matrix(Process& process, const vm::MatrixDesc& desc);
 
   // ---- memory-system internals (used by the backend/oracle) ----
-  mem::DirectoryCcm& ccm_for(vm::PhysAddr pa);
+  mem::Ccm& ccm_for(vm::PhysAddr pa);
   unsigned ccm_home_node(vm::PhysAddr pa) const noexcept;
   // Enumeration by index (used by obs::collect's counter walk).
   unsigned dram_channel_count() const noexcept {
@@ -117,7 +117,7 @@ class MacoSystem {
   unsigned ccm_slice_count() const noexcept {
     return static_cast<unsigned>(ccms_.size());
   }
-  const mem::DirectoryCcm& ccm_slice(unsigned index) const {
+  const mem::Ccm& ccm_slice(unsigned index) const {
     return *ccms_.at(index);
   }
   // The interconnect backend the `icnt` knob selected (charges NoC time
@@ -140,7 +140,7 @@ class MacoSystem {
   std::unique_ptr<SystemMemoryBackend> backend_;
   std::vector<std::unique_ptr<WalkMemoryOracle>> walk_oracles_;
   std::vector<std::unique_ptr<mem::DramModel>> drams_;
-  std::vector<std::unique_ptr<mem::DirectoryCcm>> ccms_;
+  std::vector<std::unique_ptr<mem::Ccm>> ccms_;
   std::unique_ptr<noc::IcntModel> icnt_;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::vector<sim::TimePs> node_port_free_;

@@ -107,12 +107,13 @@ struct SamplingStats {
 // Software-scheduler counters carried by runs driven through os::Scheduler
 // (fidelity=detailed); present=false on closed-form and sampled estimates,
 // which never enter the OS layer. A plain mirror of os::SchedulerStats so
-// the core timing types stay below the OS layer in the include graph.
+// the core timing types stay below the OS layer in the include graph,
+// without its fault-repair and MTQ-backoff counts: a detailed run
+// allocates its operands eagerly and holds at most two tasks per node
+// against an 8-entry MTQ, so both always read 0.
 struct OsStats {
   bool present = false;
   std::uint64_t context_switches = 0;
-  std::uint64_t mtq_full_backoffs = 0;
-  std::uint64_t faults_repaired = 0;
   std::uint64_t scheduling_rounds = 0;
   std::uint64_t tasks_completed = 0;
 };

@@ -179,16 +179,10 @@ core::TimingOptions timing_options_from(const ScenarioRequest& request) {
 // (fidelity=detailed GEMM, serve's detailed batch oracle) reports the OS
 // software counters instead of discarding them. All are diagnostics; the
 // event counters gate as lower-is-better so a scheduling regression (more
-// backoffs, more repair round-trips) shows up in report --compare.
+// switches or rounds) shows up in report --compare.
 void add_os_metrics(ScenarioResult& result, const core::OsStats& os) {
   result.add("os_context_switches",
              static_cast<double>(os.context_switches), "",
-             /*higher_is_better=*/false);
-  result.add("os_mtq_full_backoffs",
-             static_cast<double>(os.mtq_full_backoffs), "",
-             /*higher_is_better=*/false);
-  result.add("os_faults_repaired",
-             static_cast<double>(os.faults_repaired), "",
              /*higher_is_better=*/false);
   result.add("os_scheduling_rounds",
              static_cast<double>(os.scheduling_rounds), "",
@@ -687,8 +681,6 @@ Scenario serve_scenario() {
       core::OsStats os;
       os.present = true;
       os.context_switches = report.scheduler.context_switches;
-      os.mtq_full_backoffs = report.scheduler.mtq_full_backoffs;
-      os.faults_repaired = report.scheduler.faults_repaired;
       os.scheduling_rounds = report.scheduler.scheduling_rounds;
       os.tasks_completed = report.scheduler.tasks_completed;
       add_os_metrics(result, os);

@@ -1,7 +1,5 @@
 #include "mem/cache.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -18,14 +16,14 @@ SetAssocCache::SetAssocCache(std::string name, const CacheConfig& config)
   MACO_ASSERT_MSG(lines % config.ways == 0 && lines > 0,
                   name_ << ": size/line/ways mismatch");
   sets_ = lines / config.ways;
-  // Non-power-of-two set counts are legal (the paper's 48 KB 4-way L1s have
-  // 192 sets); indexing falls back from mask to modulo in that case.
+  // Non-power-of-two set counts are legal (a 48 KiB 4-way cache has 192
+  // sets); indexing falls back from mask to modulo in that case.
   line_shift_ = util::log2_floor(config.line_bytes);
   if (util::is_pow2(sets_)) {
     set_mask_ = sets_ - 1;
     set_shift_ = util::log2_floor(sets_);
   }
-  // Keys, then the state and rank bytes rounded up to whole words.
+  // Keys, then the flag and rank bytes rounded up to whole words.
   block_words_ = config.ways + (2 * config.ways + 7) / 8;
   blocks_.resize(sets_ * block_words_);  // zero keys: every way invalid
   for (std::uint64_t set = 0; set < sets_; ++set) {
@@ -63,17 +61,15 @@ SetAssocCache::Way SetAssocCache::find(std::uint64_t addr) const {
   return {};
 }
 
-SetAssocCache::AccessResult SetAssocCache::access(
-    std::uint64_t addr, bool write, CoherenceState install_state) {
+SetAssocCache::AccessResult SetAssocCache::access(std::uint64_t addr,
+                                                  bool write) {
   AccessResult result;
   if (const Way hit = find(addr)) {
     ++hits_;
     touch(hit.keys, hit.way);
-    std::uint8_t& bits = states(hit.keys)[hit.way];
-    if (write) bits = with_state(bits, CoherenceState::kModified);
+    if (write) flags(hit.keys)[hit.way] |= kDirtyBit;
     result.hit = true;
     result.allocated = true;
-    result.state = state_of(bits);
     return result;
   }
 
@@ -81,7 +77,7 @@ SetAssocCache::AccessResult SetAssocCache::access(
   // Choose a victim: invalid way first, else LRU among unlocked lines.
   const std::uint64_t set = set_index(addr);
   std::uint64_t* keys = block(set);
-  std::uint8_t* state = states(keys);
+  std::uint8_t* flag = flags(keys);
   const std::uint8_t* rank = ranks(keys);
   unsigned victim = config_.ways;
   for (unsigned w = 0; w < config_.ways; ++w) {
@@ -93,7 +89,7 @@ SetAssocCache::AccessResult SetAssocCache::access(
   if (victim == config_.ways) {
     int oldest = -1;
     for (unsigned w = 0; w < config_.ways; ++w) {
-      if (!(state[w] & kLockBit) && rank[w] > oldest) {
+      if (!(flag[w] & kLockBit) && rank[w] > oldest) {
         oldest = rank[w];
         victim = w;
       }
@@ -107,63 +103,29 @@ SetAssocCache::AccessResult SetAssocCache::access(
   }
 
   if (keys[victim] != 0) {
-    const CoherenceState victim_state = state_of(state[victim]);
     result.evicted = true;
     result.victim_addr =
         ((keys[victim] - 1) * sets_ + set) * config_.line_bytes;
-    result.victim_dirty = victim_state == CoherenceState::kModified ||
-                          victim_state == CoherenceState::kOwned;
+    result.victim_dirty = (flag[victim] & kDirtyBit) != 0;
     ++evictions_;
     if (result.victim_dirty) ++writebacks_;
   }
 
-  result.state = write ? CoherenceState::kModified : install_state;
-  // Installing kInvalid fills nothing but still counts as the way's touch.
-  keys[victim] =
-      result.state == CoherenceState::kInvalid ? 0 : tag_of(addr) + 1;
-  state[victim] = static_cast<std::uint8_t>(result.state);
+  keys[victim] = tag_of(addr) + 1;
+  flag[victim] = write ? kDirtyBit : 0;
   touch(keys, victim);
   result.allocated = true;
   return result;
 }
 
-std::optional<CoherenceState> SetAssocCache::probe(std::uint64_t addr) const {
-  const Way line = find(addr);
-  if (!line) return std::nullopt;
-  return state_of(states(line.keys)[line.way]);
-}
-
-void SetAssocCache::set_state(std::uint64_t addr, CoherenceState state) {
-  if (state == CoherenceState::kInvalid) {
-    invalidate(addr);
-  } else if (const Way line = find(addr)) {
-    std::uint8_t& bits = states(line.keys)[line.way];
-    bits = with_state(bits, state);
-  }
-}
-
-void SetAssocCache::invalidate(std::uint64_t addr) {
-  if (const Way line = find(addr)) {
-    std::uint8_t& bits = states(line.keys)[line.way];
-    if (bits & kLockBit) --locked_count_;
-    line.keys[line.way] = 0;
-    bits = 0;
-  }
-}
-
-void SetAssocCache::invalidate_all() {
-  for (std::uint64_t set = 0; set < sets_; ++set) {
-    std::uint64_t* keys = block(set);
-    std::fill_n(keys, config_.ways, 0);
-    std::fill_n(states(keys), config_.ways, 0);
-  }
-  locked_count_ = 0;
+bool SetAssocCache::probe(std::uint64_t addr) const {
+  return static_cast<bool>(find(addr));
 }
 
 bool SetAssocCache::lock(std::uint64_t addr) {
   const Way line = find(addr);
   if (!line) return false;
-  std::uint8_t& bits = states(line.keys)[line.way];
+  std::uint8_t& bits = flags(line.keys)[line.way];
   if (!(bits & kLockBit)) {
     bits |= kLockBit;
     ++locked_count_;
@@ -174,7 +136,7 @@ bool SetAssocCache::lock(std::uint64_t addr) {
 bool SetAssocCache::unlock(std::uint64_t addr) {
   const Way line = find(addr);
   if (!line) return false;
-  std::uint8_t& bits = states(line.keys)[line.way];
+  std::uint8_t& bits = flags(line.keys)[line.way];
   if (bits & kLockBit) {
     bits = static_cast<std::uint8_t>(bits & ~kLockBit);
     --locked_count_;
@@ -184,7 +146,7 @@ bool SetAssocCache::unlock(std::uint64_t addr) {
 
 bool SetAssocCache::is_locked(std::uint64_t addr) const {
   const Way line = find(addr);
-  return line && (states(line.keys)[line.way] & kLockBit);
+  return line && (flags(line.keys)[line.way] & kLockBit);
 }
 
 }  // namespace maco::mem

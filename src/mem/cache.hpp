@@ -1,13 +1,13 @@
-// Set-associative cache timing/state model with MOESI line states.
+// Set-associative cache timing/state model.
 //
-// Tag/state only — data bytes live in PhysicalMemory. Supports per-line lock
-// bits (used by the L3/CCM for the paper's stash-and-lock scheme: locked
-// lines are never chosen as eviction victims). Replacement is true LRU,
-// kept as a per-set recency rank so a way costs 10 bytes of host memory.
+// Tags only — data bytes live in PhysicalMemory. A line is clean or dirty
+// (a dirty victim needs a write-back) and may be locked (used by the
+// L3/CCM for the paper's stash-and-lock scheme: locked lines are never
+// chosen as eviction victims). Replacement is true LRU, kept as a per-set
+// recency rank so a way costs 10 bytes of host memory.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,14 +18,6 @@ inline constexpr unsigned kLineBytes = 64;
 constexpr std::uint64_t line_addr(std::uint64_t addr) noexcept {
   return addr & ~static_cast<std::uint64_t>(kLineBytes - 1);
 }
-
-enum class CoherenceState : std::uint8_t {
-  kInvalid,
-  kShared,
-  kExclusive,
-  kOwned,
-  kModified,
-};
 
 struct CacheConfig {
   std::uint64_t size_bytes = 512 * 1024;
@@ -42,25 +34,17 @@ class SetAssocCache {
   struct AccessResult {
     bool hit = false;
     bool allocated = false;       // line now resident (false if all ways locked)
-    CoherenceState state = CoherenceState::kInvalid;
     bool evicted = false;
     std::uint64_t victim_addr = 0;
-    bool victim_dirty = false;    // victim was M or O (needs writeback)
+    bool victim_dirty = false;    // victim was written (needs writeback)
   };
 
-  // Allocate-on-miss access; `write` installs/updates to Modified, read
-  // installs to `install_state` (Exclusive by default, Shared when the
-  // directory says other sharers exist).
-  AccessResult access(std::uint64_t addr, bool write,
-                      CoherenceState install_state = CoherenceState::kExclusive);
+  // Allocate-on-miss access; a read installs the line clean, a write
+  // installs it or marks it dirty.
+  AccessResult access(std::uint64_t addr, bool write);
 
-  // Probe without LRU/stat side effects.
-  std::optional<CoherenceState> probe(std::uint64_t addr) const;
-
-  // Directory-initiated state changes.
-  void set_state(std::uint64_t addr, CoherenceState state);
-  void invalidate(std::uint64_t addr);
-  void invalidate_all();
+  // Whether the line is resident, without LRU/stat side effects.
+  bool probe(std::uint64_t addr) const;
 
   // Lock management (L3 only): returns false if the line is absent.
   bool lock(std::uint64_t addr);
@@ -85,20 +69,12 @@ class SetAssocCache {
 
  private:
   // Each set is one block of `block_words_` words: `ways` tag keys
-  // (tag + 1; 0 marks an invalid way), then one byte per way holding the
-  // CoherenceState and kLockBit, then one recency rank per way. The ranks
-  // of a set are always a permutation of 0..ways-1, 0 the most recently
-  // touched way, so among valid ways rank order is last-touch order.
+  // (tag + 1; 0 marks an invalid way), then one flag byte per way holding
+  // kDirtyBit and kLockBit, then one recency rank per way. The ranks of a
+  // set are always a permutation of 0..ways-1, 0 the most recently touched
+  // way, so among valid ways rank order is last-touch order.
+  static constexpr std::uint8_t kDirtyBit = 0x01;
   static constexpr std::uint8_t kLockBit = 0x80;
-  static CoherenceState state_of(std::uint8_t bits) noexcept {
-    return static_cast<CoherenceState>(bits & ~kLockBit);
-  }
-  // `bits` with its state replaced and its lock bit kept.
-  static std::uint8_t with_state(std::uint8_t bits,
-                                 CoherenceState state) noexcept {
-    return static_cast<std::uint8_t>((bits & kLockBit) |
-                                     static_cast<std::uint8_t>(state));
-  }
   struct Way {
     std::uint64_t* keys = nullptr;  // the set's block; null when absent
     unsigned way = 0;
@@ -110,11 +86,11 @@ class SetAssocCache {
   std::uint64_t* block(std::uint64_t set) noexcept {
     return blocks_.data() + set * block_words_;
   }
-  std::uint8_t* states(std::uint64_t* keys) const noexcept {
+  std::uint8_t* flags(std::uint64_t* keys) const noexcept {
     return reinterpret_cast<std::uint8_t*>(keys + config_.ways);
   }
   std::uint8_t* ranks(std::uint64_t* keys) const noexcept {
-    return states(keys) + config_.ways;
+    return flags(keys) + config_.ways;
   }
   // Makes `way` the set's most recent way.
   void touch(std::uint64_t* keys, unsigned way) noexcept;
@@ -125,7 +101,7 @@ class SetAssocCache {
   std::uint64_t sets_;
   // Index/tag arithmetic runs on every simulated memory reference, so the
   // divisions are precomputed into shifts where the geometry is a power of
-  // two (line size always is; set counts like the L1's 192 are not).
+  // two (line size always is; a 48 KiB 4-way cache's 192 sets are not).
   unsigned line_shift_ = 6;
   unsigned set_shift_ = 0;   // valid iff set_mask_ != 0
   std::uint64_t set_mask_ = 0;  // sets_ - 1 when sets_ is a power of two

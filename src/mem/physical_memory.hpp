@@ -1,8 +1,8 @@
 // Sparse flat physical memory: the functional truth of all bytes.
 //
 // The simulator follows the classic split between a functional backing store
-// and timing models: caches and directories track tags/states/latencies
-// (mem/cache.hpp, mem/directory.hpp) while the actual data lives here, so
+// and timing models: the L3 slices track tags and latencies (mem/cache.hpp,
+// mem/ccm.hpp) while the actual data lives here, so
 // data correctness is trivially preserved no matter what the timing models
 // do. Storage is allocated in 4 KiB blocks on first touch.
 #pragma once

@@ -20,7 +20,7 @@
 namespace maco::mmae {
 
 // Timing+functional port to the memory system, implemented by the system
-// layer (NoC latency/contention + CCM/MOESI + DRAM) and by simple fixtures
+// layer (NoC latency/contention + CCM/L3 + DRAM) and by simple fixtures
 // in unit tests. All calls return the completion time of a transfer that
 // begins at `start`.
 class MemoryBackend {

@@ -11,7 +11,7 @@
 #include "exp/results.hpp"
 #include "isa/encoding.hpp"
 #include "mem/cache.hpp"
-#include "mem/directory.hpp"
+#include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mem/queued_dram.hpp"
 #include "mmae/accelerator_controller.hpp"
@@ -50,14 +50,13 @@ void collect(core::MacoSystem& system, RunObservation& out) {
   }
 
   for (unsigned s = 0; s < system.ccm_slice_count(); ++s) {
-    const mem::DirectoryCcm& ccm = system.ccm_slice(s);
+    const mem::Ccm& ccm = system.ccm_slice(s);
     const std::string base = "ccm" + std::to_string(s);
     const mem::SetAssocCache& l3 = ccm.l3();
     counters[base + ".l3.hits"] += l3.hits();
     counters[base + ".l3.misses"] += l3.misses();
     counters[base + ".l3.evictions"] += l3.evictions();
     counters[base + ".l3.writebacks"] += l3.writebacks();
-    counters[base + ".recalls"] += ccm.recalls();
     counters[base + ".stash_hits"] += ccm.stash_hits();
     counters[base + ".stash_fills"] += ccm.stash_fills();
   }
@@ -160,13 +159,6 @@ void add_counter_metrics(exp::ScenarioResult& result,
       sum_counters(obs.counters, "node", ".vm.walker.walks");
   if (walks != 0) {
     result.add("tlb_walks", static_cast<double>(walks), "", false);
-  }
-  const std::uint64_t backoffs =
-      sum_counters(obs.counters, "node", ".cpu.mtq.backoffs");
-  const std::uint64_t enqueues =
-      sum_counters(obs.counters, "node", ".cpu.mtq.enqueues");
-  if (enqueues + backoffs != 0) {
-    result.add("mtq_backoffs", static_cast<double>(backoffs), "", false);
   }
 
   const std::uint64_t row_hits =

@@ -21,6 +21,7 @@ Job& Scheduler::add_job(core::Process& process) {
 }
 
 bool Scheduler::dispatch_slice(unsigned node, Job& job) {
+  if (job.node >= 0 && job.node != static_cast<int>(node)) return false;
   cpu::CpuCore& cpu = system_.node(node).cpu();
   unsigned dispatched = 0;
   for (std::size_t t = 0;
@@ -45,6 +46,7 @@ bool Scheduler::dispatch_slice(unsigned node, Job& job) {
       break;
     }
     ++task.dispatches;
+    job.node = static_cast<int>(node);
     in_flight_[node].push_back(
         InFlight{static_cast<cpu::Maid>(maid), job.id, t});
     ++dispatched;

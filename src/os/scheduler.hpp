@@ -13,6 +13,9 @@
 //   * page-fault exceptions are repaired by the demand pager (map the
 //     missing pages, MA_CLEAR, re-dispatch) when enabled, or surfaced as
 //     permanently failed tasks when not.
+// A job stays on the node that took its first task. That node's STQ runs
+// the tasks in issue order, so a job's tasks run one after another, as a
+// program's dependent layers must.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +38,7 @@ struct Job {
   int id = 0;
   core::Process* process = nullptr;
   std::vector<GemmTask> tasks;
+  int node = -1;  // the node that took the first task; -1 before
 
   bool finished() const noexcept {
     for (const auto& task : tasks) {
@@ -80,7 +84,8 @@ class Scheduler {
     std::size_t task = 0;
   };
 
-  // Dispatches up to slice_tasks of `job` on `node`; true if any dispatched.
+  // Dispatches up to slice_tasks of `job` on `node` (none when the job runs
+  // on another node); true if any dispatched.
   bool dispatch_slice(unsigned node, Job& job);
   // Harvests every in-flight task on `node`; repairs or finalizes.
   void harvest(unsigned node);

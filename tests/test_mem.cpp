@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hpp"
-#include "mem/directory.hpp"
+#include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mem/physical_memory.hpp"
 
@@ -61,9 +61,17 @@ TEST(Cache, HitAfterMiss) {
 }
 
 TEST(Cache, WriteSetsModified) {
-  SetAssocCache cache("c", CacheConfig{4096, 4, 64});
-  cache.access(0x1000, true);
-  EXPECT_EQ(*cache.probe(0x1000), CoherenceState::kModified);
+  // A write dirties the line whether it installs it or hits it; only a
+  // dirty victim needs a write-back. Direct-mapped: 64 sets of one way.
+  SetAssocCache cache("c", CacheConfig{4096, 1, 64});
+  const std::uint64_t conflict = 64 * 64;
+  cache.access(0x1000, false);
+  EXPECT_FALSE(cache.access(0x1000 + conflict, false).victim_dirty);
+  cache.access(0x1000, false);  // evicts the clean conflicting line
+  cache.access(0x1000, true);   // write hit
+  EXPECT_TRUE(cache.probe(0x1000));
+  EXPECT_TRUE(cache.access(0x1000 + conflict, false).victim_dirty);
+  EXPECT_EQ(cache.writebacks(), 1u);
 }
 
 TEST(Cache, LruEvictionWithinSet) {
@@ -95,7 +103,7 @@ TEST(Cache, LockedLinesSurviveEviction) {
   EXPECT_TRUE(cache.lock(0 * stride));
   cache.access(1 * stride, false);
   cache.access(2 * stride, false);  // must evict the unlocked way
-  EXPECT_TRUE(cache.probe(0 * stride).has_value());
+  EXPECT_TRUE(cache.probe(0 * stride));
   EXPECT_TRUE(cache.is_locked(0 * stride));
 }
 
@@ -133,8 +141,8 @@ TEST(Cache, FullyAssociativeUpTo256Ways) {
     cache.access(line * 64, false);
   }
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.probe(0).has_value());  // the least recent line went
-  EXPECT_TRUE(cache.probe(256 * 64).has_value());
+  EXPECT_FALSE(cache.probe(0));  // the least recent line went
+  EXPECT_TRUE(cache.probe(256 * 64));
   EXPECT_DEATH(SetAssocCache("c", CacheConfig{257 * 64, 257, 64}),
                "at most 256 ways");
 }
@@ -166,75 +174,42 @@ TEST(Dram, IdleBusRecovers) {
 class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest()
-      : dram_("dram", DramConfig{}),
-        ccm_("ccm", CcmConfig{}, dram_,
-             [this](int node, std::uint64_t line) {
-               recalls_.push_back({node, line});
-               return sim::TimePs{5'000};
-             }) {}
+      : dram_("dram", DramConfig{}), ccm_("ccm", CcmConfig{}, dram_) {}
 
   DramController dram_;
-  std::vector<std::pair<int, std::uint64_t>> recalls_;
-  DirectoryCcm ccm_;
+  Ccm ccm_;
 };
 
 TEST_F(DirectoryTest, GetSFillsFromDramThenHits) {
-  const auto first = ccm_.handle({CcmReqType::kGetS, 0, 0x1000}, 0);
-  EXPECT_FALSE(first.l3_hit);
-  EXPECT_TRUE(first.dram_accessed);
-  const auto second = ccm_.handle({CcmReqType::kGetS, 1, 0x1000}, 100'000);
-  EXPECT_TRUE(second.l3_hit);
-  EXPECT_FALSE(second.dram_accessed);
-  EXPECT_EQ(ccm_.sharer_mask(0x1000), 0b11u);
-}
-
-TEST_F(DirectoryTest, GetMRecallsOwner) {
-  ccm_.handle({CcmReqType::kGetM, 0, 0x1000}, 0);
-  EXPECT_EQ(ccm_.node_view(0, 0x1000), CoherenceState::kModified);
-  const auto response = ccm_.handle({CcmReqType::kGetM, 1, 0x1000}, 100'000);
-  EXPECT_TRUE(response.recalled);
-  ASSERT_EQ(recalls_.size(), 1u);
-  EXPECT_EQ(recalls_[0].first, 0);
-  EXPECT_EQ(ccm_.node_view(1, 0x1000), CoherenceState::kModified);
-  EXPECT_EQ(ccm_.node_view(0, 0x1000), CoherenceState::kInvalid);
-}
-
-TEST_F(DirectoryTest, GetSAfterOwnerDowngrades) {
-  ccm_.handle({CcmReqType::kGetM, 0, 0x1000}, 0);
-  const auto response = ccm_.handle({CcmReqType::kGetS, 1, 0x1000}, 100'000);
-  EXPECT_TRUE(response.recalled);
-  // MOESI: old owner keeps a dirty-shared copy.
-  EXPECT_EQ(ccm_.node_view(0, 0x1000), CoherenceState::kShared);
-  EXPECT_EQ(ccm_.node_view(1, 0x1000), CoherenceState::kShared);
+  ccm_.handle(CcmReqType::kGetS, 0x1000, 0);
+  EXPECT_EQ(ccm_.l3().misses(), 1u);
+  EXPECT_EQ(dram_.requests(), 1u);
+  ccm_.handle(CcmReqType::kGetS, 0x1000, 100'000);
+  EXPECT_EQ(ccm_.l3().hits(), 1u);
+  EXPECT_EQ(dram_.requests(), 1u);  // the hit reads no DRAM
 }
 
 TEST_F(DirectoryTest, StashWarmsL3) {
-  const auto stash = ccm_.handle({CcmReqType::kStash, 0, 0x2000}, 0);
-  EXPECT_TRUE(stash.dram_accessed);
+  ccm_.handle(CcmReqType::kStash, 0x2000, 0);
+  EXPECT_EQ(dram_.requests(), 1u);
   EXPECT_EQ(ccm_.stash_fills(), 1u);
-  const auto read = ccm_.handle({CcmReqType::kGetS, 0, 0x2000}, 1'000'000);
-  EXPECT_TRUE(read.l3_hit);
+  ccm_.handle(CcmReqType::kGetS, 0x2000, 1'000'000);
+  EXPECT_EQ(ccm_.l3().hits(), 1u);
 }
 
 TEST_F(DirectoryTest, StashLockPinsLine) {
-  ccm_.handle({CcmReqType::kStashLock, 0, 0x3000}, 0);
+  ccm_.handle(CcmReqType::kStashLock, 0x3000, 0);
   EXPECT_TRUE(ccm_.line_locked(0x3000));
-  ccm_.handle({CcmReqType::kUnlock, 0, 0x3000}, 1000);
+  ccm_.handle(CcmReqType::kUnlock, 0x3000, 1000);
   EXPECT_FALSE(ccm_.line_locked(0x3000));
 }
 
-TEST_F(DirectoryTest, PutMMakesL3CopyDirty) {
-  ccm_.handle({CcmReqType::kGetM, 0, 0x4000}, 0);
-  ccm_.handle({CcmReqType::kPutM, 0, 0x4000}, 50'000);
-  EXPECT_EQ(ccm_.node_view(0, 0x4000), CoherenceState::kInvalid);
-  EXPECT_EQ(*ccm_.l3().probe(line_addr(0x4000)), CoherenceState::kModified);
-}
-
 TEST_F(DirectoryTest, RepeatedStashHitsAreCheap) {
-  ccm_.handle({CcmReqType::kStash, 0, 0x5000}, 0);
-  const auto again = ccm_.handle({CcmReqType::kStash, 0, 0x5000}, 100'000);
-  EXPECT_TRUE(again.l3_hit);
+  ccm_.handle(CcmReqType::kStash, 0x5000, 0);
+  const sim::TimePs again = ccm_.handle(CcmReqType::kStash, 0x5000, 100'000);
+  EXPECT_EQ(again, CcmConfig{}.lookup_latency_ps + CcmConfig{}.l3_latency_ps);
   EXPECT_EQ(ccm_.stash_hits(), 1u);
+  EXPECT_EQ(dram_.requests(), 1u);
 }
 
 }  // namespace
@@ -245,33 +220,31 @@ namespace {
 
 TEST(StreamingStore, PutFullAllocatesWithoutDramFetch) {
   DramController dram("ss.dram", DramConfig{});
-  DirectoryCcm ccm("ss.ccm", CcmConfig{}, dram);
-  const auto response =
-      ccm.handle({CcmReqType::kPutFull, 0, 0x4000}, 0);
+  Ccm ccm("ss.ccm", CcmConfig{}, dram);
+  ccm.handle(CcmReqType::kPutFull, 0x4000, 0);
   // No fetch: the line lands in L3 without a DRAM read.
-  EXPECT_FALSE(response.l3_hit);
+  EXPECT_EQ(ccm.l3().misses(), 1u);
   EXPECT_EQ(dram.requests(), 0u);
-  EXPECT_EQ(ccm.node_view(0, 0x4000), CoherenceState::kModified);
   // A later read hits the L3.
-  const auto read = ccm.handle({CcmReqType::kGetS, 0, 0x4000}, 1000);
-  EXPECT_TRUE(read.l3_hit);
-  EXPECT_FALSE(read.dram_accessed);
+  ccm.handle(CcmReqType::kGetS, 0x4000, 1000);
+  EXPECT_EQ(ccm.l3().hits(), 1u);
+  EXPECT_EQ(dram.requests(), 0u);
 }
 
-TEST(StreamingStore, PutFullInvalidatesOtherSharers) {
-  DramController dram("ss.dram", DramConfig{});
-  int recalled_node = -1;
-  DirectoryCcm ccm("ss.ccm", CcmConfig{}, dram,
-                   [&](int node, std::uint64_t) {
-                     recalled_node = node;
-                     return sim::TimePs{500};
-                   });
-  ccm.handle({CcmReqType::kGetS, 1, 0x4000}, 0);
-  const auto response = ccm.handle({CcmReqType::kPutFull, 0, 0x4000}, 1000);
-  EXPECT_TRUE(response.recalled);
-  EXPECT_EQ(recalled_node, 1);
-  EXPECT_EQ(ccm.node_view(1, 0x4000), CoherenceState::kInvalid);
-  EXPECT_EQ(ccm.node_view(0, 0x4000), CoherenceState::kModified);
+TEST(StreamingStore, PartialLineStoreIsWrittenBack) {
+  // A store covering part of a line fetches it and leaves it dirty, so
+  // evicting it writes it back. 32 sets of 2 ways: lines 32 apart conflict.
+  DramController dram("ps.dram", DramConfig{});
+  CcmConfig config;
+  config.l3 = CacheConfig{4096, 2, kLineBytes};
+  Ccm ccm("ps.ccm", config, dram);
+  const std::uint64_t stride = 32 * kLineBytes;
+  ccm.handle(CcmReqType::kGetM, 0, 0);
+  ccm.handle(CcmReqType::kGetS, stride, 100'000);
+  ccm.handle(CcmReqType::kGetS, 2 * stride, 200'000);  // evicts line 0
+  EXPECT_EQ(ccm.l3().evictions(), 1u);
+  EXPECT_EQ(ccm.l3().writebacks(), 1u);
+  EXPECT_EQ(dram.requests(), 4u);  // three fills and the write-back
 }
 
 TEST(SliceInterleave, StripedAddressesUseAllSets) {
@@ -280,26 +253,24 @@ TEST(SliceInterleave, StripedAddressesUseAllSets) {
   DramController dram("il.dram", DramConfig{});
   CcmConfig config;
   config.slice_interleave = 16;
-  DirectoryCcm ccm("il.ccm", config, dram);
+  Ccm ccm("il.ccm", config, dram);
 
   // Stream (slice 0's share of) a working set half the slice capacity.
   const std::uint64_t lines = config.l3.size_bytes / kLineBytes / 2;
   for (std::uint64_t i = 0; i < lines; ++i) {
-    ccm.handle({CcmReqType::kGetS, 0, i * 16 * kLineBytes}, 0);
+    ccm.handle(CcmReqType::kGetS, i * 16 * kLineBytes, 0);
   }
   // Everything fits: a second pass is all hits.
-  std::uint64_t hits = 0;
   for (std::uint64_t i = 0; i < lines; ++i) {
-    if (ccm.handle({CcmReqType::kGetS, 0, i * 16 * kLineBytes}, 0).l3_hit) {
-      ++hits;
-    }
+    ccm.handle(CcmReqType::kGetS, i * 16 * kLineBytes, 0);
   }
-  EXPECT_EQ(hits, lines);
+  EXPECT_EQ(ccm.l3().hits(), lines);
+  EXPECT_EQ(ccm.l3().misses(), lines);
 }
 
 TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
   DramController dram("uq.dram", DramConfig{});
-  DirectoryCcm ccm("uq.ccm", CcmConfig{}, dram);
+  Ccm ccm("uq.ccm", CcmConfig{}, dram);
   // Push the DRAM bus far into the future with data traffic.
   for (int i = 0; i < 1000; ++i) {
     dram.access(0, 4096);
@@ -307,10 +278,10 @@ TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
   const sim::TimePs backlog = dram.busy_until();
   ASSERT_GT(backlog, 100'000u);
   // An unqueued miss must not see the backlog as latency.
-  const auto response =
-      ccm.handle({CcmReqType::kGetS, 0, 0x9000}, 0, /*queue_dram=*/false);
-  EXPECT_TRUE(response.dram_accessed);
-  EXPECT_LT(response.latency, 100'000u);  // service time, not backlog
+  const sim::TimePs latency =
+      ccm.handle(CcmReqType::kGetS, 0x9000, 0, /*queue_dram=*/false);
+  EXPECT_EQ(ccm.l3().misses(), 1u);
+  EXPECT_LT(latency, 100'000u);  // service time, not backlog
 }
 
 }  // namespace

@@ -127,7 +127,6 @@ TEST(ObsCollector, PublishesDottedCounterNames) {
       "ccmS.l3.misses",
       "ccmS.l3.evictions",
       "ccmS.l3.writebacks",
-      "ccmS.recalls",
       "ccmS.stash_hits",
       "ccmS.stash_fills",
       "dramD.requests",

@@ -108,6 +108,35 @@ TEST(Scheduler, OneContextSwitchPerDispatchingJob) {
   }
 }
 
+TEST(Scheduler, JobRunsItsTasksInOrderOnOneNode) {
+  // A job's tasks may depend on each other: all of them run on the node
+  // that took the first, each after the previous one ended, even while a
+  // second node idles.
+  core::MacoSystem system(config_with(2));
+  util::Rng rng(97);
+  core::Process& process = system.create_process();
+  Scheduler::Options options;
+  options.nodes = 2;
+  Scheduler scheduler(system, options);
+  Job& job = scheduler.add_job(process);
+  std::vector<PreparedGemm> prepared;
+  for (int t = 0; t < 3; ++t) {
+    prepared.push_back(prepare_gemm(system, process, rng, 32));
+    job.tasks.push_back(GemmTask{prepared.back().params});
+  }
+
+  const SchedulerStats stats = scheduler.run_all();
+  EXPECT_EQ(stats.tasks_completed, 3u);
+  EXPECT_EQ(job.node, 0);
+  EXPECT_TRUE(system.node(1).mmae().reports().empty());
+  const auto& reports = system.node(0).mmae().reports();
+  ASSERT_EQ(reports.size(), 3u);
+  for (std::size_t t = 1; t < reports.size(); ++t) {
+    EXPECT_GE(reports[t].start, reports[t - 1].end) << "task " << t;
+  }
+  for (const auto& gemm : prepared) expect_correct(system, process, gemm);
+}
+
 TEST(Scheduler, DemandPagingRepairsLazyOutput) {
   core::MacoSystem system(config_with(1));
   util::Rng rng(67);

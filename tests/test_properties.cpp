@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -22,7 +20,6 @@
 #include "isa/assembler.hpp"
 #include "isa/params.hpp"
 #include "mem/cache.hpp"
-#include "mem/directory.hpp"
 #include "noc/link_load_model.hpp"
 #include "sa/latency_model.hpp"
 #include "sa/systolic_array.hpp"
@@ -358,19 +355,17 @@ TEST(MemProperty, CacheNeverExceedsCapacityAndLockPinsLines) {
                            mem::CacheConfig{16 * 1024, 4, 64});
   util::Rng rng(5);
   for (int i = 0; i < 5000; ++i) {
-    cache.access(rng.next_below((1 << 22)) & ~63ull, rng.next_below(2),
-                 mem::CoherenceState::kShared);
+    cache.access(rng.next_below((1 << 22)) & ~63ull, rng.next_below(2));
   }
   // Lock one line, thrash its set, confirm it survives.
   const std::uint64_t victim_addr = 0x100000;
-  cache.access(victim_addr, false, mem::CoherenceState::kShared);
+  cache.access(victim_addr, false);
   ASSERT_TRUE(cache.lock(victim_addr));
   const std::uint64_t sets = 16 * 1024 / 4 / 64;
   for (int way = 0; way < 64; ++way) {
-    cache.access(victim_addr + (way + 1) * sets * 64, false,
-                 mem::CoherenceState::kShared);
+    cache.access(victim_addr + (way + 1) * sets * 64, false);
   }
-  EXPECT_TRUE(cache.probe(victim_addr).has_value());
+  EXPECT_TRUE(cache.probe(victim_addr));
   EXPECT_TRUE(cache.is_locked(victim_addr));
   cache.unlock(victim_addr);
 }
@@ -387,17 +382,15 @@ class TickLruCache {
         sets_(config.size_bytes / config.line_bytes / config.ways),
         lines_(sets_ * ways_) {}
 
-  mem::SetAssocCache::AccessResult access(std::uint64_t addr, bool write,
-                                          mem::CoherenceState install) {
+  mem::SetAssocCache::AccessResult access(std::uint64_t addr, bool write) {
     mem::SetAssocCache::AccessResult result;
     ++tick_;
     if (Line* line = find(addr)) {
       ++hits;
       line->lru_tick = tick_;
-      if (write) line->state = mem::CoherenceState::kModified;
+      line->dirty |= write;
       result.hit = true;
       result.allocated = true;
-      result.state = line->state;
       return result;
     }
     ++misses;
@@ -405,7 +398,7 @@ class TickLruCache {
     Line* victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
       Line& line = lines_[set * ways_ + w];
-      if (line.state == mem::CoherenceState::kInvalid) {
+      if (!line.valid) {
         victim = &line;
         break;
       }
@@ -418,51 +411,23 @@ class TickLruCache {
       }
     }
     if (!victim) return result;  // every way locked
-    if (victim->state != mem::CoherenceState::kInvalid) {
+    if (victim->valid) {
       result.evicted = true;
       result.victim_addr = (victim->tag * sets_ + set) * line_bytes_;
-      result.victim_dirty = victim->state == mem::CoherenceState::kModified ||
-                            victim->state == mem::CoherenceState::kOwned;
+      result.victim_dirty = victim->dirty;
       ++evictions;
       if (result.victim_dirty) ++writebacks;
     }
     victim->tag = addr / line_bytes_ / sets_;
-    victim->state = write ? mem::CoherenceState::kModified : install;
+    victim->valid = true;
+    victim->dirty = write;
     victim->locked = false;
     victim->lru_tick = tick_;
     result.allocated = true;
-    result.state = victim->state;
     return result;
   }
 
-  std::optional<mem::CoherenceState> probe(std::uint64_t addr) {
-    const Line* line = find(addr);
-    if (!line) return std::nullopt;
-    return line->state;
-  }
-  void set_state(std::uint64_t addr, mem::CoherenceState state) {
-    if (Line* line = find(addr)) {
-      if (state == mem::CoherenceState::kInvalid) {
-        invalidate(addr);
-      } else {
-        line->state = state;
-      }
-    }
-  }
-  void invalidate(std::uint64_t addr) {
-    if (Line* line = find(addr)) {
-      if (line->locked) --locked_lines;
-      line->state = mem::CoherenceState::kInvalid;
-      line->locked = false;
-    }
-  }
-  void invalidate_all() {
-    for (Line& line : lines_) {
-      line.state = mem::CoherenceState::kInvalid;
-      line.locked = false;
-    }
-    locked_lines = 0;
-  }
+  bool probe(std::uint64_t addr) { return find(addr) != nullptr; }
   bool lock(std::uint64_t addr) {
     Line* line = find(addr);
     if (!line) return false;
@@ -488,7 +453,8 @@ class TickLruCache {
  private:
   struct Line {
     std::uint64_t tag = 0;
-    mem::CoherenceState state = mem::CoherenceState::kInvalid;
+    bool valid = false;
+    bool dirty = false;
     bool locked = false;
     std::uint64_t lru_tick = 0;
   };
@@ -497,10 +463,7 @@ class TickLruCache {
     const std::uint64_t set = line % sets_;
     for (unsigned w = 0; w < ways_; ++w) {
       Line& way = lines_[set * ways_ + w];
-      if (way.state != mem::CoherenceState::kInvalid &&
-          way.tag == line / sets_) {
-        return &way;
-      }
+      if (way.valid && way.tag == line / sets_) return &way;
     }
     return nullptr;
   }
@@ -520,38 +483,29 @@ void expect_same_as_tick_lru(const mem::CacheConfig& config,
   // Three times the capacity, so sets overflow and evict.
   const std::uint64_t lines = 3 * config.size_bytes / config.line_bytes;
   std::uint64_t evictions = 0;
+  std::uint64_t dirty_victims = 0;
   for (int step = 0; step < 30000; ++step) {
     const std::uint64_t addr = rng.next_below(lines) * config.line_bytes;
-    const auto state = static_cast<mem::CoherenceState>(rng.next_below(5));
     const std::uint64_t op = rng.next_below(100);
     SCOPED_TRACE(testing::Message() << config.ways << "-way, step " << step
                                     << ", op " << op << ", addr " << addr);
-    if (op < 60) {
+    if (op < 65) {
       const bool write = rng.next_below(2);
-      const auto got = cache.access(addr, write, state);
-      const auto want = reference.access(addr, write, state);
+      const auto got = cache.access(addr, write);
+      const auto want = reference.access(addr, write);
       ASSERT_EQ(got.hit, want.hit);
       ASSERT_EQ(got.allocated, want.allocated);
-      ASSERT_EQ(got.state, want.state);
       ASSERT_EQ(got.evicted, want.evicted);
       ASSERT_EQ(got.victim_addr, want.victim_addr);
       ASSERT_EQ(got.victim_dirty, want.victim_dirty);
       evictions += got.evicted;
-    } else if (op < 70) {
+      dirty_victims += got.victim_dirty;
+    } else if (op < 80) {
       ASSERT_EQ(cache.probe(addr), reference.probe(addr));
-    } else if (op < 78) {
-      cache.set_state(addr, state);
-      reference.set_state(addr, state);
-    } else if (op < 85) {
-      cache.invalidate(addr);
-      reference.invalidate(addr);
-    } else if (op < 93) {
+    } else if (op < 90) {
       ASSERT_EQ(cache.lock(addr), reference.lock(addr));
-    } else if (op < 99) {
+    } else {
       ASSERT_EQ(cache.unlock(addr), reference.unlock(addr));
-    } else if (rng.next_below(20) == 0) {
-      cache.invalidate_all();
-      reference.invalidate_all();
     }
     ASSERT_EQ(cache.is_locked(addr), reference.is_locked(addr));
     ASSERT_EQ(cache.probe(addr), reference.probe(addr));
@@ -562,133 +516,17 @@ void expect_same_as_tick_lru(const mem::CacheConfig& config,
     ASSERT_EQ(cache.locked_lines(), reference.locked_lines);
   }
   EXPECT_GT(evictions, 1000u);
+  EXPECT_GT(dirty_victims, 0u);
+  EXPECT_LT(dirty_victims, evictions);
 }
 
 TEST(MemProperty, RankedTagStoreMatchesTickLru) {
   expect_same_as_tick_lru(mem::CacheConfig{64 * 64, 1, 64}, 1);
-  expect_same_as_tick_lru(mem::CacheConfig{48 * 1024, 4, 64}, 2);  // L1d
-  ASSERT_EQ(mem::SetAssocCache("l1d", {48 * 1024, 4, 64}).sets(), 192u);
+  // 48 KiB 4-way: 192 sets, indexed by modulo rather than by mask.
+  expect_same_as_tick_lru(mem::CacheConfig{48 * 1024, 4, 64}, 2);
+  ASSERT_EQ(mem::SetAssocCache("c", {48 * 1024, 4, 64}).sets(), 192u);
   expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 8, 64}, 3);
   expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 16, 64}, 4);
-}
-
-// Random GetS/GetM/PutFull/PutM/Stash traffic from nodes 0..63 over
-// `lines` of one slice. Each line's directory state must follow its own
-// MOESI history (a per-line reference model) and satisfy the
-// single-writer invariant. The run must pass through every kind of
-// one-byte directory code: a lone clean sharer (node 0 and node 63), a
-// lone owner (node 0 and node 63), and the overflow array, which lines
-// must also leave again.
-void expect_single_writer(const mem::CcmConfig& config,
-                          const std::vector<std::uint64_t>& lines) {
-  mem::DramController dram("prop.dram", mem::DramConfig{});
-  mem::DirectoryCcm ccm("prop.ccm", config, dram,
-                        [](int, std::uint64_t) { return sim::TimePs{1000}; });
-  struct Expected {
-    int owner = -1;
-    std::uint64_t sharers = 0;
-  };
-  // The code the directory stores for `e`: 0 untracked, 1..64 a lone clean
-  // sharer, 65..128 a lone owner, 255 overflow.
-  const auto code_of = [](const Expected& e) {
-    if (e.owner < 0) {
-      if (e.sharers == 0) return 0;
-      if (std::has_single_bit(e.sharers)) {
-        return 1 + std::countr_zero(e.sharers);
-      }
-    } else if (e.sharers == 1ull << e.owner) {
-      return 65 + e.owner;
-    }
-    return 255;
-  };
-  constexpr mem::CcmReqType kTypes[] = {
-      mem::CcmReqType::kGetS, mem::CcmReqType::kGetM,
-      mem::CcmReqType::kPutFull, mem::CcmReqType::kPutM,
-      mem::CcmReqType::kStash};
-  // Half the requests come from the extreme node ids, so the lone-sharer
-  // and lone-owner codes at both ends are reached.
-  constexpr int kPool[] = {0, 1, 62, 63};
-  std::map<std::uint64_t, Expected> model;
-  std::set<int> codes_seen;
-  int left_overflow = 0;
-  util::Rng rng(17);
-  sim::TimePs now = 0;
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t line = lines[rng.next_below(lines.size())];
-    const int node = rng.next_below(2)
-                         ? kPool[rng.next_below(4)]
-                         : static_cast<int>(rng.next_below(64));
-    const mem::CcmReqType type = kTypes[rng.next_below(5)];
-    ccm.handle({type, node, line}, now);
-    now += 1000;
-    Expected& expected = model[line];
-    const int code_before = code_of(expected);
-    const std::uint64_t bit = 1ull << node;
-    switch (type) {
-      case mem::CcmReqType::kGetS:
-        // GetS downgrades another owner to a sharer.
-        if (expected.owner >= 0 && expected.owner != node) {
-          expected.sharers |= 1ull << expected.owner;
-          expected.owner = -1;
-        }
-        expected.sharers |= bit;
-        break;
-      case mem::CcmReqType::kGetM:
-      case mem::CcmReqType::kPutFull:
-        // Every other copy is invalidated; the requester owns the line.
-        expected.sharers = bit;
-        expected.owner = node;
-        break;
-      case mem::CcmReqType::kPutM:
-        if (expected.owner == node) expected.owner = -1;
-        expected.sharers &= ~bit;
-        break;
-      default:
-        break;  // a stash leaves the directory alone
-    }
-    codes_seen.insert(code_of(expected));
-    if (code_before == 255 && code_of(expected) != 255) ++left_overflow;
-
-    // Invariant: at most one node sees Modified; if one does, no other node
-    // sees any valid state for that line.
-    for (const std::uint64_t l : lines) {
-      int modified = 0, valid = 0;
-      const Expected& want = model[l];
-      for (int n = 0; n < 64; ++n) {
-        const auto state = ccm.node_view(n, l);
-        if (state == mem::CoherenceState::kModified) ++modified;
-        if (state != mem::CoherenceState::kInvalid) ++valid;
-        auto want_state = mem::CoherenceState::kInvalid;
-        if (want.owner == n) {
-          want_state = mem::CoherenceState::kModified;
-        } else if ((want.sharers >> n) & 1) {
-          want_state = mem::CoherenceState::kShared;
-        }
-        ASSERT_EQ(state, want_state) << "line " << l << " node " << n;
-      }
-      ASSERT_EQ(ccm.sharer_mask(l), want.sharers) << "line " << l;
-      ASSERT_LE(modified, 1);
-      if (modified == 1) {
-        ASSERT_EQ(valid, 1);
-      }
-    }
-  }
-  for (const int code : {1, 64, 65, 128, 255}) {
-    EXPECT_TRUE(codes_seen.count(code)) << "code " << code << " never held";
-  }
-  EXPECT_GT(left_overflow, 0);
-}
-
-TEST(MemProperty, DirectorySingleWriterInvariant) {
-  expect_single_writer(mem::CcmConfig{}, {0x1000, 0x2000, 0x3000});
-  // A 16-way interleaved slice: the directory keeps its state in chunks
-  // of 64 slice-local lines. These lines span several chunks, and two
-  // pairs share a chunk index but differ in their interleave residue, so
-  // they must still keep separate entries.
-  mem::CcmConfig interleaved;
-  interleaved.slice_interleave = 16;
-  expect_single_writer(interleaved, {0x1000, 0x1040, 0x11000, 0x23440,
-                                     0x23480, 0x400000, 0x7ffc0});
 }
 
 TEST(MemProperty, DramBandwidthLawHolds) {

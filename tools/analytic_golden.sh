@@ -2,12 +2,14 @@
 # Writes the golden CSVs: one CSV per paper figure, table or sensitivity
 # study that an analytic `macosim` command reproduces; detailed_counters.csv,
 # a detailed gemm sweep over every DRAM and interconnect backend with
-# profile=counters (its host_* wall-time columns dropped); and two sampled
-# runs, sampled_gemm.csv (a gemm beyond the detailed cap over every backend
-# and 1/4 nodes) and sampled_graph.csv (gpt3-block decode, macobench's
-# sampled_llm point). Their numbers must stay bit-identical across refactors
-# of the timing model, the TLB, the page enumeration, the detailed machine
-# and the sampled estimator. The sampled files are as portable as the
+# profile=counters; serve_detailed.csv, serve's detailed batch oracle over
+# 1/2 instances and 2/4 nodes with profile=counters (both with their host_*
+# wall-time columns dropped); and two sampled runs, sampled_gemm.csv (a
+# gemm beyond the detailed cap over every backend and 1/4 nodes) and
+# sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
+# Their numbers must stay bit-identical across refactors of the timing
+# model, the TLB, the page enumeration, the detailed machine, the OS
+# scheduler and the sampled estimator. The sampled files are as portable as the
 # analytic ones: the estimator's only libm call is sqrt, which is correctly
 # rounded, and its estimates do not depend on the worker count.
 #
@@ -64,6 +66,10 @@ run tables --scenario tables
 run detailed_counters_with_host --scenario gemm --set fidelity=detailed \
   --set size=256 --set profile=counters --sweep nodes=1,4 \
   --sweep dram=simple,queued --sweep icnt=analytic,flit
+# Serve's detailed batch oracle, the third path onto the detailed machine.
+run serve_detailed_with_host --scenario serve --set fidelity=detailed \
+  --set requests=300 --set profile=counters --sweep instances=1,2 \
+  --sweep nodes=2,4
 # Beyond the detailed cap: statistical tile sampling on the detailed
 # machine, over every backend and node count, and an LLM decode step.
 run sampled_gemm --scenario gemm --set fidelity=sampled --set size=2304 \
@@ -71,11 +77,14 @@ run sampled_gemm --scenario gemm --set fidelity=sampled --set size=2304 \
   --sweep dram=simple,queued --sweep icnt=analytic,flit
 run sampled_graph --scenario graph --set model_file=gpt3-block \
   --set phase=decode --set fidelity=sampled
-awk -F, '
-  NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
-  {
-    line = ""; sep = ""
-    for (i = 1; i <= NF; i++) if (keep[i]) { line = line sep $i; sep = "," }
-    print line
-  }' "$out/detailed_counters_with_host.csv" > "$out/detailed_counters.csv"
-rm "$out/detailed_counters_with_host.csv"
+# Drop the host_* wall-time columns, which differ from run to run.
+for name in detailed_counters serve_detailed; do
+  awk -F, '
+    NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
+    {
+      line = ""; sep = ""
+      for (i = 1; i <= NF; i++) if (keep[i]) { line = line sep $i; sep = "," }
+      print line
+    }' "$out/${name}_with_host.csv" > "$out/$name.csv"
+  rm "$out/${name}_with_host.csv"
+done
