@@ -33,7 +33,8 @@ const char* post_name(maco::wl::PostOp post) {
 void per_layer_bert() {
   using namespace maco;
   std::puts("== BERT-base (batch 8, seq 384): per-layer GEMM+ pipeline ==");
-  std::puts("  layer             M      N      K   post-op    GEMM(ms)  CPU(ms)");
+  std::puts(
+      "  layer             M      N      K   post-op    GEMM(ms)  CPU(ms)");
 
   const core::SystemConfig config = core::SystemConfig::maco_default();
   const baseline::Comparator comparator(config, 16);
@@ -75,14 +76,16 @@ void per_layer_bert() {
   const auto piped = core::schedule_gemm_plus(stages, /*overlap=*/true);
   std::printf("\n  12 blocks serial:    %8.1f ms\n",
               static_cast<double>(serial.total_ps) / 1e9);
-  std::printf("  12 blocks pipelined: %8.1f ms  (%.0f%% of CPU work hidden)\n\n",
-              static_cast<double>(piped.total_ps) / 1e9,
-              piped.overlap_fraction * 100.0);
+  std::printf(
+      "  12 blocks pipelined: %8.1f ms  (%.0f%% of CPU work hidden)\n\n",
+      static_cast<double>(piped.total_ps) / 1e9,
+      piped.overlap_fraction * 100.0);
 }
 
 void fig8_summary() {
   using namespace maco;
-  std::puts("== Fig. 8: five systems, three networks (GFLOPS, FP32, 256 PEs) ==");
+  std::puts(
+      "== Fig. 8: five systems, three networks (GFLOPS, FP32, 256 PEs) ==");
   const baseline::Comparator comparator(core::SystemConfig::maco_default(), 16);
 
   std::printf("  %-10s", "network");

@@ -150,7 +150,8 @@ void library_mapped_gemm() {
 
 void paper_scale_scaling() {
   using namespace maco;
-  std::puts("== Part 2: 4096^3 FP64 GEMM cooperatively split (timing model) ==");
+  std::puts(
+      "== Part 2: 4096^3 FP64 GEMM cooperatively split (timing model) ==");
   std::puts("  nodes   makespan(ms)   speedup   per-node efficiency");
 
   const core::SystemTimingModel model(core::SystemConfig::maco_default());

@@ -94,7 +94,8 @@ int main() {
               cpu.mtq().occupied());
 
   // -- 3: a faulting task (unmapped operand) and MA_CLEAR recovery. --
-  std::puts("\n== exception path: unmapped operand -> page fault -> MA_CLEAR ==");
+  std::puts(
+      "\n== exception path: unmapped operand -> page fault -> MA_CLEAR ==");
   system.schedule_process(0, pb);
   isa::GemmParams bad = gemm_b;
   bad.a_base = 0xdead0000;  // never mapped in B's address space

@@ -29,10 +29,14 @@ sim::TimePs Comparator::post_op_time_ps(const wl::Layer& layer,
   sim::Cycles cycles = 0;
   switch (layer.post) {
     case wl::PostOp::kNone: return 0;
-    case wl::PostOp::kBiasAdd: cycles = k.bias_add_cycles(m * n, precision); break;
+    case wl::PostOp::kBiasAdd:
+      cycles = k.bias_add_cycles(m * n, precision);
+      break;
     case wl::PostOp::kRelu: cycles = k.relu_cycles(m * n, precision); break;
     case wl::PostOp::kGelu: cycles = k.gelu_cycles(m * n, precision); break;
-    case wl::PostOp::kSoftmax: cycles = k.softmax_cycles(m, n, precision); break;
+    case wl::PostOp::kSoftmax:
+      cycles = k.softmax_cycles(m, n, precision);
+      break;
     case wl::PostOp::kLayerNorm:
       cycles = k.layernorm_cycles(m, n, precision);
       break;

@@ -24,8 +24,9 @@ ComparisonResult Comparator::run_baseline1_cpu_only(
     const double flops = static_cast<double>(s.flops());
     const double mem_ps =
         flops / ai / config_.dram_total_bandwidth() * 1e12;
-    const double layer_ps = std::max(compute_ps, mem_ps) +
-                            static_cast<double>(post_op_time_ps(layer, precision));
+    const double layer_ps =
+        std::max(compute_ps, mem_ps) +
+        static_cast<double>(post_op_time_ps(layer, precision));
     total_ps += layer_ps * layer.repeat;
   }
 

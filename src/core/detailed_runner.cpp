@@ -30,8 +30,9 @@ void check_machine_supported(const SystemConfig& config,
                              const char* fidelity) {
   if (!options.use_stash_lock) {
     unsupported(fidelity,
-                "always models the stash+lock scheme; stash_lock=false is "
-                "analytic-only");
+                "runs GEMM tasks that issue no MA_STASH (a sampled tile "
+                "stands in for a locked panel with a warm-up issue), so "
+                "stash_lock is analytic-only");
   }
   if (options.page_bytes != 4096) {
     unsupported(fidelity,
@@ -78,21 +79,16 @@ void check_supported(const SystemConfig& config,
   }
 }
 
-// The report of the last task on `node` that completed without an
-// exception: a repaired page fault leaves an exception report before the
-// successful retry.
-const mmae::TaskReport& last_clean_report(MacoSystem& system,
-                                          unsigned node) {
-  const mmae::TaskReport* completed = nullptr;
-  for (const mmae::TaskReport& report : system.node(node).mmae().reports()) {
-    if (report.exception == cpu::ExceptionType::kNone) completed = &report;
-  }
-  if (completed == nullptr) {
+// The report of the last task on `node`. run_detailed_jobs has thrown if
+// any task failed, so every report on the node is a completed task's.
+const mmae::TaskReport& last_report(MacoSystem& system, unsigned node) {
+  const std::vector<mmae::TaskReport>& reports =
+      system.node(node).mmae().reports();
+  if (reports.empty()) {
     throw std::runtime_error("detailed run failed on node " +
-                             std::to_string(node) +
-                             ": no completed task report");
+                             std::to_string(node) + ": no task report");
   }
-  return *completed;
+  return reports.back();
 }
 
 }  // namespace
@@ -186,7 +182,8 @@ DetailedRun run_detailed_jobs(const SystemConfig& config,
     throw std::runtime_error(
         std::string("fidelity=") + fidelity + " run failed: " +
         std::to_string(run.stats.tasks_failed) +
-        " task(s) raised unrepairable exceptions under the scheduler");
+        " task(s) raised an exception or never finished under the "
+        "scheduler");
   }
   return run;
 }
@@ -221,7 +218,7 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
   double stall_ps = 0.0;
   std::uint64_t total_macs = 0;
   for (unsigned n = 0; n < nodes; ++n) {
-    const mmae::TaskReport& report = last_clean_report(system, n);
+    const mmae::TaskReport& report = last_report(system, n);
     NodeTiming node;
     node.span_ps = report.end - report.start;
     node.compute_ps = report.sa_busy_ps;
@@ -328,7 +325,7 @@ std::vector<mmae::TaskReport> run_detailed_tiles(
     const DetailedRun run =
         run_detailed_jobs(config, options, width, jobs, "sampled");
     for (unsigned n = 0; n < width; ++n) {
-      measured[begin + n] = last_clean_report(*run.system, n);
+      measured[begin + n] = last_report(*run.system, n);
     }
   };
 

@@ -157,19 +157,15 @@ Process& MacoSystem::create_process() {
   // Carve disjoint physical regions per process: page tables low, frames
   // high; the sparse backing store only materializes touched pages.
   const vm::PhysAddr pt_base =
-      0x0800'0000'0000ull + static_cast<vm::PhysAddr>(asid) * 0x0001'0000'0000ull;
+      0x0800'0000'0000ull +
+      static_cast<vm::PhysAddr>(asid) * 0x0001'0000'0000ull;
   const vm::PhysAddr frame_base =
-      0x1000'0000'0000ull + static_cast<vm::PhysAddr>(asid) * 0x0040'0000'0000ull;
+      0x1000'0000'0000ull +
+      static_cast<vm::PhysAddr>(asid) * 0x0040'0000'0000ull;
   process->space =
       std::make_unique<vm::AddressSpace>(asid, pt_base, frame_base);
   auto [it, inserted] = processes_.emplace(asid, std::move(process));
   MACO_ASSERT(inserted);
-  return *it->second;
-}
-
-Process& MacoSystem::process(vm::Asid asid) {
-  const auto it = processes_.find(asid);
-  MACO_ASSERT_MSG(it != processes_.end(), "unknown ASID " << asid);
   return *it->second;
 }
 
@@ -185,17 +181,6 @@ vm::MatrixDesc MacoSystem::alloc_matrix(Process& process, std::uint64_t rows,
   desc.cols = cols;
   desc.elem_bytes = sizeof(double);
   desc.base = process.space->alloc(rows * cols * sizeof(double));
-  return desc;
-}
-
-vm::MatrixDesc MacoSystem::alloc_matrix_lazy(Process& process,
-                                             std::uint64_t rows,
-                                             std::uint64_t cols) {
-  vm::MatrixDesc desc;
-  desc.rows = rows;
-  desc.cols = cols;
-  desc.elem_bytes = sizeof(double);
-  desc.base = process.space->reserve(rows * cols * sizeof(double));
   return desc;
 }
 

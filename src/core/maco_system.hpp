@@ -73,7 +73,8 @@ class WalkMemoryOracle final : public vm::MemoryLatencyOracle {
 
 class MacoSystem {
  public:
-  explicit MacoSystem(const SystemConfig& config = SystemConfig::maco_default());
+  explicit MacoSystem(
+      const SystemConfig& config = SystemConfig::maco_default());
   ~MacoSystem();
 
   const SystemConfig& config() const noexcept { return config_; }
@@ -87,7 +88,6 @@ class MacoSystem {
 
   // ---- processes ----
   Process& create_process();
-  Process& process(vm::Asid asid);
   // Installs the process context on a node (simulated OS context switch).
   void schedule_process(unsigned node_index, Process& process);
 
@@ -96,10 +96,6 @@ class MacoSystem {
   // with carry_values = false, which holds no values to move.
   vm::MatrixDesc alloc_matrix(Process& process, std::uint64_t rows,
                               std::uint64_t cols);
-  // Lazily-backed variant (reserved VA, no frames): the MMAE faults on
-  // first touch and the OS layer (os::Scheduler) repairs via demand paging.
-  vm::MatrixDesc alloc_matrix_lazy(Process& process, std::uint64_t rows,
-                                   std::uint64_t cols);
   void write_matrix(Process& process, const vm::MatrixDesc& desc,
                     const sa::HostMatrix& values);
   sa::HostMatrix read_matrix(Process& process, const vm::MatrixDesc& desc);

@@ -63,27 +63,7 @@ std::uint64_t SystemTimingModel::aggregate_sa_cycles(
     const sa::TileShape& shape, const TimingOptions& options) const {
   const std::uint64_t i = options.inner;
   const sa::SaConfig sa = sa_config_for(options);
-  const std::uint64_t ways = effective_ways(options);
-  const std::uint64_t p_rows = sa.rows;
-  const std::uint64_t p_cols = sa.cols;
-
-  // Same closed form as sa::compute_sa_timing, parameterized on `ways` so
-  // the Fig. 8 PE normalization (simd_ways_override = 1) can be applied;
-  // tests assert agreement with the validated model when ways match.
-  auto tile_cycles = [&](std::uint64_t m, std::uint64_t n,
-                         std::uint64_t k) -> std::uint64_t {
-    const std::uint64_t kb = util::ceil_div(k, p_rows);
-    const std::uint64_t nb = util::ceil_div(n, p_cols);
-    std::uint64_t slots = util::ceil_div(m, ways);
-    if (kb > 1 && nb * slots < p_rows) {
-      slots = util::ceil_div(p_rows, nb);  // C-buffer RAW hazard padding
-    }
-    const std::uint64_t stream =
-        kb * nb * slots + (p_rows - 1) + (p_cols - 1);
-    const std::uint64_t preload =
-        sa.double_buffered_b ? p_rows : kb * nb * p_rows;
-    return stream + preload;
-  };
+  const unsigned ways = effective_ways(options);
 
   // Tile the shape into inner³ blocks; at most 8 distinct block shapes.
   auto split = [&](std::uint64_t extent) {
@@ -102,7 +82,9 @@ std::uint64_t SystemTimingModel::aggregate_sa_cycles(
            {std::pair{fk, i}, std::pair{std::uint64_t(rk ? 1 : 0), rk}}) {
         const std::uint64_t count = count_m * count_n * count_k;
         if (count == 0) continue;
-        total += count * tile_cycles(dim_m, dim_n, dim_k);
+        total += count * sa::compute_sa_timing(
+                             sa::TileShape{dim_m, dim_n, dim_k}, sa, ways)
+                             .total_cycles;
       }
     }
   }
@@ -263,7 +245,8 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
   const std::uint64_t n_tiles = util::ceil_div(node_shape.m, i) *
                                 util::ceil_div(node_shape.n, i) *
                                 util::ceil_div(node_shape.k, i);
-  const double compute_tile_ps = compute_ps_total / static_cast<double>(n_tiles);
+  const double compute_tile_ps =
+      compute_ps_total / static_cast<double>(n_tiles);
 
   // ---- DMA bytes ----
   const std::uint64_t k_tiles = util::ceil_div(node_shape.k, i);
@@ -445,7 +428,9 @@ SystemTiming SystemTimingModel::run_layers(
   if (layers.empty()) {
     throw std::invalid_argument("run_layers: empty layer list");
   }
-  options.cooperative = true;
+  // Cooperative: the nodes share each layer; independent: each node runs
+  // its own copy, as run() counts it.
+  const double copies = options.cooperative ? 1.0 : options.active_nodes;
   double total_ps = 0.0;
   double total_flops = 0.0;
   SystemTiming last;
@@ -453,7 +438,7 @@ SystemTiming SystemTimingModel::run_layers(
     options.shape = layer;
     last = run(options);
     total_ps += static_cast<double>(last.makespan_ps);
-    total_flops += 2.0 * static_cast<double>(layer.macs());
+    total_flops += 2.0 * static_cast<double>(layer.macs()) * copies;
   }
   SystemTiming result = last;
   result.makespan_ps = static_cast<sim::TimePs>(total_ps);

@@ -108,9 +108,8 @@ struct SamplingStats {
 // (fidelity=detailed); present=false on closed-form and sampled estimates,
 // which never enter the OS layer. A plain mirror of os::SchedulerStats so
 // the core timing types stay below the OS layer in the include graph,
-// without its fault-repair and MTQ-backoff counts: a detailed run
-// allocates its operands eagerly and holds at most two tasks per node
-// against an 8-entry MTQ, so both always read 0.
+// without its MTQ-backoff count: a detailed run holds at most two tasks
+// per node against an 8-entry MTQ, so it always reads 0.
 struct OsStats {
   bool present = false;
   std::uint64_t context_switches = 0;
@@ -137,8 +136,9 @@ class SystemTimingModel {
   // inner or page size).
   SystemTiming run(const TimingOptions& options) const;
 
-  // Runs a sequence of GEMM layers (a DNN) back to back; cooperative across
-  // the active nodes. Returns aggregate throughput over the whole network.
+  // Runs a sequence of GEMM layers (a DNN) back to back on the active
+  // nodes, split across them or one copy per node as options.cooperative
+  // says. Returns aggregate throughput over the whole network.
   // Throws std::invalid_argument on an empty list or a bad layer.
   SystemTiming run_layers(const std::vector<sa::TileShape>& layers,
                           TimingOptions options) const;

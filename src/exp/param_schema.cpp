@@ -8,7 +8,9 @@
 namespace maco::exp {
 namespace {
 
-std::string format_f64(double value) { return ParamValue::f64(value).to_string(); }
+std::string format_f64(double value) {
+  return ParamValue::f64(value).to_string();
+}
 
 [[noreturn]] void bad_value(std::string_view name, const std::string& text,
                             const std::string& wanted) {

@@ -33,10 +33,10 @@ class SetAssocCache {
 
   struct AccessResult {
     bool hit = false;
-    bool allocated = false;       // line now resident (false if all ways locked)
+    bool allocated = false;  // line now resident (false if all ways locked)
     bool evicted = false;
     std::uint64_t victim_addr = 0;
-    bool victim_dirty = false;    // victim was written (needs writeback)
+    bool victim_dirty = false;  // victim was written (needs writeback)
   };
 
   // Allocate-on-miss access; a read installs the line clean, a write
@@ -65,7 +65,9 @@ class SetAssocCache {
     return total ? static_cast<double>(hits_) / static_cast<double>(total)
                  : 0.0;
   }
-  void reset_stats() noexcept { hits_ = misses_ = evictions_ = writebacks_ = 0; }
+  void reset_stats() noexcept {
+    hits_ = misses_ = evictions_ = writebacks_ = 0;
+  }
 
  private:
   // Each set is one block of `block_words_` words: `ways` tag keys

@@ -81,7 +81,9 @@ class AcceleratorController : public cpu::AcceleratorPort {
   bool submit(cpu::Maid maid, isa::Mnemonic op, const isa::ParamBlock& params,
               vm::Asid asid) override;
 
-  void set_completion_callback(CompletionFn fn) { on_complete_ = std::move(fn); }
+  void set_completion_callback(CompletionFn fn) {
+    on_complete_ = std::move(fn);
+  }
   // Page table for an ASID (multi-process: the OS registers live tables).
   void set_page_table_lookup(
       std::function<const vm::PageTable*(vm::Asid)> lookup) {

@@ -12,9 +12,9 @@ SlaveTaskQueue::SlaveTaskQueue(unsigned entries) : entries_(entries) {
 
 bool SlaveTaskQueue::push(cpu::Maid maid, isa::Mnemonic op,
                           const isa::ParamBlock& block, vm::Asid asid) {
-  const auto it =
-      std::find_if(entries_.begin(), entries_.end(),
-                   [](const StqEntry& e) { return e.state == StqState::kFree; });
+  const auto it = std::find_if(
+      entries_.begin(), entries_.end(),
+      [](const StqEntry& e) { return e.state == StqState::kFree; });
   if (it == entries_.end()) return false;
 
   StqEntry& entry = *it;

@@ -41,7 +41,9 @@ class LinkLoadModel {
     return u <= 1.0 ? 1.0 : 1.0 / u;
   }
 
-  double link_capacity() const noexcept { return config_.link_bytes_per_second; }
+  double link_capacity() const noexcept {
+    return config_.link_bytes_per_second;
+  }
 
  private:
   LinkLoadConfig config_;

@@ -38,7 +38,6 @@ void collect(core::MacoSystem& system, RunObservation& out) {
     counters[base + ".vm.stlb.evictions"] += stlb.evictions();
     const vm::PageTableWalker& walker = core.mmu().walker();
     counters[base + ".vm.walker.walks"] += walker.walks();
-    counters[base + ".vm.walker.faults"] += walker.faults();
     counters[base + ".vm.walker.pte_reads"] += walker.pte_reads();
     counters[base + ".vm.walker.walk_cache_hits"] += walker.walk_cache_hits();
     const vm::Matlb& matlb = node.mmae().matlb();

@@ -37,8 +37,8 @@ namespace maco::obs {
 void collect(core::MacoSystem& system, RunObservation& out);
 
 // Appends node `node`'s MMAE task reports to `spans` on track
-// "node<N>.mmae", one span per task named by its mnemonic; a repaired
-// fault shows up as its own "fault:<type>" attempt before the retry.
+// "node<N>.mmae", one span per task named by its mnemonic, or
+// "fault:<type>" for a task the MMAE aborted.
 void append_mmae_spans(core::MacoSystem& system, unsigned node,
                        std::vector<SpanRec>& spans);
 

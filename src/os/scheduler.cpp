@@ -5,7 +5,7 @@
 namespace maco::os {
 
 Scheduler::Scheduler(core::MacoSystem& system, const Options& options)
-    : system_(system), options_(options), pager_(system) {
+    : system_(system), options_(options) {
   MACO_ASSERT(options.nodes >= 1 && options.nodes <= system.node_count());
   MACO_ASSERT(options.slice_tasks >= 1);
   in_flight_.resize(options.nodes);
@@ -27,7 +27,7 @@ bool Scheduler::dispatch_slice(unsigned node, Job& job) {
   for (std::size_t t = 0;
        t < job.tasks.size() && dispatched < options_.slice_tasks; ++t) {
     GemmTask& task = job.tasks[t];
-    if (task.done || task.failed || task.dispatches > 0) continue;
+    if (task.done || task.failed || task.dispatched) continue;
 
     if (dispatched == 0) {
       // Context switch before the job's first dispatch (a job with no
@@ -45,7 +45,7 @@ bool Scheduler::dispatch_slice(unsigned node, Job& job) {
       ++stats_.mtq_full_backoffs;
       break;
     }
-    ++task.dispatches;
+    task.dispatched = true;
     job.node = static_cast<int>(node);
     in_flight_[node].push_back(
         InFlight{static_cast<cpu::Maid>(maid), job.id, t});
@@ -67,28 +67,19 @@ void Scheduler::harvest(unsigned node) {
       continue;
     }
 
-    if (!entry.exception_en) {
-      task.done = true;
-      ++stats_.tasks_completed;
-    } else if (entry.exception_type == cpu::ExceptionType::kPageFault &&
-               options_.demand_paging) {
-      // OS fault handler: map the missing pages, clear the entry, and mark
-      // the task for re-dispatch on a later slice.
-      const RepairReport report =
-          pager_.repair_gemm(*job.process, task.params);
-      stats_.pages_mapped += report.pages_mapped;
-      ++stats_.faults_repaired;
-      task.dispatches = 0;  // eligible again
-      cpu.regs().write(9, flight.maid);
-      cpu.execute_source("ma_clear x9");
-      continue;
-    } else {
+    // Release the MTQ entry. MA_STATE frees a completed task's; the entry
+    // of a task the MMAE aborted stays held until MA_CLEAR (Fig. 3 state
+    // 4).
+    const bool aborted = entry.exception_en;
+    if (aborted) {
       task.failed = true;
       ++stats_.tasks_failed;
+    } else {
+      task.done = true;
+      ++stats_.tasks_completed;
     }
-    // Release the MTQ entry (MA_STATE: query + release).
     cpu.regs().write(9, flight.maid);
-    cpu.execute_source("ma_state x8, x9");
+    cpu.execute_source(aborted ? "ma_clear x9" : "ma_state x8, x9");
   }
   in_flight_[node] = std::move(still_running);
 }
@@ -119,6 +110,16 @@ SchedulerStats Scheduler::run_all() {
     // Let the MMAEs drain, then collect completions/faults everywhere.
     system_.run();
     for (unsigned node = 0; node < options_.nodes; ++node) harvest(node);
+  }
+
+  // Runaway guard: a task still pending after max_rounds fails, so the
+  // caller sees an error instead of a job that silently never finished.
+  for (Job& job : jobs_) {
+    for (GemmTask& task : job.tasks) {
+      if (task.done || task.failed) continue;
+      task.failed = true;
+      ++stats_.tasks_failed;
+    }
   }
   return stats_;
 }

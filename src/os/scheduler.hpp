@@ -7,12 +7,14 @@
 //   * context switches install a process's page table on a node while
 //     earlier tasks from OTHER processes are still in flight — the MTQ/STQ
 //     keep per-task state across switches (Fig. 3 state 3);
-//   * completions are harvested with MA_READ / MA_STATE;
+//   * completions are harvested with MA_STATE, aborted tasks with
+//     MA_CLEAR;
 //   * MTQ exhaustion (MA_CFG returning the failure sentinel) backs off and
 //     retries after a drain;
-//   * page-fault exceptions are repaired by the demand pager (map the
-//     missing pages, MA_CLEAR, re-dispatch) when enabled, or surfaced as
-//     permanently failed tasks when not.
+//   * a task the MMAE aborted with an exception (a page fault: operand
+//     pages are mapped when they are allocated and stay mapped, so a fault
+//     is an addressing bug with nothing to repair) fails, and so does a
+//     task still pending after max_rounds; both count in tasks_failed.
 // A job stays on the node that took its first task. That node's STQ runs
 // the tasks in issue order, so a job's tasks run one after another, as a
 // program's dependent layers must.
@@ -23,15 +25,14 @@
 #include <vector>
 
 #include "core/maco_system.hpp"
-#include "os/demand_pager.hpp"
 
 namespace maco::os {
 
 struct GemmTask {
   isa::GemmParams params;
-  bool done = false;       // completed without exception
-  bool failed = false;     // completed with an unrepairable exception
-  unsigned dispatches = 0; // 1 normally; >1 after fault repair
+  bool done = false;        // completed without exception
+  bool failed = false;      // raised an exception, or never finished
+  bool dispatched = false;  // issued to an MTQ
 };
 
 struct Job {
@@ -52,8 +53,6 @@ struct SchedulerStats {
   std::uint64_t context_switches = 0;
   std::uint64_t tasks_completed = 0;
   std::uint64_t tasks_failed = 0;
-  std::uint64_t faults_repaired = 0;
-  std::uint64_t pages_mapped = 0;
   std::uint64_t mtq_full_backoffs = 0;
   std::uint64_t scheduling_rounds = 0;
 };
@@ -63,15 +62,14 @@ class Scheduler {
   struct Options {
     unsigned nodes = 1;            // compute nodes the OS schedules on
     unsigned slice_tasks = 2;      // tasks dispatched per slice
-    bool demand_paging = true;     // repair page faults vs fail the task
-    unsigned max_rounds = 10'000;  // runaway guard
+    unsigned max_rounds = 10'000;  // runaway guard: fail what is left
   };
 
   Scheduler(core::MacoSystem& system, const Options& options);
 
   Job& add_job(core::Process& process);
 
-  // Runs every job to completion (or permanent failure); returns stats.
+  // Runs every job until each task is done or failed; returns stats.
   SchedulerStats run_all();
 
   // Deque: job references stay valid across add_job calls.
@@ -87,12 +85,11 @@ class Scheduler {
   // Dispatches up to slice_tasks of `job` on `node` (none when the job runs
   // on another node); true if any dispatched.
   bool dispatch_slice(unsigned node, Job& job);
-  // Harvests every in-flight task on `node`; repairs or finalizes.
+  // Harvests every finished task on `node` and releases its MTQ entry.
   void harvest(unsigned node);
 
   core::MacoSystem& system_;
   Options options_;
-  DemandPager pager_;
   std::deque<Job> jobs_;
   std::vector<std::vector<InFlight>> in_flight_;  // per node
   std::vector<std::size_t> rr_cursor_;            // per node: next job index

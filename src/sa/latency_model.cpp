@@ -7,12 +7,16 @@
 namespace maco::sa {
 
 SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config) {
+  return compute_sa_timing(shape, config, simd_ways(config.precision));
+}
+
+SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config,
+                           unsigned ways) {
   MACO_ASSERT_MSG(shape.m > 0 && shape.n > 0 && shape.k > 0,
                   "degenerate tile " << shape.m << "x" << shape.n << "x"
                                      << shape.k);
   const std::uint64_t p_rows = config.rows;
   const std::uint64_t p_cols = config.cols;
-  const std::uint64_t ways = simd_ways(config.precision);
 
   SaTiming t;
   t.k_blocks = util::ceil_div(shape.k, p_rows);

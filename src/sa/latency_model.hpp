@@ -33,7 +33,12 @@ struct SaTiming {
   double utilization = 0.0;         // useful MACs / PE-cycles
 };
 
-// `config` is read for rows/cols/precision/double_buffered_b.
+// `config` is read for rows/cols/precision/double_buffered_b; each PE
+// does simd_ways(config.precision) MACs per cycle.
 SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config);
+// The same with `ways` MACs per PE per cycle (the Fig. 8 PE-count
+// normalization sets 1).
+SaTiming compute_sa_timing(const TileShape& shape, const SaConfig& config,
+                           unsigned ways);
 
 }  // namespace maco::sa

@@ -128,8 +128,6 @@ class DetailedCostModel final : public BatchCostModel {
     stats_.context_switches += run.context_switches;
     stats_.tasks_completed += run.tasks_completed;
     stats_.tasks_failed += run.tasks_failed;
-    stats_.faults_repaired += run.faults_repaired;
-    stats_.pages_mapped += run.pages_mapped;
     stats_.mtq_full_backoffs += run.mtq_full_backoffs;
     stats_.scheduling_rounds += run.scheduling_rounds;
   }

@@ -17,8 +17,8 @@
 //    co-resident instances contend for MTQ/NoC/CCM/DRAM exactly as the
 //    multi-process machinery of Section III.C does. The measured makespan
 //    is charged in engine virtual time, and the scheduler's own counters
-//    (context switches, MTQ backoffs, fault repairs) accumulate for the
-//    serve report.
+//    (context switches, MTQ backoffs, scheduling rounds) accumulate for
+//    the serve report.
 #pragma once
 
 #include <cstdint>

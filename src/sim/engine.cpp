@@ -5,8 +5,8 @@
 namespace maco::sim {
 
 void SimEngine::schedule_at(TimePs at, Action action) {
-  MACO_ASSERT_MSG(at >= now_, "scheduling into the past: at=" << at
-                                                              << " now=" << now_);
+  MACO_ASSERT_MSG(at >= now_,
+                  "scheduling into the past: at=" << at << " now=" << now_);
   queue_.push(Event{at, next_seq_++, std::move(action)});
 }
 

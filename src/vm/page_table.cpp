@@ -73,7 +73,7 @@ PageTable::WalkTrace PageTable::walk(VirtAddr va) const {
 
 AddressSpace::AddressSpace(Asid asid, PhysAddr page_table_base,
                            PhysAddr frame_base, VirtAddr virt_base)
-    : asid_(asid), table_(page_table_base), frames_(frame_base),
+    : asid_(asid), table_(page_table_base), next_frame_(frame_base),
       virt_cursor_(util::align_up(virt_base, kPageSize)) {}
 
 VirtAddr AddressSpace::alloc(std::uint64_t bytes) {
@@ -81,26 +81,11 @@ VirtAddr AddressSpace::alloc(std::uint64_t bytes) {
   const VirtAddr base = virt_cursor_;
   const std::uint64_t span = util::align_up(bytes, kPageSize);
   for (std::uint64_t offset = 0; offset < span; offset += kPageSize) {
-    table_.map(base + offset, frames_.alloc_frame());
+    table_.map(base + offset, next_frame_);
+    next_frame_ += kPageSize;
   }
   virt_cursor_ += span;
-  bytes_allocated_ += bytes;
   return base;
-}
-
-VirtAddr AddressSpace::reserve(std::uint64_t bytes) {
-  MACO_ASSERT_MSG(bytes > 0, "zero-byte reservation");
-  const VirtAddr base = virt_cursor_;
-  virt_cursor_ += util::align_up(bytes, kPageSize);
-  bytes_allocated_ += bytes;
-  return base;
-}
-
-bool AddressSpace::map_page(VirtAddr va) {
-  const VirtAddr page = util::align_down(va, kPageSize);
-  if (table_.is_mapped(page)) return false;
-  table_.map(page, frames_.alloc_frame());
-  return true;
 }
 
 }  // namespace maco::vm

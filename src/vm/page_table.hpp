@@ -1,5 +1,5 @@
-// Four-level radix page table (ARMv8-style 48-bit VA, 4 KiB granule) plus a
-// frame allocator and per-process address spaces.
+// Four-level radix page table (ARMv8-style 48-bit VA, 4 KiB granule) plus
+// per-process address spaces.
 //
 // Table nodes are assigned simulated physical addresses so the page-table
 // walker can charge realistic memory latencies for each level it touches.
@@ -67,25 +67,8 @@ class PageTable {
   std::uint64_t mapped_pages_ = 0;
 };
 
-// Bump allocator for simulated physical frames.
-class FrameAllocator {
- public:
-  explicit FrameAllocator(PhysAddr base) : next_(base) {}
-  PhysAddr alloc_frame() {
-    const PhysAddr frame = next_;
-    next_ += kPageSize;
-    ++allocated_;
-    return frame;
-  }
-  std::uint64_t allocated_frames() const noexcept { return allocated_; }
-
- private:
-  PhysAddr next_;
-  std::uint64_t allocated_ = 0;
-};
-
-// A process address space: an ASID, a page table, and a bump virtual
-// allocator that eagerly backs allocations with physical frames.
+// A process address space: an ASID, a page table, and bump virtual and
+// physical allocators; an allocation maps every page it spans.
 class AddressSpace {
  public:
   AddressSpace(Asid asid, PhysAddr page_table_base, PhysAddr frame_base,
@@ -96,24 +79,14 @@ class AddressSpace {
   const PageTable& page_table() const noexcept { return table_; }
 
   // Allocates `bytes` of page-backed virtual memory; returns its base.
+  // Pages stay mapped for the address space's life.
   VirtAddr alloc(std::uint64_t bytes);
-
-  // Reserves `bytes` of virtual address space WITHOUT backing frames
-  // (mmap-style lazy allocation); accesses fault until map_page is called.
-  VirtAddr reserve(std::uint64_t bytes);
-
-  // Demand-paging path: backs the page containing `va` with a fresh frame.
-  // Returns false if it was already mapped.
-  bool map_page(VirtAddr va);
-
-  std::uint64_t bytes_allocated() const noexcept { return bytes_allocated_; }
 
  private:
   Asid asid_;
   PageTable table_;
-  FrameAllocator frames_;
+  PhysAddr next_frame_;
   VirtAddr virt_cursor_;
-  std::uint64_t bytes_allocated_ = 0;
 };
 
 }  // namespace maco::vm

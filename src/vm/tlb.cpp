@@ -78,12 +78,6 @@ void Tlb::push_front(SlotIndex slot) noexcept {
   head_ = slot;
 }
 
-void Tlb::remove(SlotIndex slot) noexcept {
-  erase_bucket(slots_[slot].bucket);
-  unlink(slot);
-  --size_;
-}
-
 std::optional<std::uint64_t> Tlb::lookup(Asid asid, std::uint64_t vpn) {
   const SlotIndex slot = index_[probe(asid, vpn)].slot;
   if (slot == kNone) {
@@ -113,14 +107,12 @@ void Tlb::insert(Asid asid, std::uint64_t vpn, std::uint64_t ppn) {
     return;
   }
   SlotIndex slot;
-  if (size_ == capacity_) {
+  if (slots_.size() == capacity_) {  // full: reuse the LRU entry's slot
     slot = tail_;
-    remove(slot);
+    erase_bucket(slots_[slot].bucket);
+    unlink(slot);
     ++evictions_;
     bucket = probe(asid, vpn);  // the eviction may have shifted the run
-  } else if (free_ != kNone) {
-    slot = free_;
-    free_ = slots_[slot].next;
   } else {
     slot = static_cast<SlotIndex>(slots_.size());
     slots_.emplace_back();
@@ -129,34 +121,6 @@ void Tlb::insert(Asid asid, std::uint64_t vpn, std::uint64_t ppn) {
   slots_[slot].ppn = ppn;
   slots_[slot].bucket = static_cast<std::uint32_t>(bucket);
   push_front(slot);
-  ++size_;
-}
-
-void Tlb::invalidate(Asid asid, std::uint64_t vpn) {
-  const SlotIndex slot = index_[probe(asid, vpn)].slot;
-  if (slot == kNone) return;
-  remove(slot);
-  slots_[slot].next = free_;
-  free_ = slot;
-}
-
-void Tlb::invalidate_asid(Asid asid) {
-  for (SlotIndex slot = head_; slot != kNone;) {
-    const SlotIndex next = slots_[slot].next;
-    if (index_[slots_[slot].bucket].asid == asid) {
-      remove(slot);
-      slots_[slot].next = free_;
-      free_ = slot;
-    }
-    slot = next;
-  }
-}
-
-void Tlb::invalidate_all() {
-  slots_.clear();
-  for (Bucket& bucket : index_) bucket.slot = kNone;
-  head_ = tail_ = free_ = kNone;
-  size_ = 0;
 }
 
 }  // namespace maco::vm

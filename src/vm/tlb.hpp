@@ -1,7 +1,9 @@
 // Fully-associative LRU TLB, keyed by (ASID, VPN).
 //
 // Models the paper's shared L2 TLB (1024 entries) that the MMAE reaches
-// through its custom sTLB interface.
+// through its custom sTLB interface. Entries are tagged with their ASID, so
+// a context switch needs no flush, and a page stays mapped once allocated,
+// so no entry is ever invalidated: entries leave only by LRU eviction.
 //
 // Storage is flat: `capacity` entry slots reserved up front, recency kept as
 // a doubly linked list of slot indices (head = most recent), and an
@@ -29,13 +31,10 @@ class Tlb {
   bool contains(Asid asid, std::uint64_t vpn) const;
 
   void insert(Asid asid, std::uint64_t vpn, std::uint64_t ppn);
-  void invalidate(Asid asid, std::uint64_t vpn);
-  void invalidate_asid(Asid asid);
-  void invalidate_all();
 
   const std::string& name() const noexcept { return name_; }
   std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const noexcept { return size_; }
+  std::size_t size() const noexcept { return slots_.size(); }
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t evictions() const noexcept { return evictions_; }
@@ -50,12 +49,12 @@ class Tlb {
   using SlotIndex = std::uint32_t;
   static constexpr SlotIndex kNone = ~SlotIndex{0};
 
-  // One resident entry (or a free slot). The key lives in its bucket.
+  // One resident entry. The key lives in its bucket.
   struct Slot {
     std::uint64_t ppn;
     std::uint32_t bucket;  // where index_ holds this entry's key
-    SlotIndex prev;        // toward the MRU end (unused while free)
-    SlotIndex next;        // toward the LRU end, or the next free slot
+    SlotIndex prev;        // toward the MRU end
+    SlotIndex next;        // toward the LRU end
   };
   struct Bucket {
     std::uint64_t vpn;
@@ -69,18 +68,14 @@ class Tlb {
   void erase_bucket(std::size_t bucket) noexcept;
   void unlink(SlotIndex slot) noexcept;
   void push_front(SlotIndex slot) noexcept;
-  // Drops a resident slot from the index and the recency list.
-  void remove(SlotIndex slot) noexcept;
 
   std::string name_;
   std::size_t capacity_;
-  std::vector<Slot> slots_;    // reserved to capacity_; never reallocates
+  std::vector<Slot> slots_;    // one per entry; reserved to capacity_
   std::vector<Bucket> index_;  // power-of-two bucket count
   unsigned index_shift_ = 0;   // 64 - log2(index_.size())
   SlotIndex head_ = kNone;     // most recently used
   SlotIndex tail_ = kNone;     // least recently used
-  SlotIndex free_ = kNone;     // invalidated slots, linked through next
-  std::size_t size_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

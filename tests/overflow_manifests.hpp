@@ -4,6 +4,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <string>
@@ -11,6 +12,14 @@
 #include "graph/builtin_models.hpp"
 
 namespace maco::overflow_manifests {
+
+// One file per test process: ctest runs the graph and driver test
+// binaries in parallel, and a shared path lets one read the other's
+// half-written manifest.
+inline std::string temp_path(const std::string& stem) {
+  return ::testing::TempDir() + "/" + stem + "." +
+         std::to_string(::getpid()) + ".json";
+}
 
 // gpt3-block with batch = seq_len = 2^32: tokens = batch*seq_len wraps to
 // 0 unchecked.
@@ -20,16 +29,14 @@ inline std::string wrapping_tokens() {
   manifest.replace(
       manifest.find(defaults), defaults.size(),
       R"("defaults": {"batch": 4294967296, "seq_len": 4294967296})");
-  const std::string path =
-      ::testing::TempDir() + "/wrapping_tokens_manifest.json";
+  const std::string path = temp_path("wrapping_tokens_manifest");
   std::ofstream(path) << manifest;
   return path;
 }
 
 // One gemm over literal [2^22, 2^22] tensors: 2*m*n*k = 2^67 wraps.
 inline std::string wrapping_flops() {
-  const std::string path =
-      ::testing::TempDir() + "/wrapping_flops_manifest.json";
+  const std::string path = temp_path("wrapping_flops_manifest");
   std::ofstream(path) << R"({
   "model": "huge-gemm",
   "tensors": [

@@ -181,8 +181,8 @@ TEST_F(TimingModelTest, CooperativeSplitsWork) {
 }
 
 TEST_F(TimingModelTest, AggregateCyclesMatchValidatedModel) {
-  // With no SIMD override the local closed form must agree with the
-  // sa::compute_sa_timing-validated formula.
+  // aggregate_sa_cycles sums sa::compute_sa_timing over the inner-tile
+  // blocks: 192x128x64 at inner 64 is 3x2x1 full blocks.
   TimingOptions options;
   options.shape = sa::TileShape{192, 128, 64};
   options.inner = 64;
@@ -210,6 +210,7 @@ TEST_F(TimingModelTest, StashOffCostsThroughput) {
 TEST_F(TimingModelTest, LayersAggregateThroughput) {
   TimingOptions options;
   options.active_nodes = 16;
+  options.cooperative = true;
   std::vector<sa::TileShape> layers = {
       sa::TileShape{1024, 1024, 1024}, sa::TileShape{2048, 2048, 2048}};
   const SystemTiming timing = model_.run_layers(layers, options);

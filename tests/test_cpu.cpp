@@ -97,7 +97,8 @@ TEST(Mtq, PackStateEncodesFields) {
 
 class MmuTest : public ::testing::Test {
  protected:
-  MmuTest() : table_(0x1000000), oracle_(10'000), mmu_("mmu", MmuConfig{}, oracle_) {
+  MmuTest()
+      : table_(0x1000000), oracle_(10'000), mmu_("mmu", MmuConfig{}, oracle_) {
     table_.map(0x40000000, 0x5000);
   }
   vm::PageTable table_;

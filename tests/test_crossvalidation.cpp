@@ -38,7 +38,8 @@ double detailed_efficiency(std::uint64_t size) {
   cpu.regs().write_param_block(10, gemm.pack());
   cpu.execute_source("ma_cfg x5, x10");
   system.run();
-  const auto& entry = cpu.mtq().entry(static_cast<cpu::Maid>(cpu.regs().read(5)));
+  const auto& entry =
+      cpu.mtq().entry(static_cast<cpu::Maid>(cpu.regs().read(5)));
   EXPECT_TRUE(entry.done);
   EXPECT_FALSE(entry.exception_en);
 

@@ -716,6 +716,27 @@ TEST(Sweep, UnsetNodesFollowsNodeCount) {
   EXPECT_GT(sixteen->value, 2.0 * one->value);
 }
 
+TEST(Sweep, AnalyticGraphHonoursCooperative) {
+  // Independent mode runs each layer whole on every one of the 16 nodes:
+  // 16 copies of the FLOPs, each layer taking longer than its cooperative
+  // split.
+  SweepRequest request;
+  request.scenario = "graph";
+  request.base_params = {{"model_file", "tiny"}, {"nodes", "16"}};
+  request.axes = {{"cooperative", {"true", "false"}}};
+  const SweepResults results =
+      run_sweep(ScenarioRegistry::builtin(), request);
+  ASSERT_EQ(results.rows.size(), 2u);
+  ASSERT_EQ(results.failures(), 0u);
+  for (const char* name : {"gflops", "makespan_ms"}) {
+    const exp::Metric* split = results.rows[0].result.find(name);
+    const exp::Metric* copies = results.rows[1].result.find(name);
+    ASSERT_NE(split, nullptr);
+    ASSERT_NE(copies, nullptr);
+    EXPECT_GT(copies->value, split->value) << name;
+  }
+}
+
 TEST(Sweep, AnalyticOnlyScenarioRejectsDetailedFidelityUpFront) {
   const ScenarioRegistry registry = ScenarioRegistry::builtin();
   SweepRequest request;

@@ -406,8 +406,9 @@ TEST(ValuesEquivalence, MoveInitAndStashTasks) {
 }
 
 TEST(ValuesEquivalence, DemandPagedGemm) {
-  // A lazily backed C faults on first touch; the OS maps it and
-  // re-dispatches, with values or without.
+  // A C outside every allocation faults on first touch; the MMAE aborts
+  // the task, the scheduler fails it and runs the job's next task, with
+  // values or without.
   core::SystemConfig config = core::SystemConfig::maco_default();
   config.node_count = 1;
   const MachineRun on = expect_values_never_reach_timing(
@@ -416,7 +417,7 @@ TEST(ValuesEquivalence, DemandPagedGemm) {
         const std::uint64_t dim = 96;
         const vm::MatrixDesc a = system.alloc_matrix(process, dim, dim);
         const vm::MatrixDesc b = system.alloc_matrix(process, dim, dim);
-        const vm::MatrixDesc c = system.alloc_matrix_lazy(process, dim, dim);
+        const vm::MatrixDesc c = system.alloc_matrix(process, dim, dim);
         if (system.config().carry_values) {
           util::Rng rng(9);
           system.write_matrix(process, a,
@@ -429,14 +430,19 @@ TEST(ValuesEquivalence, DemandPagedGemm) {
         gemm.b_base = b.base;
         gemm.c_base = c.base;
         gemm.m = gemm.n = gemm.k = static_cast<std::uint32_t>(dim);
+        isa::GemmParams faulting = gemm;
+        faulting.c_base = 0x7f00'0000'0000ull;  // never allocated
         os::Scheduler scheduler(system, os::Scheduler::Options{});
-        scheduler.add_job(process).tasks.push_back(os::GemmTask{gemm});
+        os::Job& job = scheduler.add_job(process);
+        job.tasks.push_back(os::GemmTask{faulting});
+        job.tasks.push_back(os::GemmTask{gemm});
         const os::SchedulerStats stats = scheduler.run_all();
-        EXPECT_EQ(stats.faults_repaired, 1u);
+        EXPECT_EQ(stats.tasks_failed, 1u);
         EXPECT_EQ(stats.tasks_completed, 1u);
       });
   ASSERT_EQ(on.reports[0].size(), 2u);
   EXPECT_EQ(on.reports[0][0].exception, cpu::ExceptionType::kPageFault);
+  EXPECT_EQ(on.reports[0][1].exception, cpu::ExceptionType::kNone);
 }
 
 }  // namespace

@@ -18,7 +18,8 @@ namespace {
 // Fixed-latency, bandwidth-limited backend over physical memory.
 class TestBackend final : public MemoryBackend {
  public:
-  explicit TestBackend(mem::PhysicalMemory& memory, double bytes_per_second = 64e9,
+  explicit TestBackend(mem::PhysicalMemory& memory,
+                       double bytes_per_second = 64e9,
                        sim::TimePs latency = 10'000)
       : memory_(memory), bw_(bytes_per_second), latency_(latency) {}
 

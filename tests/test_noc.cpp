@@ -36,9 +36,9 @@ class MeshTest : public ::testing::Test {
  protected:
   MeshTest() : mesh_(engine_, MeshConfig{}) {
     for (unsigned n = 0; n < mesh_.node_count(); ++n) {
-      mesh_.register_endpoint(static_cast<NodeId>(n), [this, n](const Packet& p) {
-        received_[n].push_back(p);
-      });
+      mesh_.register_endpoint(
+          static_cast<NodeId>(n),
+          [this, n](const Packet& p) { received_[n].push_back(p); });
     }
   }
 

@@ -116,7 +116,6 @@ TEST(ObsCollector, PublishesDottedCounterNames) {
       "nodeN.vm.stlb.misses",
       "nodeN.vm.stlb.evictions",
       "nodeN.vm.walker.walks",
-      "nodeN.vm.walker.faults",
       "nodeN.vm.walker.pte_reads",
       "nodeN.vm.walker.walk_cache_hits",
       "nodeN.mmae.matlb.hits",

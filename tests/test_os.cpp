@@ -1,5 +1,5 @@
-// OS layer: round-robin multi-process scheduling and demand paging over
-// the detailed MacoSystem.
+// OS layer: round-robin multi-process scheduling over the detailed
+// MacoSystem, and how it fails a task the MMAE aborts.
 #include <gtest/gtest.h>
 
 #include "os/scheduler.hpp"
@@ -21,20 +21,16 @@ struct PreparedGemm {
 };
 
 PreparedGemm prepare_gemm(core::MacoSystem& system, core::Process& process,
-                          util::Rng& rng, std::uint64_t dim,
-                          bool lazy_c = false) {
+                          util::Rng& rng, std::uint64_t dim) {
   PreparedGemm prepared;
   prepared.a = sa::HostMatrix::random(dim, dim, rng);
   prepared.b = sa::HostMatrix::random(dim, dim, rng);
   const auto a_desc = system.alloc_matrix(process, dim, dim);
   const auto b_desc = system.alloc_matrix(process, dim, dim);
-  prepared.c_desc = lazy_c ? system.alloc_matrix_lazy(process, dim, dim)
-                           : system.alloc_matrix(process, dim, dim);
+  prepared.c_desc = system.alloc_matrix(process, dim, dim);
   system.write_matrix(process, a_desc, prepared.a);
   system.write_matrix(process, b_desc, prepared.b);
-  if (!lazy_c) {
-    system.write_matrix(process, prepared.c_desc, sa::HostMatrix(dim, dim));
-  }
+  system.write_matrix(process, prepared.c_desc, sa::HostMatrix(dim, dim));
   prepared.params.a_base = a_desc.base;
   prepared.params.b_base = b_desc.base;
   prepared.params.c_base = prepared.c_desc.base;
@@ -76,7 +72,6 @@ TEST(Scheduler, ThreeJobsTwoNodesAllComplete) {
   const SchedulerStats stats = scheduler.run_all();
   EXPECT_EQ(stats.tasks_completed, 12u);
   EXPECT_EQ(stats.tasks_failed, 0u);
-  EXPECT_EQ(stats.faults_repaired, 0u);
   // Round-robin across 3 jobs implies more switches than jobs.
   EXPECT_GT(stats.context_switches, 3u);
 
@@ -137,66 +132,21 @@ TEST(Scheduler, JobRunsItsTasksInOrderOnOneNode) {
   for (const auto& gemm : prepared) expect_correct(system, process, gemm);
 }
 
-TEST(Scheduler, DemandPagingRepairsLazyOutput) {
-  core::MacoSystem system(config_with(1));
-  util::Rng rng(67);
-  core::Process& process = system.create_process();
-
-  Scheduler::Options options;
-  options.nodes = 1;
-  Scheduler scheduler(system, options);
-  Job& job = scheduler.add_job(process);
-
-  const PreparedGemm prepared =
-      prepare_gemm(system, process, rng, 64, /*lazy_c=*/true);
-  job.tasks.push_back(GemmTask{prepared.params});
-
-  const SchedulerStats stats = scheduler.run_all();
-  EXPECT_EQ(stats.tasks_completed, 1u);
-  EXPECT_EQ(stats.faults_repaired, 1u);
-  // 64x64 FP64 = 32 KiB = 8 pages mapped on demand.
-  EXPECT_EQ(stats.pages_mapped, 8u);
-  EXPECT_EQ(job.tasks[0].dispatches, 1u);  // reset + re-dispatched once
-
-  // calloc semantics: the demand-mapped C started as zeros, so C = A*B.
-  expect_correct(system, process, prepared);
-}
-
-TEST(Scheduler, RepairedAccumulateTaskIsNumericallyCorrect) {
-  // The fault strikes on the first C read — before any partial write — so
-  // the retried accumulate task produces exactly one A*B contribution.
-  core::MacoSystem system(config_with(1));
-  util::Rng rng(71);
-  core::Process& process = system.create_process();
-
-  Scheduler scheduler(system, Scheduler::Options{});
-  Job& job = scheduler.add_job(process);
-  const PreparedGemm prepared =
-      prepare_gemm(system, process, rng, 96, /*lazy_c=*/true);
-  isa::GemmParams accumulate = prepared.params;
-  accumulate.accumulate = true;
-  job.tasks.push_back(GemmTask{accumulate});
-
-  const SchedulerStats stats = scheduler.run_all();
-  EXPECT_EQ(stats.tasks_completed, 1u);
-  EXPECT_EQ(stats.faults_repaired, 1u);
-  expect_correct(system, process, prepared);
-}
-
 TEST(Scheduler, WithoutDemandPagingFaultsFailPermanently) {
+  // Pages are mapped when allocated and never later, so a task whose C
+  // lies outside every allocation fails on its one dispatch; the job's
+  // next task still runs.
   core::MacoSystem system(config_with(1));
   util::Rng rng(73);
   core::Process& process = system.create_process();
 
-  Scheduler::Options options;
-  options.demand_paging = false;
-  Scheduler scheduler(system, options);
+  Scheduler scheduler(system, Scheduler::Options{});
   Job& job = scheduler.add_job(process);
 
-  const PreparedGemm lazy =
-      prepare_gemm(system, process, rng, 64, /*lazy_c=*/true);
+  PreparedGemm unmapped = prepare_gemm(system, process, rng, 64);
+  unmapped.params.c_base = 0x7f00'0000'0000ull;  // never allocated
   const PreparedGemm good = prepare_gemm(system, process, rng, 64);
-  job.tasks.push_back(GemmTask{lazy.params});
+  job.tasks.push_back(GemmTask{unmapped.params});
   job.tasks.push_back(GemmTask{good.params});
 
   const SchedulerStats stats = scheduler.run_all();
@@ -204,7 +154,32 @@ TEST(Scheduler, WithoutDemandPagingFaultsFailPermanently) {
   EXPECT_EQ(stats.tasks_completed, 1u);
   EXPECT_TRUE(job.tasks[0].failed);
   EXPECT_TRUE(job.tasks[1].done);
+  EXPECT_EQ(system.node(0).cpu().mtq().occupied(), 0u);
   expect_correct(system, process, good);
+}
+
+TEST(Scheduler, TasksLeftAfterMaxRoundsFail) {
+  // The runaway guard ends the run with the undispatched task failed, so
+  // a caller checking tasks_failed sees the job did not finish.
+  core::MacoSystem system(config_with(1));
+  util::Rng rng(101);
+  core::Process& process = system.create_process();
+
+  Scheduler::Options options;
+  options.max_rounds = 1;  // one slice of two tasks
+  Scheduler scheduler(system, options);
+  Job& job = scheduler.add_job(process);
+  for (int t = 0; t < 3; ++t) {
+    job.tasks.push_back(
+        GemmTask{prepare_gemm(system, process, rng, 32).params});
+  }
+
+  const SchedulerStats stats = scheduler.run_all();
+  EXPECT_EQ(stats.tasks_completed, 2u);
+  EXPECT_EQ(stats.tasks_failed, 1u);
+  EXPECT_TRUE(job.tasks[2].failed);
+  EXPECT_FALSE(job.tasks[2].dispatched);
+  EXPECT_TRUE(job.finished());
 }
 
 TEST(Scheduler, MoreTasksThanMtqEntriesBacksOffAndFinishes) {
@@ -256,21 +231,6 @@ TEST(Scheduler, JobsShareOneNodeWithInterleavedAsids) {
   EXPECT_GE(stats.context_switches, 6u);
   for (const auto& gemm : pa_gemms) expect_correct(system, pa, gemm);
   for (const auto& gemm : pb_gemms) expect_correct(system, pb, gemm);
-}
-
-TEST(DemandPagerUnit, MapRangeCountsNewPagesOnly) {
-  core::MacoSystem system(config_with(1));
-  core::Process& process = system.create_process();
-  DemandPager pager(system);
-
-  const auto lazy = system.alloc_matrix_lazy(process, 64, 64);  // 8 pages
-  EXPECT_EQ(pager.map_range(process, lazy.base, 64 * 64 * 8), 8u);
-  // Second pass: everything already mapped.
-  EXPECT_EQ(pager.map_range(process, lazy.base, 64 * 64 * 8), 0u);
-  // Partial overlap: only the tail pages are new.
-  const auto lazy2 = system.alloc_matrix_lazy(process, 64, 64);
-  EXPECT_EQ(pager.map_range(process, lazy2.base, 2 * vm::kPageSize), 2u);
-  EXPECT_EQ(pager.map_range(process, lazy2.base, 4 * vm::kPageSize), 2u);
 }
 
 }  // namespace

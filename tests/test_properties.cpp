@@ -257,9 +257,12 @@ TEST(VmProperty, TlbAsidIsolation) {
   tlb.insert(2, 5, 200);
   EXPECT_EQ(tlb.lookup(1, 5).value(), 100u);
   EXPECT_EQ(tlb.lookup(2, 5).value(), 200u);
-  tlb.invalidate_asid(1);
-  EXPECT_FALSE(tlb.contains(1, 5));
-  EXPECT_TRUE(tlb.contains(2, 5));
+  // Refilling one ASID's entry leaves the other's alone; a third ASID
+  // sees neither (no flush on a context switch).
+  tlb.insert(1, 5, 300);
+  EXPECT_EQ(tlb.lookup(1, 5).value(), 300u);
+  EXPECT_EQ(tlb.lookup(2, 5).value(), 200u);
+  EXPECT_FALSE(tlb.contains(3, 5));
 }
 
 // ----------------------------------------------------------------- noc ----

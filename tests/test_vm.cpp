@@ -120,15 +120,6 @@ TEST(Tlb, LruEviction) {
   EXPECT_EQ(tlb.evictions(), 1u);
 }
 
-TEST(Tlb, InvalidateAsid) {
-  Tlb tlb("t", 8);
-  tlb.insert(1, 10, 0);
-  tlb.insert(2, 20, 0);
-  tlb.invalidate_asid(1);
-  EXPECT_FALSE(tlb.contains(1, 10));
-  EXPECT_TRUE(tlb.contains(2, 20));
-}
-
 TEST(Tlb, CapacityIsRespected) {
   Tlb tlb("t", 16);
   for (std::uint64_t i = 0; i < 100; ++i) tlb.insert(1, i, i);
@@ -165,15 +156,6 @@ class ReferenceLru {
     }
     entries_.push_front(Entry{asid, vpn, ppn});
   }
-  void invalidate(Asid asid, std::uint64_t vpn) {
-    if (const auto it = find(asid, vpn); it != entries_.end()) {
-      entries_.erase(it);
-    }
-  }
-  void invalidate_asid(Asid asid) {
-    entries_.remove_if([&](const Entry& e) { return e.asid == asid; });
-  }
-  void invalidate_all() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
 
   std::uint64_t hits = 0;
@@ -201,8 +183,7 @@ TEST(Tlb, MatchesReferenceLruOnRandomOperations) {
     ReferenceLru ref(capacity);
     std::mt19937_64 rng(capacity);
     // Keys from 3 ASIDs over ~2x capacity, so hits, evictions and
-    // re-inserts of resident keys all happen often; the flushes are rare
-    // enough for the TLB to refill between them.
+    // re-inserts of resident keys all happen often.
     constexpr unsigned kAsids = 3;
     const std::uint64_t vpns = 2 * capacity / 3 + 4;
     std::uint64_t resident_reinserts = 0;
@@ -213,30 +194,18 @@ TEST(Tlb, MatchesReferenceLruOnRandomOperations) {
       const unsigned roll = static_cast<unsigned>(rng() % 100);
       std::string what = "op " + std::to_string(op) + " cap " +
                          std::to_string(capacity) + ": ";
-      if (rng() % (4 * capacity + 64) == 0) {
-        what += "invalidate_asid";
-        tlb.invalidate_asid(asid);
-        ref.invalidate_asid(asid);
-      } else if (rng() % (16 * capacity + 256) == 0) {
-        what += "invalidate_all";
-        tlb.invalidate_all();
-        ref.invalidate_all();
-      } else if (roll < 40) {
+      if (roll < 45) {
         what += "lookup";
         ASSERT_EQ(tlb.lookup(asid, vpn), ref.lookup(asid, vpn)) << what;
-      } else if (roll < 80) {
+      } else if (roll < 90) {
         what += "insert";
         resident_reinserts += ref.contains(asid, vpn) ? 1 : 0;
         const std::uint64_t ppn = rng();
         tlb.insert(asid, vpn, ppn);
         ref.insert(asid, vpn, ppn);
-      } else if (roll < 88) {
+      } else {
         what += "contains";
         ASSERT_EQ(tlb.contains(asid, vpn), ref.contains(asid, vpn)) << what;
-      } else {
-        what += "invalidate";
-        tlb.invalidate(asid, vpn);
-        ref.invalidate(asid, vpn);
       }
       ASSERT_EQ(tlb.size(), ref.size()) << what;
       ASSERT_EQ(tlb.hits(), ref.hits) << what;
