@@ -193,19 +193,50 @@ void MacoSystem::require_values(const char* caller) const {
   }
 }
 
+namespace {
+
+// A run of an FP64 matrix row that one page holds.
+struct PageRun {
+  vm::PhysAddr pa = 0;
+  std::uint64_t row = 0;
+  std::uint64_t offset = 0;  // bytes into the row
+  std::uint64_t bytes = 0;
+};
+
+// Calls copy(run) for each page-bounded run of every row of `desc`; each
+// run is translated once, and must be mapped.
+template <typename Copy>
+void for_each_page_run(const vm::PageTable& table, const vm::MatrixDesc& desc,
+                       const char* caller, Copy&& copy) {
+  MACO_ASSERT_MSG(desc.elem_bytes == sizeof(double),
+                  caller << ": host matrices are FP64");
+  const std::uint64_t row_bytes = desc.cols * sizeof(double);
+  for (std::uint64_t r = 0; r < desc.rows; ++r) {
+    const vm::VirtAddr row = desc.element_addr(r, 0);
+    for (std::uint64_t offset = 0; offset < row_bytes;) {
+      const vm::VirtAddr va = row + offset;
+      const std::uint64_t bytes =
+          std::min(row_bytes - offset, vm::kPageSize - vm::page_offset(va));
+      const auto pa = table.translate(va);
+      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in " << caller);
+      copy(PageRun{*pa, r, offset, bytes});
+      offset += bytes;
+    }
+  }
+}
+
+}  // namespace
+
 void MacoSystem::write_matrix(Process& process, const vm::MatrixDesc& desc,
                               const sa::HostMatrix& values) {
   require_values("write_matrix");
   MACO_ASSERT(values.rows() == desc.rows && values.cols() == desc.cols);
   const vm::PageTable& table = process.space->page_table();
-  for (std::uint64_t r = 0; r < desc.rows; ++r) {
-    for (std::uint64_t c = 0; c < desc.cols; ++c) {
-      const vm::VirtAddr va = desc.element_addr(r, c);
-      const auto pa = table.translate(va);
-      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in write_matrix");
-      memory_.write_f64(*pa, values.at(r, c));
-    }
-  }
+  for_each_page_run(table, desc, "write_matrix", [&](const PageRun& run) {
+    const auto* row =
+        reinterpret_cast<const std::uint8_t*>(values.row_ptr(run.row));
+    memory_.write(run.pa, row + run.offset, run.bytes);
+  });
 }
 
 sa::HostMatrix MacoSystem::read_matrix(Process& process,
@@ -213,14 +244,10 @@ sa::HostMatrix MacoSystem::read_matrix(Process& process,
   require_values("read_matrix");
   sa::HostMatrix out(desc.rows, desc.cols);
   const vm::PageTable& table = process.space->page_table();
-  for (std::uint64_t r = 0; r < desc.rows; ++r) {
-    for (std::uint64_t c = 0; c < desc.cols; ++c) {
-      const vm::VirtAddr va = desc.element_addr(r, c);
-      const auto pa = table.translate(va);
-      MACO_ASSERT_MSG(pa.has_value(), "unmapped VA in read_matrix");
-      out.at(r, c) = memory_.read_f64(*pa);
-    }
-  }
+  for_each_page_run(table, desc, "read_matrix", [&](const PageRun& run) {
+    auto* row = reinterpret_cast<std::uint8_t*>(out.row_ptr(run.row));
+    memory_.read(run.pa, row + run.offset, run.bytes);
+  });
   return out;
 }
 

@@ -5,7 +5,7 @@
 // latency comes from the closed form validated against the cycle-accurate
 // array; translation behaviour comes from simulating the real sTLB over the
 // exact page-touch sequence the DMA streams generate
-// (vm::predict_page_entries); NoC contention comes from the X-Y link-load
+// (vm::for_each_page_entry); NoC contention comes from the X-Y link-load
 // model validated against the flit-level mesh; DRAM pressure from the
 // channel bandwidth model. Baselines parameterize the same model
 // (coupling, overlap, translation policy) rather than hard-coding ratios.

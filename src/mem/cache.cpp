@@ -1,5 +1,7 @@
 #include "mem/cache.hpp"
 
+#include <cstring>
+
 #include "util/assert.hpp"
 #include "util/bits.hpp"
 
@@ -47,7 +49,21 @@ std::uint64_t SetAssocCache::tag_of(std::uint64_t addr) const noexcept {
 void SetAssocCache::touch(std::uint64_t* keys, unsigned way) noexcept {
   std::uint8_t* rank = ranks(keys);
   const std::uint8_t old = rank[way];
-  for (unsigned w = 0; w < config_.ways; ++w) rank[w] += rank[w] < old;
+  if (old == 0) return;  // already the most recent way
+  // Every way more recent than `way` ages by one. GCC does not vectorize
+  // this for a way count it only learns at run time, so the ranks age in
+  // 16-byte chunks copied through a local array, each one vector
+  // compare-and-add (the L3's 16 ways are one chunk), then one at a time.
+  constexpr unsigned kChunk = 16;
+  const unsigned ways = config_.ways;
+  unsigned w = 0;
+  for (; w + kChunk <= ways; w += kChunk) {
+    std::uint8_t chunk[kChunk];
+    std::memcpy(chunk, rank + w, kChunk);
+    for (unsigned i = 0; i < kChunk; ++i) chunk[i] += chunk[i] < old;
+    std::memcpy(rank + w, chunk, kChunk);
+  }
+  for (; w < ways; ++w) rank[w] += rank[w] < old;
   rank[way] = 0;
 }
 

@@ -4,7 +4,9 @@
 // (a dirty victim needs a write-back) and may be locked (used by the
 // L3/CCM for the paper's stash-and-lock scheme: locked lines are never
 // chosen as eviction victims). Replacement is true LRU, kept as a per-set
-// recency rank so a way costs 10 bytes of host memory.
+// recency rank so a way costs 10 bytes of host memory. A touch ages the
+// more recent ways 16 ranks at a time, so the L3's 16 ways update as one
+// vector, and costs nothing when the way is already the most recent.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "mmae/dma.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -54,7 +53,19 @@ DmaResult DmaEngine::run(const Region2D& region, Op op,
   // flight; individual burst latencies overlap.
   sim::TimePs issue = std::max(start, busy_until_) + config_.setup_ps;
   sim::TimePs done = issue;
-  std::deque<sim::TimePs> outstanding;
+  // The last max_outstanding completions, as a ring: a burst waits for
+  // the one whose slot it takes (0, no wait, while the ring fills).
+  std::vector<sim::TimePs> outstanding(config_.max_outstanding, 0);
+  std::size_t slot = 0;
+  // MA_INIT writes the same bytes at the start of every burst, and no burst
+  // is longer than a row or crosses a page.
+  std::vector<std::uint8_t> fill;
+  if (op == Op::kInit) {
+    fill.resize(std::min(region.row_bytes, vm::kPageSize));
+    for (std::size_t i = 0; i < fill.size(); ++i) {
+      fill[i] = static_cast<std::uint8_t>(pattern >> ((i % 8) * 8));
+    }
+  }
 
   std::uint64_t buffer_offset = 0;
   for (std::uint64_t row = 0; row < region.rows && !result.fault; ++row) {
@@ -72,10 +83,7 @@ DmaResult DmaEngine::run(const Region2D& region, Op op,
       if (result.fault) break;
       ++result.segments;
 
-      if (outstanding.size() >= config_.max_outstanding) {
-        issue = std::max(issue, outstanding.front());
-        outstanding.pop_front();
-      }
+      issue = std::max(issue, outstanding[slot]);
 
       sim::TimePs completion = issue;
       switch (op) {
@@ -92,17 +100,13 @@ DmaResult DmaEngine::run(const Region2D& region, Op op,
         case Op::kStash:
           completion = backend_.stash(node_, pa, burst, lock, issue);
           break;
-        case Op::kInit: {
+        case Op::kInit:
           // Functional fill through the backend write path.
-          std::vector<std::uint8_t> fill(burst);
-          for (std::uint32_t i = 0; i < burst; ++i) {
-            fill[i] = static_cast<std::uint8_t>(pattern >> ((i % 8) * 8));
-          }
           completion = backend_.write(node_, pa, fill.data(), burst, issue);
           break;
-        }
       }
-      outstanding.push_back(completion);
+      outstanding[slot] = completion;
+      if (++slot == outstanding.size()) slot = 0;
       done = std::max(done, completion);
       issue += static_cast<sim::TimePs>(
           static_cast<double>(burst) /

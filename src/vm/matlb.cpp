@@ -1,32 +1,8 @@
 #include "vm/matlb.hpp"
 
-#include <unordered_set>
-
 #include "util/assert.hpp"
 
 namespace maco::vm {
-
-std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
-                                           const TileDesc& tile,
-                                           std::uint64_t page_bytes) {
-  std::vector<VirtAddr> entries;
-  for_each_page_entry(matrix, tile, page_bytes,
-                      [&](VirtAddr addr) { entries.push_back(addr); });
-  return entries;
-}
-
-std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
-                                           const TileDesc& tile) {
-  return predict_page_entries(matrix, tile, kPageSize);
-}
-
-std::uint64_t distinct_pages(const MatrixDesc& matrix, const TileDesc& tile) {
-  std::unordered_set<std::uint64_t> pages;
-  for (const VirtAddr va : predict_page_entries(matrix, tile)) {
-    pages.insert(vpn_of(va));
-  }
-  return pages.size();
-}
 
 Matlb::Matlb(std::string name, std::size_t capacity)
     : name_(std::move(name)), capacity_(capacity) {
@@ -39,21 +15,21 @@ Matlb::PrefillReport Matlb::prefill(Asid asid, const PageTable& table,
                                     const TileDesc& tile, sim::TimePs start) {
   PrefillReport report;
   sim::TimePs ready = start;
-  for (const VirtAddr va : predict_page_entries(matrix, tile)) {
+  for_each_page_entry(matrix, tile, kPageSize, [&](VirtAddr va) {
     if (buffer_.size() >= capacity_) {
       ++report.dropped_capacity;
-      continue;
+      return;
     }
     const WalkOutcome outcome = walker.walk(asid, table, va);
     if (!outcome.valid) {
       ++report.faults;
-      continue;
+      return;
     }
     ready += outcome.latency;
     report.total_walk_latency += outcome.latency;
     buffer_.push_back(Entry{vpn_of(va), ppn_of(outcome.phys), ready});
     ++report.predicted_pages;
-  }
+  });
   return report;
 }
 

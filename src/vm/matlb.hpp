@@ -12,7 +12,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 #include "util/assert.hpp"
@@ -27,7 +26,8 @@ namespace maco::vm {
 // each page of `page_bytes`, in stream order (row-major over the tile).
 // Consecutive duplicates are collapsed; a page revisited by a later row is
 // visited again, matching the stream-ordered retirement policy of the
-// hardware buffer.
+// hardware buffer. The hardware mATLB always works at kPageSize; other
+// page sizes serve what-if studies (64 KiB / 2 MiB pages).
 template <typename Visit>
 void for_each_page_entry(const MatrixDesc& matrix, const TileDesc& tile,
                          std::uint64_t page_bytes, Visit&& visit) {
@@ -56,18 +56,6 @@ void for_each_page_entry(const MatrixDesc& matrix, const TileDesc& tile,
     }
   }
 }
-
-// The for_each_page_entry addresses, collected. The hardware mATLB always
-// works at kPageSize; other page sizes serve what-if studies (64 KiB /
-// 2 MiB pages).
-std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
-                                           const TileDesc& tile);
-std::vector<VirtAddr> predict_page_entries(const MatrixDesc& matrix,
-                                           const TileDesc& tile,
-                                           std::uint64_t page_bytes);
-
-// Count of distinct pages covered by a tile (for sizing/coverage analysis).
-std::uint64_t distinct_pages(const MatrixDesc& matrix, const TileDesc& tile);
 
 class Matlb {
  public:

@@ -1,44 +1,17 @@
 #include "vm/walker.hpp"
 
-#include <algorithm>
-
-#include "util/assert.hpp"
-
 namespace maco::vm {
 
 PageTableWalker::PageTableWalker(MemoryLatencyOracle& memory,
                                  std::size_t walk_cache_entries)
     : memory_(memory), cache_(walk_cache_entries) {}
 
-std::uint64_t PageTableWalker::prefix_for(VirtAddr va, int level) noexcept {
-  // Bits of the VA above the range translated *below* `level`; two walks
-  // with equal prefixes at `level` traverse the same interior node chain.
-  const unsigned shift =
-      kPageBits + PageTable::kIndexBits * (PageTable::kLevels - 1 - level);
-  return va >> shift;
-}
-
-int PageTableWalker::cached_depth(Asid asid, VirtAddr va) const noexcept {
-  int best = -1;
-  for (const auto& entry : cache_) {
-    if (!entry.valid || entry.asid != asid) continue;
-    if (entry.prefix == prefix_for(va, entry.level) && entry.level > best) {
-      best = entry.level;
-    }
+bool PageTableWalker::cached(Asid asid, VirtAddr va) const noexcept {
+  const std::uint64_t region = va >> kRegionShift;
+  for (const WalkCacheEntry& entry : cache_) {
+    if (entry.region == region && entry.asid == asid) return true;
   }
-  return best;
-}
-
-void PageTableWalker::fill_cache(Asid asid, VirtAddr va, int level) noexcept {
-  if (cache_.empty()) return;
-  auto victim = std::min_element(
-      cache_.begin(), cache_.end(),
-      [](const WalkCacheEntry& a, const WalkCacheEntry& b) {
-        if (a.valid != b.valid) return !a.valid;  // prefer invalid slots
-        return a.tick < b.tick;
-      });
-  *victim = WalkCacheEntry{true, asid, level, prefix_for(va, level),
-                           ++lru_tick_};
+  return false;
 }
 
 WalkOutcome PageTableWalker::walk(Asid asid, const PageTable& table,
@@ -46,12 +19,13 @@ WalkOutcome PageTableWalker::walk(Asid asid, const PageTable& table,
   ++walks_;
   const PageTable::WalkTrace trace = table.walk(va);
 
-  // Interior levels covered by the walk cache cost no memory access.
-  const int depth = cache_.empty() ? -1 : cached_depth(asid, va);
-  if (depth >= 0) ++walk_cache_hits_;
+  // A cached region's interior levels (L0..L2) cost no memory access.
+  const bool hit = cached(asid, va);
+  if (hit) ++walk_cache_hits_;
 
   WalkOutcome outcome;
-  for (int level = depth + 1; level < trace.levels; ++level) {
+  for (int level = hit ? PageTable::kLevels - 1 : 0; level < trace.levels;
+       ++level) {
     outcome.latency +=
         memory_.read_latency(trace.pte_addr[level], PageTable::kEntryBytes);
     ++outcome.memory_accesses;
@@ -63,8 +37,10 @@ WalkOutcome PageTableWalker::walk(Asid asid, const PageTable& table,
     ++faults_;
     return outcome;
   }
-  // Cache the deepest interior node reached (L2 covers a 2 MiB region).
-  fill_cache(asid, va, PageTable::kLevels - 2);
+  if (!cache_.empty()) {
+    cache_[next_fill_] = WalkCacheEntry{asid, va >> kRegionShift};
+    if (++next_fill_ == cache_.size()) next_fill_ = 0;
+  }
   return outcome;
 }
 

@@ -3,9 +3,15 @@
 // Walk latency is charged through a MemoryLatencyOracle so the walker can be
 // wired either to fixed latencies (fast system model) or to the simulated
 // cache hierarchy (detailed model).
+//
+// Every successful walk caches the deepest interior node it reached, the
+// L2 node that covers the walk's 2 MiB region, so the walk cache is a FIFO
+// of the last N successful walks' (ASID, 2 MiB region) pairs, duplicates
+// included. A walk whose region is cached reads only the leaf PTE.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "vm/page_table.hpp"
@@ -56,23 +62,20 @@ class PageTableWalker {
   }
 
  private:
+  // A 2 MiB region: the VA bits above those an L2 node's entries
+  // translate. No VA reaches kNoRegion, which marks an empty slot.
+  static constexpr unsigned kRegionShift = kPageBits + PageTable::kIndexBits;
+  static constexpr std::uint64_t kNoRegion = ~0ull;
   struct WalkCacheEntry {
-    bool valid = false;
     Asid asid = 0;
-    int level = 0;          // deepest interior level this entry covers (0..2)
-    std::uint64_t prefix = 0;  // VA bits above the covered level
-    std::uint64_t tick = 0;    // LRU
+    std::uint64_t region = kNoRegion;
   };
 
-  // Returns the deepest interior level already covered by the cache
-  // (-1 if none), so the walk can start below it.
-  int cached_depth(Asid asid, VirtAddr va) const noexcept;
-  void fill_cache(Asid asid, VirtAddr va, int level) noexcept;
-  static std::uint64_t prefix_for(VirtAddr va, int level) noexcept;
+  bool cached(Asid asid, VirtAddr va) const noexcept;
 
   MemoryLatencyOracle& memory_;
   std::vector<WalkCacheEntry> cache_;
-  std::uint64_t lru_tick_ = 0;
+  std::size_t next_fill_ = 0;  // ring cursor: the oldest entry once full
 
   std::uint64_t walks_ = 0;
   std::uint64_t faults_ = 0;

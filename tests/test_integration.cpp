@@ -66,6 +66,33 @@ TEST(Integration, SingleNodeGemmViaMpais) {
   EXPECT_GT(report.dma_bytes, 3 * dim * dim * 8);
 }
 
+// The host-side matrix helpers copy one page-bounded run at a time; a
+// strided matrix that starts mid-page, with rows that cross pages, must
+// still put every element at its own translated address.
+TEST(Integration, MatrixRoundTripsAcrossPages) {
+  MacoSystem system(small_config(1));
+  Process& process = system.create_process();
+  vm::MatrixDesc desc = system.alloc_matrix(process, 8, 1024);  // 64 KiB
+  desc.base += 1000;
+  desc.rows = 5;
+  desc.cols = 700;  // 5,600-byte rows
+  desc.row_stride_bytes = 700 * sizeof(double) + 136;
+  util::Rng rng(7);
+  const auto values = sa::HostMatrix::random(5, 700, rng);
+  system.write_matrix(process, desc, values);
+
+  const vm::PageTable& table = process.space->page_table();
+  for (std::uint64_t r = 0; r < desc.rows; ++r) {
+    for (std::uint64_t c = 0; c < desc.cols; ++c) {
+      const auto pa = table.translate(desc.element_addr(r, c));
+      ASSERT_TRUE(pa.has_value());
+      ASSERT_EQ(system.memory().read_f64(*pa), values.at(r, c))
+          << "row " << r << ", col " << c;
+    }
+  }
+  EXPECT_EQ(system.read_matrix(process, desc).data(), values.data());
+}
+
 // A machine built without values has none to hand back or take in, so the
 // host-side matrix helpers refuse, naming the flag, instead of returning
 // or storing nothing.

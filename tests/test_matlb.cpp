@@ -3,6 +3,7 @@
 
 #include <unordered_set>
 
+#include "page_entries.hpp"
 #include "vm/matlb.hpp"
 
 namespace maco::vm {

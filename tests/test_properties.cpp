@@ -21,6 +21,7 @@
 #include "isa/params.hpp"
 #include "mem/cache.hpp"
 #include "noc/link_load_model.hpp"
+#include "page_entries.hpp"
 #include "sa/latency_model.hpp"
 #include "sa/systolic_array.hpp"
 #include "sim/engine.hpp"
@@ -530,6 +531,11 @@ TEST(MemProperty, RankedTagStoreMatchesTickLru) {
   ASSERT_EQ(mem::SetAssocCache("c", {48 * 1024, 4, 64}).sets(), 192u);
   expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 8, 64}, 3);
   expect_same_as_tick_lru(mem::CacheConfig{16 * 1024, 16, 64}, 4);
+  // Recency ranks age 16 at a time: 12 ways are a partial chunk, 32 two
+  // chunks, and 256 (4 sets) the most a one-byte rank allows.
+  expect_same_as_tick_lru(mem::CacheConfig{12 * 1024, 12, 64}, 5);
+  expect_same_as_tick_lru(mem::CacheConfig{32 * 1024, 32, 64}, 6);
+  expect_same_as_tick_lru(mem::CacheConfig{64 * 1024, 256, 64}, 7);
 }
 
 TEST(MemProperty, DramBandwidthLawHolds) {

@@ -253,6 +253,118 @@ TEST(Walker, WalkCacheIsAsidTagged) {
   EXPECT_EQ(other.memory_accesses, 4);  // different ASID: no cache reuse
 }
 
+// The walk cache before it became a ring: every entry carries the level
+// it covers and an LRU tick, a lookup takes the deepest matching level,
+// and a fill evicts an invalid slot first, else the smallest tick.
+class TickWalkCache {
+ public:
+  explicit TickWalkCache(std::size_t entries) : cache_(entries) {}
+
+  int cached_depth(Asid asid, VirtAddr va) const {
+    int best = -1;
+    for (const Entry& entry : cache_) {
+      if (!entry.valid || entry.asid != asid) continue;
+      if (entry.prefix == prefix_for(va, entry.level) && entry.level > best) {
+        best = entry.level;
+      }
+    }
+    return best;
+  }
+
+  void fill(Asid asid, VirtAddr va, int level) {
+    if (cache_.empty()) return;
+    auto victim = std::min_element(cache_.begin(), cache_.end(),
+                                   [](const Entry& a, const Entry& b) {
+                                     if (a.valid != b.valid) return !a.valid;
+                                     return a.tick < b.tick;
+                                   });
+    *victim = Entry{true, asid, level, prefix_for(va, level), ++tick_};
+  }
+
+ private:
+  struct Entry {
+    bool valid = false;
+    Asid asid = 0;
+    int level = 0;
+    std::uint64_t prefix = 0;
+    std::uint64_t tick = 0;
+  };
+  static std::uint64_t prefix_for(VirtAddr va, int level) {
+    const unsigned shift =
+        kPageBits + PageTable::kIndexBits * (PageTable::kLevels - 1 - level);
+    return va >> shift;
+  }
+  std::vector<Entry> cache_;
+  std::uint64_t tick_ = 0;
+};
+
+// Each PTE read costs a latency of its own, so a walk that reads a
+// different set of levels shows in the total.
+class AddressLatencyOracle final : public MemoryLatencyOracle {
+ public:
+  sim::TimePs read_latency(PhysAddr addr, std::uint32_t) override {
+    return 1'000 + addr % 4'093;
+  }
+};
+
+TEST(Walker, WalkCacheEvictsInFillOrder) {
+  // Six 2 MiB regions: two adjacent, the others under other L1 and L0
+  // entries. Eight pages of each are mapped; pages 8 and 9 fault.
+  const std::vector<VirtAddr> regions = {0x0000'1000'0000, 0x0000'1020'0000,
+                                         0x0000'5000'0000, 0x0080'0000'0000,
+                                         0x0080'0020'0000, 0x00ff'ffe0'0000};
+  std::vector<PageTable> tables;
+  for (unsigned asid = 0; asid < 3; ++asid) {
+    tables.emplace_back(0x0100'0000ull * (asid + 1));
+    for (const VirtAddr region : regions) {
+      for (unsigned page = 0; page < 8; ++page) {
+        tables.back().map(region + page * kPageSize,
+                          0x4000'0000 + (asid * 64 + page) * kPageSize);
+      }
+    }
+  }
+  for (const std::size_t entries : {0u, 1u, 4u, 16u}) {
+    AddressLatencyOracle memory;
+    PageTableWalker walker(memory, entries);
+    TickWalkCache reference(entries);
+    std::mt19937_64 rng(entries + 1);
+    std::uint64_t hits = 0;
+    std::uint64_t pte_reads = 0;
+    for (int step = 0; step < 5000; ++step) {
+      const auto asid = static_cast<Asid>(rng() % 3);
+      const VirtAddr va = regions[rng() % regions.size()] +
+                          (rng() % 10) * kPageSize + rng() % kPageSize;
+      SCOPED_TRACE(testing::Message() << entries << " entries, step " << step
+                                      << ", asid " << asid << ", va " << va);
+      const PageTable& table = tables[asid];
+      const PageTable::WalkTrace trace = table.walk(va);
+      const int depth = reference.cached_depth(asid, va);
+      hits += depth >= 0;
+      sim::TimePs latency = 0;
+      int reads = 0;
+      for (int level = depth + 1; level < trace.levels; ++level) {
+        latency += memory.read_latency(trace.pte_addr[level],
+                                       PageTable::kEntryBytes);
+        ++reads;
+      }
+      pte_reads += reads;
+      if (trace.valid) reference.fill(asid, va, PageTable::kLevels - 2);
+
+      const WalkOutcome outcome = walker.walk(asid, table, va);
+      ASSERT_EQ(outcome.valid, trace.valid);
+      ASSERT_EQ(outcome.latency, latency);
+      ASSERT_EQ(outcome.memory_accesses, reads);
+      ASSERT_EQ(walker.walk_cache_hits(), hits);
+      ASSERT_EQ(walker.pte_reads(), pte_reads);
+    }
+    // 18 (ASID, region) pairs overflow every cache size tried.
+    if (entries > 0) {
+      EXPECT_GT(hits, 0u);
+      EXPECT_LT(hits, walker.walks() - walker.faults());
+    }
+  }
+}
+
 TEST(Walker, FaultCounted) {
   PageTable pt(0x1000000);
   FixedLatencyOracle memory(10'000);

@@ -2,9 +2,12 @@
 # Writes the golden CSVs: one CSV per paper figure, table or sensitivity
 # study that an analytic `macosim` command reproduces; detailed_counters.csv,
 # a detailed gemm sweep over every DRAM and interconnect backend with
-# profile=counters; serve_detailed.csv, serve's detailed batch oracle over
-# 1/2 instances and 2/4 nodes with profile=counters (both with their host_*
-# wall-time columns dropped); and two sampled runs, sampled_gemm.csv (a
+# profile=counters; detailed_geometry.csv, the same sweep on 4 nodes over
+# 12 slices of 1,536 sets, so a slice count and an L3 set count other than
+# a power of two (the set index's modulo path) are pinned too;
+# serve_detailed.csv, serve's detailed batch oracle over 1/2 instances and
+# 2/4 nodes with profile=counters (all three with their host_* wall-time
+# columns dropped); and two sampled runs, sampled_gemm.csv (a
 # gemm beyond the detailed cap over every backend and 1/4 nodes) and
 # sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
 # Their numbers must stay bit-identical across refactors of the timing
@@ -66,6 +69,11 @@ run tables --scenario tables
 run detailed_counters_with_host --scenario gemm --set fidelity=detailed \
   --set size=256 --set profile=counters --sweep nodes=1,4 \
   --sweep dram=simple,queued --sweep icnt=analytic,flit
+# Twelve slices of 1,536 sets: neither count is a power of two.
+run detailed_geometry_with_host --scenario gemm --set fidelity=detailed \
+  --set size=256 --set nodes=4 --set profile=counters --set ccm_count=12 \
+  --set l3_slice_kib=1536 --sweep dram=simple,queued \
+  --sweep icnt=analytic,flit
 # Serve's detailed batch oracle, the third path onto the detailed machine.
 run serve_detailed_with_host --scenario serve --set fidelity=detailed \
   --set requests=300 --set profile=counters --sweep instances=1,2 \
@@ -78,7 +86,7 @@ run sampled_gemm --scenario gemm --set fidelity=sampled --set size=2304 \
 run sampled_graph --scenario graph --set model_file=gpt3-block \
   --set phase=decode --set fidelity=sampled
 # Drop the host_* wall-time columns, which differ from run to run.
-for name in detailed_counters serve_detailed; do
+for name in detailed_counters detailed_geometry serve_detailed; do
   awk -F, '
     NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
     {
