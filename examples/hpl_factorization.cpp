@@ -28,7 +28,7 @@ namespace {
 
 using namespace maco;
 
-void detailed_blocked_lu() {
+bool detailed_blocked_lu() {
   std::puts("== Part 1: blocked LU (128x128, nb=32) on the detailed system ==");
 
   core::SystemConfig config = core::SystemConfig::maco_default();
@@ -139,7 +139,7 @@ void detailed_blocked_lu() {
         cpu.mtq().entry(static_cast<cpu::Maid>(cpu.regs().read(22)));
     if (!entry.done || entry.exception_en) {
       std::puts("  trailing update failed!");
-      return;
+      return false;
     }
     // Release all four MTQ entries.
     cpu.execute_source(
@@ -175,6 +175,7 @@ void detailed_blocked_lu() {
               static_cast<unsigned long long>(gemm_tasks),
               static_cast<unsigned long long>(move_tasks), max_err,
               max_err < 1e-9 ? "FACTORIZATION CORRECT" : "MISMATCH");
+  return max_err < 1e-9;
 }
 
 void paper_scale_hpl() {
@@ -226,7 +227,7 @@ void paper_scale_hpl() {
 }  // namespace
 
 int main() {
-  detailed_blocked_lu();
+  const bool ok = detailed_blocked_lu();
   paper_scale_hpl();
-  return 0;
+  return ok ? 0 : 1;
 }

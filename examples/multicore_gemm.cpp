@@ -23,7 +23,7 @@
 
 namespace {
 
-void detailed_four_node_gemm() {
+bool detailed_four_node_gemm() {
   using namespace maco;
   std::puts("== Part 1: 4-node mapped GEMM on the detailed system ==");
 
@@ -94,9 +94,10 @@ void detailed_four_node_gemm() {
   const bool ok = system.read_matrix(process, c_desc).approx_equal(expected);
   std::printf("  assembled C vs reference: %s\n\n",
               ok && all_done ? "MATCH" : "MISMATCH");
+  return ok && all_done;
 }
 
-void library_mapped_gemm() {
+bool library_mapped_gemm() {
   using namespace maco;
   std::puts("== Part 1b: the same mapping as one library call ==");
 
@@ -146,6 +147,7 @@ void library_mapped_gemm() {
   const std::string json = obs::to_perfetto_json(observation);
   std::fputs(driver::render_trace(json, 64).gantt.c_str(), stdout);
   std::puts("");
+  return result.ok && match;
 }
 
 void paper_scale_scaling() {
@@ -172,8 +174,8 @@ void paper_scale_scaling() {
 }  // namespace
 
 int main() {
-  detailed_four_node_gemm();
-  library_mapped_gemm();
+  const bool detailed_ok = detailed_four_node_gemm();
+  const bool library_ok = library_mapped_gemm();
   paper_scale_scaling();
-  return 0;
+  return detailed_ok && library_ok ? 0 : 1;
 }

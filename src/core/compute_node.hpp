@@ -15,7 +15,8 @@ class ComputeNode {
               const cpu::CpuConfig& cpu_config,
               const mmae::MmaeConfig& mmae_config,
               mmae::MemoryBackend& backend,
-              vm::MemoryLatencyOracle& walk_memory);
+              vm::MemoryLatencyOracle& walk_memory,
+              mmae::PageTableLookup page_tables);
 
   int id() const noexcept { return id_; }
   cpu::CpuCore& cpu() noexcept { return *cpu_; }

@@ -107,14 +107,11 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
   }
 
   ccms_.reserve(config_.ccm_count);
-  // Addresses interleave across slices at line granularity; tell the slice
-  // so it strips those bits before set indexing.
-  config_.ccm.slice_interleave = config_.ccm_count;
   for (unsigned s = 0; s < config_.ccm_count; ++s) {
     // Channel interleaving: slice s drains to channel s % channels.
     mem::DramModel& dram = *drams_[s % config_.dram_channels];
     ccms_.push_back(std::make_unique<mem::Ccm>(
-        "ccm" + std::to_string(s), config_.ccm, dram));
+        "ccm" + std::to_string(s), config_.ccm, dram, s, config_.ccm_count));
   }
 
   icnt_ = noc::make_icnt_model(config_.icnt_config());
@@ -122,6 +119,15 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
   // record during the run; it never feeds back into timing.
   if (config_.profile == ProfileMode::kCounters) icnt_->enable_link_stats();
 
+  // Multi-process translation: the MMAEs resolve page tables through the
+  // system's process registry, independent of the CPU's current context
+  // (MTQ/STQ survive process switches).
+  const mmae::PageTableLookup page_tables =
+      [this](vm::Asid asid) -> const vm::PageTable* {
+    const auto it = processes_.find(asid);
+    return it == processes_.end() ? nullptr
+                                  : &it->second->space->page_table();
+  };
   node_port_free_.assign(config_.node_count, 0);
   nodes_.reserve(config_.node_count);
   walk_oracles_.reserve(config_.node_count);
@@ -130,16 +136,7 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
         std::make_unique<WalkMemoryOracle>(*this, static_cast<int>(n)));
     nodes_.push_back(std::make_unique<ComputeNode>(
         engine_, static_cast<int>(n), config_.cpu, config_.mmae, *backend_,
-        *walk_oracles_.back()));
-    // Multi-process translation: the MMAE resolves page tables through the
-    // system's process registry, independent of the CPU's current context
-    // (MTQ/STQ survive process switches).
-    nodes_.back()->mmae().set_page_table_lookup(
-        [this](vm::Asid asid) -> const vm::PageTable* {
-          const auto it = processes_.find(asid);
-          return it == processes_.end() ? nullptr
-                                        : &it->second->space->page_table();
-        });
+        *walk_oracles_.back(), page_tables));
   }
 }
 
@@ -170,8 +167,7 @@ Process& MacoSystem::create_process() {
 }
 
 void MacoSystem::schedule_process(unsigned node_index, Process& process) {
-  node(node_index).cpu().set_context(process.asid,
-                                     &process.space->page_table());
+  node(node_index).cpu().set_context(process.asid);
 }
 
 vm::MatrixDesc MacoSystem::alloc_matrix(Process& process, std::uint64_t rows,
@@ -257,7 +253,7 @@ mem::Ccm& MacoSystem::ccm_for(vm::PhysAddr pa) {
 
 unsigned MacoSystem::ccm_home_node(vm::PhysAddr pa) const noexcept {
   // Line-interleaved home slices spread traffic uniformly over the mesh.
-  return static_cast<unsigned>((pa / mem::kLineBytes) % config_.ccm_count);
+  return mem::home_slice(pa, config_.ccm_count);
 }
 
 }  // namespace maco::core

@@ -34,11 +34,6 @@ CpuCore::CpuCore(int node_id, const CpuConfig& config,
       config_(config), mtq_(config.mtq_entries),
       mmu_(name_ + ".mmu", config.mmu, walk_memory) {}
 
-void CpuCore::set_context(vm::Asid asid, const vm::PageTable* table) {
-  asid_ = asid;
-  table_ = table;
-}
-
 sim::Cycles CpuCore::step(const isa::Instruction& instruction,
                           ExecStats& stats) {
   ++stats.instructions;

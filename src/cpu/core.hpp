@@ -62,10 +62,9 @@ class CpuCore {
     accelerator_ = port;
   }
 
-  // Current process context (set by the simulated OS on a context switch).
-  void set_context(vm::Asid asid, const vm::PageTable* table);
-  vm::Asid current_asid() const noexcept { return asid_; }
-  const vm::PageTable* current_table() const noexcept { return table_; }
+  // Current process (set by the simulated OS on a context switch): the
+  // ASID the core tags its MTQ entries and MMAE tasks with.
+  void set_context(vm::Asid asid) noexcept { asid_ = asid; }
 
   isa::RegFile& regs() noexcept { return regs_; }
   MasterTaskQueue& mtq() noexcept { return mtq_; }
@@ -103,7 +102,6 @@ class CpuCore {
   Mmu mmu_;
   AcceleratorPort* accelerator_ = nullptr;
   vm::Asid asid_ = 0;
-  const vm::PageTable* table_ = nullptr;
 };
 
 }  // namespace maco::cpu

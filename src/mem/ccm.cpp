@@ -1,9 +1,16 @@
 #include "mem/ccm.hpp"
 
+#include "util/assert.hpp"
+
 namespace maco::mem {
 
-Ccm::Ccm(const std::string& name, const CcmConfig& config, DramModel& dram)
-    : config_(config), dram_(dram), l3_(name + ".l3", config.l3) {}
+Ccm::Ccm(const std::string& name, const CcmConfig& config, DramModel& dram,
+         unsigned slice, unsigned slices)
+    : config_(config), slice_(slice), slices_(slices), dram_(dram),
+      l3_(name + ".l3", config.l3) {
+  MACO_ASSERT_MSG(slice < slices,
+                  name << ": slice " << slice << " of " << slices);
+}
 
 sim::TimePs Ccm::fill(std::uint64_t line, bool write, sim::TimePs now,
                       bool queue_dram) {

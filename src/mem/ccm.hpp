@@ -30,15 +30,21 @@ struct CcmConfig {
   CacheConfig l3{2 * 1024 * 1024, 16, kLineBytes};  // one 2 MiB slice
   sim::TimePs l3_latency_ps = 8'000;                // ~16 NoC cycles
   sim::TimePs lookup_latency_ps = 2'000;
-  // Line-interleave factor of the address space across slices. The slice
-  // only ever sees every interleave-th line, so the interleave bits must
-  // be stripped before set indexing or 15/16 of the sets go unused.
-  unsigned slice_interleave = 1;
 };
+
+// Physical lines interleave across the `slices` L3 slices: line L lives
+// in slice L mod slices, as that slice's local line L / slices.
+constexpr unsigned home_slice(std::uint64_t addr, unsigned slices) noexcept {
+  return static_cast<unsigned>(addr / kLineBytes % slices);
+}
 
 class Ccm {
  public:
-  Ccm(const std::string& name, const CcmConfig& config, DramModel& dram);
+  // Slice `slice` of `slices`: it sees only its home lines, and its sets
+  // index their local lines (or a strided stream would use 1/slices of
+  // them).
+  Ccm(const std::string& name, const CcmConfig& config, DramModel& dram,
+      unsigned slice = 0, unsigned slices = 1);
 
   // Services a `type` request for the line holding `addr` that reaches the
   // slice at `arrival`; returns its latency (arrival -> data/ack ready at
@@ -51,7 +57,7 @@ class Ccm {
                      bool queue_dram = true);
 
   bool line_locked(std::uint64_t addr) const {
-    return l3_.is_locked(cache_addr(line_addr(addr)));
+    return l3_.is_locked(cache_addr(addr));
   }
 
   const SetAssocCache& l3() const noexcept { return l3_; }
@@ -60,25 +66,23 @@ class Ccm {
   std::uint64_t stash_fills() const noexcept { return stash_fills_; }
 
  private:
-  // Address as the slice's cache sees it (interleave bits stripped).
-  std::uint64_t cache_addr(std::uint64_t line) const noexcept {
-    return line / config_.slice_interleave;
+  // The local line of `addr`, as a byte address of the slice's cache.
+  std::uint64_t cache_addr(std::uint64_t addr) const noexcept {
+    return addr / kLineBytes / slices_ * kLineBytes;
+  }
+  // The physical line of the cache address `l3_` reports for a victim,
+  // where its write-back goes.
+  std::uint64_t victim_line(std::uint64_t victim_cache_addr) const noexcept {
+    return (victim_cache_addr / kLineBytes * slices_ + slice_) * kLineBytes;
   }
   // Accesses the line in L3 at `now`, fetching it from DRAM on a miss;
   // returns the added latency.
   sim::TimePs fill(std::uint64_t line, bool write, sim::TimePs now,
                    bool queue_dram);
 
-  // Physical line address of the cache-space victim `l3_` reports. The
-  // cache reconstructs victims at line granularity, so the interleave
-  // offset inside the cache line is lost — the result lands in the
-  // victim's row-buffer neighborhood, which is all a banked DRAM model
-  // needs from a writeback address.
-  std::uint64_t victim_line(std::uint64_t victim_cache_addr) const noexcept {
-    return victim_cache_addr * config_.slice_interleave;
-  }
-
   CcmConfig config_;
+  unsigned slice_;
+  unsigned slices_;
   DramModel& dram_;
   SetAssocCache l3_;
   std::uint64_t stash_hits_ = 0;

@@ -46,7 +46,8 @@ sim::TimePs DramModel::service_latency(std::uint64_t bytes) const noexcept {
 DramController::DramController(std::string name, const DramConfig& config)
     : DramModel(std::move(name), config) {}
 
-sim::TimePs DramController::access(sim::TimePs now, std::uint64_t bytes) {
+sim::TimePs DramController::access(sim::TimePs now, std::uint64_t /*addr*/,
+                                   std::uint64_t bytes) {
   const sim::TimePs xfer = transfer_ps(bytes);
   const sim::TimePs start = std::max(now, bus_free_at_);
   bus_free_at_ = start + xfer;

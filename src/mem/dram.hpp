@@ -124,14 +124,9 @@ class DramController final : public DramModel {
  public:
   DramController(std::string name, const DramConfig& config);
 
-  // Address-blind entry point: the flat model has no banks, so the address
-  // cannot matter; kept for callers predating the DramModel interface.
-  sim::TimePs access(sim::TimePs now, std::uint64_t bytes);
-
-  sim::TimePs access(sim::TimePs now, std::uint64_t /*addr*/,
-                     std::uint64_t bytes) override {
-    return access(now, bytes);
-  }
+  // The flat model has no banks, so the address cannot matter.
+  sim::TimePs access(sim::TimePs now, std::uint64_t addr,
+                     std::uint64_t bytes) override;
 
   sim::TimePs busy_until() const noexcept override { return bus_free_at_; }
 

@@ -1,28 +1,38 @@
 #include "mmae/accelerator_controller.hpp"
 
 #include <algorithm>
+#include <span>
+#include <string>
 
 #include "sa/latency_model.hpp"
 #include "util/assert.hpp"
 
 namespace maco::mmae {
 
+namespace {
+
+Region2D tile_region(const vm::MatrixDesc& m, const vm::TileDesc& t) {
+  vm::validate_tile(m, t);
+  return Region2D{m.element_addr(t.row0, t.col0), t.rows,
+                  t.cols * m.elem_bytes, m.stride()};
+}
+
+}  // namespace
+
 AcceleratorController::AcceleratorController(sim::SimEngine& engine, int node,
                                              const MmaeConfig& config,
                                              MemoryBackend& backend,
-                                             cpu::CpuCore& cpu)
-    : engine_(engine), config_(config), node_(node),
-      stq_(config.stq_entries), backend_(backend),
-      ade_("node" + std::to_string(node) + ".mmae.ade", node, config.dma,
-           backend),
+                                             cpu::CpuCore& cpu,
+                                             PageTableLookup page_tables)
+    : engine_(engine), config_(config), stq_(config.stq_entries),
+      backend_(backend),
+      dma0_("node" + std::to_string(node) + ".mmae.dma0", node, config.dma,
+            backend),
+      dma1_("node" + std::to_string(node) + ".mmae.dma1", node, config.dma,
+            backend),
       matlb_("node" + std::to_string(node) + ".mmae.matlb",
              config.matlb_entries),
-      cpu_(cpu) {
-  // Default single-process lookup: the CPU's current context.
-  table_lookup_ = [this](vm::Asid asid) -> const vm::PageTable* {
-    return asid == cpu_.current_asid() ? cpu_.current_table() : nullptr;
-  };
-}
+      cpu_(cpu), page_tables_(std::move(page_tables)) {}
 
 bool AcceleratorController::submit(cpu::Maid maid, isa::Mnemonic op,
                                    const isa::ParamBlock& params,
@@ -35,7 +45,7 @@ bool AcceleratorController::submit(cpu::Maid maid, isa::Mnemonic op,
 TranslationContext AcceleratorController::context_for(const StqEntry& entry) {
   TranslationContext ctx;
   ctx.asid = entry.asid;
-  ctx.table = table_lookup_ ? table_lookup_(entry.asid) : nullptr;
+  ctx.table = page_tables_(entry.asid);
   ctx.mmu = &cpu_.mmu();
   ctx.matlb = config_.use_matlb ? &matlb_ : nullptr;
   return ctx;
@@ -51,7 +61,9 @@ void AcceleratorController::try_start_next() {
   const StqEntry entry = stq_.entry(*next);  // copy: entry survives release
   const sim::TimePs start = std::max(engine_.now(), busy_until_);
 
-  TaskReport report = execute_task(entry, start);
+  TaskReport report = entry.op == isa::Mnemonic::kMaCfg
+                           ? execute_gemm(entry, start)
+                           : execute_region(entry, start);
   busy_until_ = report.end;
   reports_.push_back(report);
 
@@ -66,40 +78,40 @@ void AcceleratorController::try_start_next() {
       cpu_.mtq().mark_exception(report.maid, report.exception);
     }
     stq_.release(index);
-    if (on_complete_) on_complete_(report.maid, report.exception, report.end);
     task_running_ = false;
     try_start_next();
   });
 }
 
-TaskReport AcceleratorController::execute_task(const StqEntry& entry,
-                                               sim::TimePs start) {
-  switch (entry.op) {
-    case isa::Mnemonic::kMaCfg:
-      return execute_gemm(entry, std::get<isa::GemmParams>(entry.params),
-                          start);
-    case isa::Mnemonic::kMaMove:
-      return execute_move(entry, std::get<isa::MoveParams>(entry.params),
-                          start);
-    case isa::Mnemonic::kMaInit:
-      return execute_init(entry, std::get<isa::InitParams>(entry.params),
-                          start);
-    case isa::Mnemonic::kMaStash:
-      return execute_stash(entry, std::get<isa::StashParams>(entry.params),
-                           start);
-    default:
-      MACO_UNREACHABLE("non-task mnemonic in STQ");
-  }
+DmaResult AcceleratorController::load_tile(const vm::MatrixDesc& m,
+                                           const vm::TileDesc& t,
+                                           sa::HostMatrix& out,
+                                           const TranslationContext& ctx,
+                                           sim::TimePs start) {
+  const Region2D region = tile_region(m, t);
+  out = sa::HostMatrix(t.rows, t.cols);
+  const std::span bytes(reinterpret_cast<std::uint8_t*>(out.row_ptr(0)),
+                        region.total_bytes());
+  return dma0_.read_region(region, bytes, ctx, start);
+}
+
+DmaResult AcceleratorController::store_tile(const vm::MatrixDesc& m,
+                                            const vm::TileDesc& t,
+                                            const sa::HostMatrix& in,
+                                            const TranslationContext& ctx,
+                                            sim::TimePs start) {
+  MACO_ASSERT(in.rows() == t.rows && in.cols() == t.cols);
+  const Region2D region = tile_region(m, t);
+  const std::span bytes(reinterpret_cast<const std::uint8_t*>(in.row_ptr(0)),
+                        region.total_bytes());
+  return dma1_.write_region(region, bytes, ctx, start);
 }
 
 TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
-                                               const isa::GemmParams& p,
                                                sim::TimePs start) {
-  TaskReport report;
-  report.maid = entry.maid;
-  report.op = entry.op;
-  report.start = start;
-  report.end = start;
+  const auto& p = std::get<isa::GemmParams>(entry.params);
+  TaskReport report{
+      .maid = entry.maid, .op = entry.op, .start = start, .end = start};
 
   auto fail = [&](cpu::ExceptionType type) {
     report.exception = type;
@@ -120,9 +132,7 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
   if (ttr == 0 || ttc == 0) return fail(cpu::ExceptionType::kInvalidConfig);
   // Inner tiles must fit one buffer bank (double buffering uses the other).
   const std::uint64_t elem = sizeof(double);
-  if (!ade_.buffers().a.tile_fits(ttr * ttk * elem) ||
-      !ade_.buffers().b.tile_fits(ttk * ttc * elem) ||
-      !ade_.buffers().c.tile_fits(ttr * ttc * elem)) {
+  if (std::max({ttr * ttk, ttk * ttc, ttr * ttc}) * elem > kBufferBankBytes) {
     return fail(cpu::ExceptionType::kBufferOverflow);
   }
 
@@ -167,12 +177,9 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
                              c_desc, c_t, prev_load_end);
             }
             const DmaResult c_load =
-                ade_.load_tile(c_desc, c_t, c_tile, ctx, dma_t);
+                load_tile(c_desc, c_t, c_tile, ctx, dma_t);
             if (c_load.fault) return fail(cpu::ExceptionType::kPageFault);
-            report.dma_bytes += c_load.bytes;
-            report.translation_stall_ps += c_load.translation_stall_ps;
-            report.matlb_hits += c_load.matlb_hits;
-            report.blocking_walks += c_load.blocking_walks;
+            report.add(c_load);
             dma_t = c_load.end_time;
           } else {
             c_tile = sa::HostMatrix(mrows, ncols);
@@ -194,18 +201,13 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
             }
 
             const DmaResult a_load =
-                ade_.load_tile(a_desc, a_t, a_tile, ctx, dma_t);
+                load_tile(a_desc, a_t, a_tile, ctx, dma_t);
             if (a_load.fault) return fail(cpu::ExceptionType::kPageFault);
             const DmaResult b_load =
-                ade_.load_tile(b_desc, b_t, b_tile, ctx, a_load.end_time);
+                load_tile(b_desc, b_t, b_tile, ctx, a_load.end_time);
             if (b_load.fault) return fail(cpu::ExceptionType::kPageFault);
-
-            for (const DmaResult* r : {&a_load, &b_load}) {
-              report.dma_bytes += r->bytes;
-              report.translation_stall_ps += r->translation_stall_ps;
-              report.matlb_hits += r->matlb_hits;
-              report.blocking_walks += r->blocking_walks;
-            }
+            report.add(a_load);
+            report.add(b_load);
             prev_load_end = b_load.end_time;
             dma_t = b_load.end_time;
 
@@ -225,8 +227,10 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
             dma_t = prev_load_end;
           }
 
+          // The C store counts its bytes and stall, not its translations:
+          // walks_per_tile and pages_per_tile leave them out.
           const DmaResult c_store =
-              ade_.store_tile(c_desc, c_t, c_tile, ctx, sa_free);
+              store_tile(c_desc, c_t, c_tile, ctx, sa_free);
           if (c_store.fault) return fail(cpu::ExceptionType::kPageFault);
           report.dma_bytes += c_store.bytes;
           report.translation_stall_ps += c_store.translation_stall_ps;
@@ -240,78 +244,59 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
   return report;
 }
 
-TaskReport AcceleratorController::execute_move(const StqEntry& entry,
-                                               const isa::MoveParams& p,
-                                               sim::TimePs start) {
-  TaskReport report;
-  report.maid = entry.maid;
-  report.op = entry.op;
-  report.start = start;
-  TranslationContext ctx = context_for(entry);
-  if (ctx.table == nullptr || p.row_bytes == 0) {
-    report.exception = ctx.table == nullptr
-                           ? cpu::ExceptionType::kPageFault
-                           : cpu::ExceptionType::kInvalidConfig;
-    report.end = start + cycles_to_ps(16);
-    return report;
+TaskReport AcceleratorController::execute_region(const StqEntry& entry,
+                                                 sim::TimePs start) {
+  TaskReport report{.maid = entry.maid, .op = entry.op, .start = start};
+  // The region the op streams; MA_MOVE's is its source, and its
+  // destination has the same shape.
+  Region2D region;
+  switch (entry.op) {
+    case isa::Mnemonic::kMaMove: {
+      const auto& p = std::get<isa::MoveParams>(entry.params);
+      region = {p.src, p.rows, p.row_bytes, p.src_stride};
+      break;
+    }
+    case isa::Mnemonic::kMaInit: {
+      const auto& p = std::get<isa::InitParams>(entry.params);
+      region = {p.dst, p.rows, p.row_bytes, p.stride};
+      break;
+    }
+    case isa::Mnemonic::kMaStash: {
+      const auto& p = std::get<isa::StashParams>(entry.params);
+      region = {p.base, p.rows, p.row_bytes, p.stride};
+      break;
+    }
+    default:
+      MACO_UNREACHABLE("not a region op");
   }
-  const Region2D src{p.src, p.rows, p.row_bytes, p.src_stride};
-  const Region2D dst{p.dst, p.rows, p.row_bytes, p.dst_stride};
-  const DmaResult result = ade_.move_region(src, dst, ctx, start);
-  report.dma_bytes = result.bytes;
-  report.translation_stall_ps = result.translation_stall_ps;
-  report.matlb_hits = result.matlb_hits;
-  report.blocking_walks = result.blocking_walks;
-  report.exception =
-      result.fault ? cpu::ExceptionType::kPageFault : cpu::ExceptionType::kNone;
-  report.end = result.end_time;
-  return report;
-}
 
-TaskReport AcceleratorController::execute_init(const StqEntry& entry,
-                                               const isa::InitParams& p,
-                                               sim::TimePs start) {
-  TaskReport report;
-  report.maid = entry.maid;
-  report.op = entry.op;
-  report.start = start;
-  TranslationContext ctx = context_for(entry);
-  if (ctx.table == nullptr || p.row_bytes == 0) {
+  const TranslationContext ctx = context_for(entry);
+  if (ctx.table == nullptr || region.row_bytes == 0) {
     report.exception = ctx.table == nullptr
                            ? cpu::ExceptionType::kPageFault
                            : cpu::ExceptionType::kInvalidConfig;
     report.end = start + cycles_to_ps(16);
     return report;
   }
-  const Region2D dst{p.dst, p.rows, p.row_bytes, p.stride};
-  const DmaResult result = ade_.init_region(dst, p.pattern, ctx, start);
-  report.dma_bytes = result.bytes;
-  report.translation_stall_ps = result.translation_stall_ps;
-  report.exception =
-      result.fault ? cpu::ExceptionType::kPageFault : cpu::ExceptionType::kNone;
-  report.end = result.end_time;
-  return report;
-}
 
-TaskReport AcceleratorController::execute_stash(const StqEntry& entry,
-                                                const isa::StashParams& p,
-                                                sim::TimePs start) {
-  TaskReport report;
-  report.maid = entry.maid;
-  report.op = entry.op;
-  report.start = start;
-  TranslationContext ctx = context_for(entry);
-  if (ctx.table == nullptr || p.row_bytes == 0) {
-    report.exception = ctx.table == nullptr
-                           ? cpu::ExceptionType::kPageFault
-                           : cpu::ExceptionType::kInvalidConfig;
-    report.end = start + cycles_to_ps(16);
-    return report;
+  DmaResult result;
+  if (const auto* move = std::get_if<isa::MoveParams>(&entry.params)) {
+    // A DMA0 read into the staging buffer, then a DMA1 write from it.
+    staging_.resize(region.total_bytes());
+    result = dma0_.read_region(region, staging_, ctx, start);
+    if (!result.fault) {
+      report.add(result);
+      const Region2D dst{move->dst, move->rows, move->row_bytes,
+                         move->dst_stride};
+      result = dma1_.write_region(dst, staging_, ctx, result.end_time);
+    }
+  } else if (const auto* init = std::get_if<isa::InitParams>(&entry.params)) {
+    result = dma1_.init_region(region, init->pattern, ctx, start);
+  } else {
+    const bool lock = std::get<isa::StashParams>(entry.params).lock;
+    result = dma0_.stash_region(region, lock, ctx, start);
   }
-  const Region2D region{p.base, p.rows, p.row_bytes, p.stride};
-  const DmaResult result = ade_.stash_region(region, p.lock, ctx, start);
-  report.dma_bytes = result.bytes;
-  report.translation_stall_ps = result.translation_stall_ps;
+  report.add(result);
   report.exception =
       result.fault ? cpu::ExceptionType::kPageFault : cpu::ExceptionType::kNone;
   report.end = result.end_time;

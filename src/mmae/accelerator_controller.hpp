@@ -1,11 +1,15 @@
 // Accelerator Controller (AC).
 //
 // Receives MPAIS commands from the CPU core (implements cpu::AcceleratorPort),
-// buffers them in the Slave Task Queue, and executes them in arrival order:
-// tile-GEMM tasks through the systolic array with two-level tiling
-// (first-level <Tr,Tc> panels, second-level <ttr,ttc> tiles that fit the
-// on-chip buffers), data-migration tasks through the ADE's DMA engines.
-// Completions and exceptions are reported to the owning CPU's MTQ entry.
+// buffers them in the Slave Task Queue, and executes them in arrival order
+// through two executors: tile-GEMM tasks (MA_CFG) run on the systolic array
+// with two-level tiling (first-level <Tr,Tc> panels, second-level <ttr,ttc>
+// tiles that fit the on-chip buffers), and the region ops MA_MOVE, MA_INIT
+// and MA_STASH stream a strided region through the DMA engines. The
+// controller drives the two DMA engines of the paper's ADE (Fig. 2): DMA0
+// carries loads and MA_STASH, DMA1 stores and MA_INIT, so inbound and
+// outbound streams overlap. Completions and exceptions are reported to the
+// owning CPU's MTQ entry.
 //
 // Execution is timed and, when the memory backend carries values, also
 // functional: tile data moves between the simulated physical memory and
@@ -22,8 +26,9 @@
 #include <vector>
 
 #include "cpu/core.hpp"
-#include "mmae/data_engine.hpp"
+#include "mmae/dma.hpp"
 #include "mmae/stq.hpp"
+#include "sa/host_matrix.hpp"
 #include "sa/systolic_array.hpp"
 #include "sim/engine.hpp"
 #include "vm/matlb.hpp"
@@ -38,6 +43,14 @@ struct MmaeConfig {
   DmaConfig dma{};
   unsigned stq_entries = 8;
 };
+
+// The MMAE's on-chip A, B and C buffers: 192 KiB split evenly, two banks
+// each for double buffering, so an inner tile must fit one 32 KiB bank (a
+// 64×64 FP64 tile fills it).
+inline constexpr std::uint64_t kBufferBankBytes = 192 * 1024 / 3 / 2;
+
+// The page table of an ASID, or null when no process has it.
+using PageTableLookup = std::function<const vm::PageTable*(vm::Asid)>;
 
 struct TaskReport {
   cpu::Maid maid = 0;
@@ -54,6 +67,15 @@ struct TaskReport {
 
   bool operator==(const TaskReport&) const = default;
 
+  // Counts one DMA leg: its bytes, translation stall, mATLB hits and
+  // blocking walks.
+  void add(const DmaResult& dma) noexcept {
+    dma_bytes += dma.bytes;
+    translation_stall_ps += dma.translation_stall_ps;
+    matlb_hits += dma.matlb_hits;
+    blocking_walks += dma.blocking_walks;
+  }
+
   double duration_seconds() const noexcept {
     return sim::to_seconds(end - start);
   }
@@ -67,13 +89,11 @@ struct TaskReport {
 
 class AcceleratorController : public cpu::AcceleratorPort {
  public:
-  // Called when a task finishes (after MTQ update), e.g. to wake schedulers.
-  using CompletionFn =
-      std::function<void(cpu::Maid, cpu::ExceptionType, sim::TimePs)>;
-
+  // `page_tables` resolves a task's ASID (the OS's process registry), so
+  // queued tasks survive process switches on the CPU.
   AcceleratorController(sim::SimEngine& engine, int node,
                         const MmaeConfig& config, MemoryBackend& backend,
-                        cpu::CpuCore& cpu);
+                        cpu::CpuCore& cpu, PageTableLookup page_tables);
   AcceleratorController(const AcceleratorController&) = delete;
   AcceleratorController& operator=(const AcceleratorController&) = delete;
 
@@ -81,18 +101,7 @@ class AcceleratorController : public cpu::AcceleratorPort {
   bool submit(cpu::Maid maid, isa::Mnemonic op, const isa::ParamBlock& params,
               vm::Asid asid) override;
 
-  void set_completion_callback(CompletionFn fn) {
-    on_complete_ = std::move(fn);
-  }
-  // Page table for an ASID (multi-process: the OS registers live tables).
-  void set_page_table_lookup(
-      std::function<const vm::PageTable*(vm::Asid)> lookup) {
-    table_lookup_ = std::move(lookup);
-  }
-
   const MmaeConfig& config() const noexcept { return config_; }
-  SlaveTaskQueue& stq() noexcept { return stq_; }
-  AcceleratorDataEngine& ade() noexcept { return ade_; }
   vm::Matlb& matlb() noexcept { return matlb_; }
 
   double peak_macs_per_second() const noexcept {
@@ -105,31 +114,32 @@ class AcceleratorController : public cpu::AcceleratorPort {
   }
 
   const std::vector<TaskReport>& reports() const noexcept { return reports_; }
-  sim::TimePs busy_until() const noexcept { return busy_until_; }
 
  private:
   void try_start_next();
-  TaskReport execute_task(const StqEntry& entry, sim::TimePs start);
-  TaskReport execute_gemm(const StqEntry& entry, const isa::GemmParams& p,
-                          sim::TimePs start);
-  TaskReport execute_move(const StqEntry& entry, const isa::MoveParams& p,
-                          sim::TimePs start);
-  TaskReport execute_init(const StqEntry& entry, const isa::InitParams& p,
-                          sim::TimePs start);
-  TaskReport execute_stash(const StqEntry& entry, const isa::StashParams& p,
-                           sim::TimePs start);
+  TaskReport execute_gemm(const StqEntry& entry, sim::TimePs start);
+  TaskReport execute_region(const StqEntry& entry, sim::TimePs start);
   TranslationContext context_for(const StqEntry& entry);
+  // Tile `t` of the FP64 matrix `m`, streamed by DMA0 into `out` (resized
+  // to t.rows × t.cols: its dense rows are the stream's layout).
+  DmaResult load_tile(const vm::MatrixDesc& m, const vm::TileDesc& t,
+                      sa::HostMatrix& out, const TranslationContext& ctx,
+                      sim::TimePs start);
+  // `in` streamed by DMA1 into tile `t` of `m`.
+  DmaResult store_tile(const vm::MatrixDesc& m, const vm::TileDesc& t,
+                       const sa::HostMatrix& in, const TranslationContext& ctx,
+                       sim::TimePs start);
 
   sim::SimEngine& engine_;
   MmaeConfig config_;
-  int node_;
   SlaveTaskQueue stq_;
   MemoryBackend& backend_;
-  AcceleratorDataEngine ade_;
+  DmaEngine dma0_;  // loads and MA_STASH
+  DmaEngine dma1_;  // stores and MA_INIT
+  std::vector<std::uint8_t> staging_;  // MA_MOVE's bytes between its legs
   vm::Matlb matlb_;
   cpu::CpuCore& cpu_;
-  CompletionFn on_complete_;
-  std::function<const vm::PageTable*(vm::Asid)> table_lookup_;
+  PageTableLookup page_tables_;
   bool task_running_ = false;
   sim::TimePs busy_until_ = 0;
   std::vector<TaskReport> reports_;

@@ -15,7 +15,6 @@ DmaEngine::DmaEngine(std::string name, int node, const DmaConfig& config,
 sim::TimePs DmaEngine::translate(vm::VirtAddr va,
                                  const TranslationContext& ctx, sim::TimePs t,
                                  DmaResult& result, vm::PhysAddr* pa) {
-  ++result.translations;
   if (ctx.matlb != nullptr) {
     const auto hit = ctx.matlb->lookup(va, t);
     if (hit.hit) {
@@ -33,7 +32,6 @@ sim::TimePs DmaEngine::translate(vm::VirtAddr va,
       ctx.mmu->translate_for_accelerator(ctx.asid, *ctx.table, va);
   if (!tr.valid) {
     result.fault = true;
-    result.fault_addr = va;
     return t;
   }
   ++result.blocking_walks;
@@ -81,7 +79,6 @@ DmaResult DmaEngine::run(const Region2D& region, Op op,
       vm::PhysAddr pa = 0;
       issue = translate(va, ctx, issue, result, &pa);
       if (result.fault) break;
-      ++result.segments;
 
       issue = std::max(issue, outstanding[slot]);
 
@@ -120,7 +117,6 @@ DmaResult DmaEngine::run(const Region2D& region, Op op,
   }
 
   busy_until_ = std::max(done, issue);
-  total_bytes_ += result.bytes;
   result.end_time = busy_until_;
   return result;
 }

@@ -64,13 +64,10 @@ struct TranslationContext {
 struct DmaResult {
   sim::TimePs end_time = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t segments = 0;           // page-bounded bursts issued
-  std::uint64_t translations = 0;
   std::uint64_t matlb_hits = 0;
-  std::uint64_t blocking_walks = 0;     // translations that stalled the stream
+  std::uint64_t blocking_walks = 0;  // translations that stalled the stream
   sim::TimePs translation_stall_ps = 0;
   bool fault = false;
-  vm::VirtAddr fault_addr = 0;
 };
 
 struct DmaConfig {
@@ -89,8 +86,6 @@ class DmaEngine {
   DmaEngine(std::string name, int node, const DmaConfig& config,
             MemoryBackend& backend);
 
-  const std::string& name() const noexcept { return name_; }
-
   // Reads `region` into `out` (row-major, rows*row_bytes bytes).
   DmaResult read_region(const Region2D& region, std::span<std::uint8_t> out,
                         const TranslationContext& ctx, sim::TimePs start);
@@ -108,11 +103,6 @@ class DmaEngine {
   DmaResult init_region(const Region2D& region, std::uint64_t pattern,
                         const TranslationContext& ctx, sim::TimePs start);
 
-  // Engine availability (transfers on one engine serialize).
-  sim::TimePs busy_until() const noexcept { return busy_until_; }
-
-  std::uint64_t total_bytes() const noexcept { return total_bytes_; }
-
  private:
   enum class Op { kRead, kWrite, kStash, kInit };
   DmaResult run(const Region2D& region, Op op, std::span<std::uint8_t> read_out,
@@ -129,8 +119,7 @@ class DmaEngine {
   int node_;
   DmaConfig config_;
   MemoryBackend& backend_;
-  sim::TimePs busy_until_ = 0;
-  std::uint64_t total_bytes_ = 0;
+  sim::TimePs busy_until_ = 0;  // transfers on one engine serialize
 };
 
 }  // namespace maco::mmae

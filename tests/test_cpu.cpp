@@ -189,16 +189,13 @@ class RecordingPort final : public AcceleratorPort {
 
 class CpuCoreTest : public ::testing::Test {
  protected:
-  CpuCoreTest()
-      : oracle_(10'000), core_(0, CpuConfig{}, oracle_),
-        table_(0x1000000) {
+  CpuCoreTest() : oracle_(10'000), core_(0, CpuConfig{}, oracle_) {
     core_.attach_accelerator(&port_);
-    core_.set_context(9, &table_);
+    core_.set_context(9);
   }
   vm::FixedLatencyOracle oracle_;
   RecordingPort port_;
   CpuCore core_;
-  vm::PageTable table_;
 };
 
 TEST_F(CpuCoreTest, MaCfgAllocatesAndSubmits) {

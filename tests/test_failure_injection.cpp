@@ -7,6 +7,8 @@
 // subsequent tasks are unaffected, and MA_CLEAR restores the entry.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/maco_system.hpp"
 #include "util/rng.hpp"
 
@@ -134,39 +136,83 @@ TEST_F(FaultFixture, OversizedInnerTileRejected) {
   EXPECT_NE(entry.exception_type, cpu::ExceptionType::kNone);
 }
 
-TEST_F(FaultFixture, MoveFromUnmappedSourceFaults) {
-  isa::MoveParams move;
-  move.src = 0x7f00'0000'0000ull;
-  move.dst = c_desc_.base;
-  move.rows = 4;
-  move.row_bytes = 512;
-  move.src_stride = 512;
-  move.dst_stride = 512;
-  cpu::CpuCore& cpu = system_.node(0).cpu();
-  cpu.regs().write_param_block(10, move.pack());
-  cpu.execute_source("ma_move x5, x10");
-  system_.run();
-  const auto& entry =
-      cpu.mtq().entry(static_cast<cpu::Maid>(cpu.regs().read(5)));
-  EXPECT_TRUE(entry.exception_en);
-  EXPECT_EQ(entry.exception_type, cpu::ExceptionType::kPageFault);
+// A region op (MA_MOVE, MA_INIT or MA_STASH) given either a zero row length
+// (kInvalidConfig) or an unmapped region (kPageFault; MA_MOVE's source).
+struct RegionFault {
+  isa::Mnemonic op;
+  bool zero_row_bytes;
+};
+
+void PrintTo(const RegionFault& fault, std::ostream* os) {
+  *os << isa::mnemonic_name(fault.op)
+      << (fault.zero_row_bytes ? " with zero row_bytes" : " unmapped");
 }
 
-TEST_F(FaultFixture, InitOnUnmappedDestinationFaults) {
-  isa::InitParams init;
-  init.dst = 0x7f00'0000'0000ull;
-  init.rows = 4;
-  init.row_bytes = 512;
-  init.stride = 512;
+class RegionOpFault : public FaultFixture,
+                      public ::testing::WithParamInterface<RegionFault> {};
+
+TEST_P(RegionOpFault, RecordsException) {
+  const RegionFault fault = GetParam();
+  const vm::VirtAddr region =
+      fault.zero_row_bytes ? c_desc_.base : 0x7f00'0000'0000ull;
+  const std::uint32_t row_bytes = fault.zero_row_bytes ? 0 : 512;
+  isa::ParamBlock block{};
+  switch (fault.op) {
+    case isa::Mnemonic::kMaMove: {
+      isa::MoveParams move;
+      move.src = region;
+      move.dst = c_desc_.base;
+      move.rows = 4;
+      move.row_bytes = row_bytes;
+      move.src_stride = move.dst_stride = 512;
+      block = move.pack();
+      break;
+    }
+    case isa::Mnemonic::kMaInit: {
+      isa::InitParams init;
+      init.dst = region;
+      init.rows = 4;
+      init.row_bytes = row_bytes;
+      init.stride = 512;
+      block = init.pack();
+      break;
+    }
+    default: {
+      isa::StashParams stash;
+      stash.base = region;
+      stash.rows = 4;
+      stash.row_bytes = row_bytes;
+      stash.stride = 512;
+      block = stash.pack();
+      break;
+    }
+  }
   cpu::CpuCore& cpu = system_.node(0).cpu();
-  cpu.regs().write_param_block(10, init.pack());
-  cpu.execute_source("ma_init x5, x10");
+  cpu.regs().write_param_block(10, block);
+  cpu.execute_source(std::string(isa::mnemonic_name(fault.op)) + " x5, x10");
   system_.run();
   const auto& entry =
       cpu.mtq().entry(static_cast<cpu::Maid>(cpu.regs().read(5)));
+  EXPECT_TRUE(entry.done);
   EXPECT_TRUE(entry.exception_en);
-  EXPECT_EQ(entry.exception_type, cpu::ExceptionType::kPageFault);
+  EXPECT_EQ(entry.exception_type, fault.zero_row_bytes
+                                      ? cpu::ExceptionType::kInvalidConfig
+                                      : cpu::ExceptionType::kPageFault);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, RegionOpFault,
+    ::testing::Values(RegionFault{isa::Mnemonic::kMaMove, true},
+                      RegionFault{isa::Mnemonic::kMaMove, false},
+                      RegionFault{isa::Mnemonic::kMaInit, true},
+                      RegionFault{isa::Mnemonic::kMaInit, false},
+                      RegionFault{isa::Mnemonic::kMaStash, true},
+                      RegionFault{isa::Mnemonic::kMaStash, false}),
+    [](const ::testing::TestParamInfo<RegionFault>& info) {
+      // "ma_move" -> "move_zero_row_bytes" or "move_unmapped".
+      return std::string(isa::mnemonic_name(info.param.op) + 3) +
+             (info.param.zero_row_bytes ? "_zero_row_bytes" : "_unmapped");
+    });
 
 TEST_F(FaultFixture, MtqExhaustionReturnsSentinelAndRecovers) {
   cpu::CpuCore& cpu = system_.node(0).cpu();

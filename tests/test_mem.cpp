@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/ccm.hpp"
 #include "mem/dram.hpp"
@@ -150,24 +152,25 @@ TEST(Cache, FullyAssociativeUpTo256Ways) {
 TEST(Dram, LatencyAndBandwidth) {
   DramController dram("d", DramConfig{25.6e9, 60'000});
   // 64 B at 25.6 GB/s = 2.5 ns transfer + 60 ns latency.
-  const sim::TimePs done = dram.access(0, 64);
+  const sim::TimePs done = dram.access(0, 0x1000, 64);
   EXPECT_NEAR(static_cast<double>(done), 62'500.0, 100.0);
 }
 
 TEST(Dram, BackToBackSerializesOnBus) {
   DramController dram("d", DramConfig{25.6e9, 60'000});
-  const sim::TimePs first = dram.access(0, 1 << 20);   // ~41 us transfer
-  const sim::TimePs second = dram.access(0, 1 << 20);  // queued behind it
+  const sim::TimePs first = dram.access(0, 0, 1 << 20);  // ~41 us transfer
+  const sim::TimePs second =
+      dram.access(0, 1 << 20, 1 << 20);  // queued behind it
   EXPECT_GT(second, first);
   EXPECT_NEAR(static_cast<double>(second - first), 40'960'000.0, 50'000.0);
 }
 
 TEST(Dram, IdleBusRecovers) {
   DramController dram("d", DramConfig{25.6e9, 60'000});
-  dram.access(0, 64);
+  dram.access(0, 0x1000, 64);
   // A request far in the future sees an idle bus.
   const sim::TimePs t = 10'000'000;
-  const sim::TimePs done = dram.access(t, 64);
+  const sim::TimePs done = dram.access(t, 0x2000, 64);
   EXPECT_NEAR(static_cast<double>(done - t), 62'500.0, 100.0);
 }
 
@@ -248,12 +251,11 @@ TEST(StreamingStore, PartialLineStoreIsWrittenBack) {
 }
 
 TEST(SliceInterleave, StripedAddressesUseAllSets) {
-  // A slice that only ever sees every 16th line must strip the interleave
-  // bits, or a 16x-strided stream would collapse onto 1/16th of the sets.
+  // A slice that only ever sees every 16th line must index its local
+  // lines, or a 16x-strided stream would collapse onto 1/16th of the sets.
   DramController dram("il.dram", DramConfig{});
   CcmConfig config;
-  config.slice_interleave = 16;
-  Ccm ccm("il.ccm", config, dram);
+  Ccm ccm("il.ccm", config, dram, /*slice=*/0, /*slices=*/16);
 
   // Stream (slice 0's share of) a working set half the slice capacity.
   const std::uint64_t lines = config.l3.size_bytes / kLineBytes / 2;
@@ -268,12 +270,47 @@ TEST(SliceInterleave, StripedAddressesUseAllSets) {
   EXPECT_EQ(ccm.l3().misses(), lines);
 }
 
+// Records the address of every DRAM access.
+class RecordingDram final : public DramModel {
+ public:
+  RecordingDram() : DramModel("rec.dram", DramConfig{}) {}
+  sim::TimePs access(sim::TimePs now, std::uint64_t addr,
+                     std::uint64_t /*bytes*/) override {
+    addrs.push_back(addr);
+    return now;
+  }
+  sim::TimePs busy_until() const noexcept override { return 0; }
+  std::vector<std::uint64_t> addrs;
+};
+
+TEST(SliceInterleave, DirtyVictimWritesBackItsOwnLine) {
+  // Slice 11 of 12 holds physical line 12L + 11 as its local line L. With
+  // 32 sets of 2 ways, local lines 2, 34 and 66 share a set.
+  RecordingDram dram;
+  CcmConfig config;
+  config.l3 = CacheConfig{4096, 2, kLineBytes};
+  Ccm ccm("wb.ccm", config, dram, /*slice=*/11, /*slices=*/12);
+  const auto physical = [](std::uint64_t local) {
+    return (local * 12 + 11) * kLineBytes;
+  };
+  ccm.handle(CcmReqType::kGetM, physical(2), 0);  // local line 2, dirty
+  ccm.handle(CcmReqType::kGetS, physical(34), 100'000);
+  ccm.handle(CcmReqType::kGetS, physical(66), 200'000);  // evicts line 2
+  ASSERT_EQ(ccm.l3().writebacks(), 1u);
+  // Three fills and the write-back, which goes to byte 2,240: the
+  // victim's own line, not local line × 12.
+  EXPECT_EQ(physical(2), 2240u);
+  const std::vector<std::uint64_t> expected{physical(2), physical(34),
+                                            physical(2), physical(66)};
+  EXPECT_EQ(dram.addrs, expected);
+}
+
 TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
   DramController dram("uq.dram", DramConfig{});
   Ccm ccm("uq.ccm", CcmConfig{}, dram);
   // Push the DRAM bus far into the future with data traffic.
-  for (int i = 0; i < 1000; ++i) {
-    dram.access(0, 4096);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    dram.access(0, i * 4096, 4096);
   }
   const sim::TimePs backlog = dram.busy_until();
   ASSERT_GT(backlog, 100'000u);

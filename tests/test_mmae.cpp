@@ -102,10 +102,13 @@ class MmaeFixture : public ::testing::Test {
         space_(kAsid, 0x0100000000, 0x1000000000) {
     cpu_ = std::make_unique<cpu::CpuCore>(0, cpu::CpuConfig{}, walk_oracle_);
     MmaeConfig config;
-    ac_ = std::make_unique<AcceleratorController>(engine_, 0, config,
-                                                  backend_, *cpu_);
+    ac_ = std::make_unique<AcceleratorController>(
+        engine_, 0, config, backend_, *cpu_,
+        [this](vm::Asid asid) -> const vm::PageTable* {
+          return asid == kAsid ? &space_.page_table() : nullptr;
+        });
     cpu_->attach_accelerator(ac_.get());
-    cpu_->set_context(kAsid, &space_.page_table());
+    cpu_->set_context(kAsid);
   }
 
   vm::MatrixDesc alloc_matrix(std::uint64_t rows, std::uint64_t cols) {
@@ -246,7 +249,19 @@ TEST_F(MmaeFixture, OversizedInnerTileRaisesBufferOverflow) {
   params.a_base = params.b_base = params.c_base = a_desc.base;
   params.m = params.n = params.k = 256;
   params.inner_tile_rows = 256;  // 256×64×8 = 128 KiB > 32 KiB bank
-  const cpu::Maid maid = dispatch_gemm(params);
+  cpu::Maid maid = dispatch_gemm(params);
+  EXPECT_EQ(cpu_->mtq().entry(maid).exception_type,
+            cpu::ExceptionType::kBufferOverflow);
+
+  // The bank edge: a 64×64 FP64 tile fills one 32 KiB bank exactly, and
+  // a 65th column (the K chunk too) does not fit.
+  params.m = params.n = params.k = 64;
+  params.inner_tile_rows = params.inner_tile_cols = 64;
+  maid = dispatch_gemm(params);
+  EXPECT_TRUE(cpu_->mtq().entry(maid).done);
+  EXPECT_FALSE(cpu_->mtq().entry(maid).exception_en);
+  params.inner_tile_cols = 65;
+  maid = dispatch_gemm(params);
   EXPECT_EQ(cpu_->mtq().entry(maid).exception_type,
             cpu::ExceptionType::kBufferOverflow);
 }

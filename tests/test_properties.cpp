@@ -545,7 +545,7 @@ TEST(MemProperty, DramBandwidthLawHolds) {
   sim::TimePs t = 0;
   const std::uint64_t bytes = 4096;
   const int n = 100;
-  for (int i = 0; i < n; ++i) t = dram.access(t, bytes);
+  for (int i = 0; i < n; ++i) t = dram.access(t, i * bytes, bytes);
   const double seconds = sim::to_seconds(t);
   EXPECT_GE(seconds, n * bytes / config.bandwidth_bytes_per_second * 0.999);
 }

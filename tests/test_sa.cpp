@@ -6,7 +6,6 @@
 #include "sa/host_matrix.hpp"
 #include "sa/latency_model.hpp"
 #include "sa/systolic_array.hpp"
-#include "sa/tile_buffer.hpp"
 #include "util/rng.hpp"
 
 namespace maco::sa {
@@ -158,32 +157,6 @@ TEST(LatencyModel, UtilizationApproachesOneForTallTiles) {
   const SaTiming t =
       compute_sa_timing(TileShape{4096, 64, 64}, SaConfig{});
   EXPECT_GT(t.utilization, 0.995);
-}
-
-TEST(TileBuffer, PaperCapacityHoldsDoubleBufferedTile) {
-  BufferSet buffers = BufferSet::maco_default();
-  EXPECT_EQ(buffers.total_capacity(), 192u * 1024u);
-  // One 64×64 FP64 tile = 32 KiB fits one bank.
-  EXPECT_TRUE(buffers.a.tile_fits(64 * 64 * 8));
-  EXPECT_FALSE(buffers.a.tile_fits(64 * 64 * 8 * 2 + 1));
-}
-
-TEST(TileBuffer, OccupancyAccounting) {
-  TileBuffer buffer("b", 64 * 1024);
-  EXPECT_TRUE(buffer.acquire(32 * 1024));
-  EXPECT_FALSE(buffer.acquire(1024));  // bank is full (32 KiB bank)
-  buffer.release(32 * 1024);
-  EXPECT_TRUE(buffer.acquire(1024));
-  EXPECT_EQ(buffer.high_water_bytes(), 32u * 1024u);
-}
-
-TEST(TileBuffer, BankSwap) {
-  TileBuffer buffer("b", 64 * 1024);
-  EXPECT_EQ(buffer.active_bank(), 0u);
-  buffer.swap_banks();
-  EXPECT_EQ(buffer.active_bank(), 1u);
-  buffer.swap_banks();
-  EXPECT_EQ(buffer.active_bank(), 0u);
 }
 
 }  // namespace

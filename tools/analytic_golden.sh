@@ -5,8 +5,11 @@
 # profile=counters; detailed_geometry.csv, the same sweep on 4 nodes over
 # 12 slices of 1,536 sets, so a slice count and an L3 set count other than
 # a power of two (the set index's modulo path) are pinned too;
+# detailed_writeback.csv, a 512 gemm on 4 nodes over 12 slices of 192 KiB,
+# whose evictions write dirty lines back through both DRAM backends (the
+# banked one prices each write-back at the victim's own address);
 # serve_detailed.csv, serve's detailed batch oracle over 1/2 instances and
-# 2/4 nodes with profile=counters (all three with their host_* wall-time
+# 2/4 nodes with profile=counters (all four with their host_* wall-time
 # columns dropped); and two sampled runs, sampled_gemm.csv (a
 # gemm beyond the detailed cap over every backend and 1/4 nodes) and
 # sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
@@ -74,6 +77,10 @@ run detailed_geometry_with_host --scenario gemm --set fidelity=detailed \
   --set size=256 --set nodes=4 --set profile=counters --set ccm_count=12 \
   --set l3_slice_kib=1536 --sweep dram=simple,queued \
   --sweep icnt=analytic,flit
+# Small slices that evict: dirty victims write back to their own lines.
+run detailed_writeback_with_host --scenario gemm --set fidelity=detailed \
+  --set size=512 --set nodes=4 --set profile=counters --set ccm_count=12 \
+  --set l3_slice_kib=192 --sweep dram=simple,queued
 # Serve's detailed batch oracle, the third path onto the detailed machine.
 run serve_detailed_with_host --scenario serve --set fidelity=detailed \
   --set requests=300 --set profile=counters --sweep instances=1,2 \
@@ -86,7 +93,8 @@ run sampled_gemm --scenario gemm --set fidelity=sampled --set size=2304 \
 run sampled_graph --scenario graph --set model_file=gpt3-block \
   --set phase=decode --set fidelity=sampled
 # Drop the host_* wall-time columns, which differ from run to run.
-for name in detailed_counters detailed_geometry serve_detailed; do
+for name in detailed_counters detailed_geometry detailed_writeback \
+  serve_detailed; do
   awk -F, '
     NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
     {
