@@ -7,7 +7,9 @@
 // and MA_STASH prefetches the next layer's weights.
 //
 // Prints a per-layer table for BERT and the Fig. 8-style summary for all
-// three networks against the five evaluated systems.
+// three networks against the five evaluated systems. Exits non-zero unless
+// every makespan is positive and the pipelined BERT total does not exceed
+// the serial one.
 #include <cstdio>
 
 #include "baselines/comparison.hpp"
@@ -30,7 +32,14 @@ const char* post_name(maco::wl::PostOp post) {
   return "?";
 }
 
-void per_layer_bert() {
+// Reports a failed check on stderr; returns `holds`.
+bool check(bool holds, const char* what) {
+  if (!holds) std::fprintf(stderr, "FAILED: %s\n", what);
+  return holds;
+}
+
+// Returns whether every check held.
+bool per_layer_bert() {
   using namespace maco;
   std::puts("== BERT-base (batch 8, seq 384): per-layer GEMM+ pipeline ==");
   std::puts(
@@ -47,9 +56,12 @@ void per_layer_bert() {
   options.cooperative = true;
   options.precision = bert.precision;
 
+  bool ok = true;
   for (const auto& layer : bert.layers) {
     options.shape = layer.shape;
     const core::SystemTiming timing = model.run(options);
+    ok = check(timing.makespan_ps > 0, "a BERT layer's makespan is positive") &&
+         ok;
     std::printf("  %-14s %6llu %6llu %6llu   %-9s %9.3f %8.3f\n",
                 layer.name.c_str(),
                 static_cast<unsigned long long>(layer.shape.m),
@@ -74,15 +86,20 @@ void per_layer_bert() {
   }
   const auto serial = core::schedule_gemm_plus(stages, /*overlap=*/false);
   const auto piped = core::schedule_gemm_plus(stages, /*overlap=*/true);
+  ok = check(piped.total_ps <= serial.total_ps,
+             "the pipelined total does not exceed the serial one") &&
+       ok;
   std::printf("\n  12 blocks serial:    %8.1f ms\n",
               static_cast<double>(serial.total_ps) / 1e9);
   std::printf(
       "  12 blocks pipelined: %8.1f ms  (%.0f%% of CPU work hidden)\n\n",
       static_cast<double>(piped.total_ps) / 1e9,
       piped.overlap_fraction * 100.0);
+  return ok;
 }
 
-void fig8_summary() {
+// Returns whether every check held.
+bool fig8_summary() {
   using namespace maco;
   std::puts(
       "== Fig. 8: five systems, three networks (GFLOPS, FP32, 256 PEs) ==");
@@ -94,21 +111,27 @@ void fig8_summary() {
     std::printf(" %11s", s);
   }
   std::puts("");
+  bool ok = true;
   for (const char* model : {"resnet50-stage", "bert-block", "gpt3-block"}) {
     const wl::Workload workload =
         graph::lower(graph::builtin_graph(model)).workload;
     const auto results = comparator.run_all(workload);
     std::printf("  %-10s", workload.name.c_str());
-    for (const auto& r : results) std::printf(" %11.1f", r.gflops);
+    for (const auto& r : results) {
+      ok = check(r.time_ps > 0, "a Fig. 8 system's makespan is positive") &&
+           ok;
+      std::printf(" %11.1f", r.gflops);
+    }
     std::puts("");
   }
   std::puts("");
+  return ok;
 }
 
 }  // namespace
 
 int main() {
-  per_layer_bert();
-  fig8_summary();
-  return 0;
+  const bool bert_ok = per_layer_bert();
+  const bool fig8_ok = fig8_summary();
+  return bert_ok && fig8_ok ? 0 : 1;
 }

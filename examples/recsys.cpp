@@ -10,7 +10,10 @@
 //   3. feature interaction + sigmoid — small CPU work.
 // On a tightly-coupled design the engine and the core contend; on MACO the
 // per-request CPU work of batch i runs while the MMAE grinds batch i-1's
-// MLPs. This example quantifies that overlap with the GEMM+ scheduler.
+// MLPs. This example quantifies that overlap with the GEMM+ scheduler,
+// and exits non-zero unless both totals are finite and positive and the
+// overlapped one is below the serialized one.
+#include <cmath>
 #include <cstdio>
 
 #include "core/config.hpp"
@@ -103,5 +106,10 @@ int main() {
   std::printf("  speedup from CPU/MMAE decoupling: %.2fx "
               "(%.0f%% of CPU work hidden under the MLPs)\n",
               serial_ms / piped_ms, piped.overlap_fraction * 100.0);
-  return 0;
+  const bool ok = std::isfinite(serial_ms) && std::isfinite(piped_ms) &&
+                  piped_ms > 0.0 && piped_ms < serial_ms;
+  if (!ok) {
+    std::fputs("FAILED: overlapping must shorten a positive total\n", stderr);
+  }
+  return ok ? 0 : 1;
 }

@@ -16,43 +16,54 @@ sim::TimePs SystemMemoryBackend::transfer(int node, vm::PhysAddr pa,
                                           mem::CcmReqType type, bool lock,
                                           sim::TimePs start) {
   // Serialize on the node's injection port at link bandwidth.
-  sim::TimePs& port_free = system_.node_port_free(node);
-  sim::TimePs t = std::max(start, port_free);
-  const double bw = system_.node_link_bandwidth();
+  sim::TimePs& port_free = system_.node_port_free_.at(node);
+  const sim::TimePs t = std::max(start, port_free);
+  const double bw = system_.config_.node_link_bandwidth();
   const auto wire_ps = static_cast<sim::TimePs>(
       static_cast<double>(bytes) / bw * 1e12);
+  if (type == mem::CcmReqType::kStash && lock) {
+    type = mem::CcmReqType::kStashLock;
+  }
 
   // Line-granular CCM transactions; the slowest line bounds completion
-  // (lines pipeline through the network back to back).
-  sim::TimePs ready = t;
+  // (lines pipeline through the network back to back). Consecutive lines
+  // live in consecutive slices, so only the first line's home is divided
+  // out.
+  mem::Ccm* const slices = system_.ccms_.data();
+  const auto slice_count = static_cast<unsigned>(system_.ccms_.size());
   const std::uint64_t first = mem::line_addr(pa);
   const std::uint64_t last = mem::line_addr(pa + bytes - 1);
-  for (std::uint64_t line = first; line <= last; line += mem::kLineBytes) {
-    mem::Ccm& ccm = system_.ccm_for(line);
-    const unsigned home = system_.ccm_home_node(line);
-    mem::CcmReqType line_type = (type == mem::CcmReqType::kStash && lock)
-                                    ? mem::CcmReqType::kStashLock
-                                    : type;
-    // Stores covering a whole line stream without a fetch (the DMA writes
-    // every byte, so read-for-ownership data would be thrown away).
-    if (type == mem::CcmReqType::kGetM && line >= pa &&
-        line + mem::kLineBytes <= pa + bytes) {
-      line_type = mem::CcmReqType::kPutFull;
+  const auto charge_lines = [&](auto& icnt) {
+    sim::TimePs ready = t;
+    unsigned home = system_.ccm_home_node(first);
+    for (std::uint64_t line = first; line <= last; line += mem::kLineBytes) {
+      // Stores covering a whole line stream without a fetch (the DMA
+      // writes every byte, so read-for-ownership data would be thrown
+      // away).
+      const mem::CcmReqType line_type =
+          type == mem::CcmReqType::kGetM && line >= pa &&
+                  line + mem::kLineBytes <= pa + bytes
+              ? mem::CcmReqType::kPutFull
+              : type;
+      // Two-leg protocol: the home slice services the request at its
+      // ARRIVAL time, so a queueing interconnect and a queueing DRAM each
+      // charge their own backlog exactly once (handing the slice the
+      // injection time would bill the network wait again as memory wait).
+      const sim::TimePs req_arrive = t + icnt.request_leg_ps(t, node, home);
+      const sim::TimePs data_ready =
+          req_arrive + slices[home].handle(line_type, line, req_arrive);
+      const sim::TimePs line_ready =
+          data_ready +
+          icnt.response_leg_ps(data_ready, home, node, mem::kLineBytes);
+      ready = std::max(ready, line_ready);
+      if (++home == slice_count) home = 0;
     }
-    // Two-leg protocol: the home slice services the request at its ARRIVAL
-    // time, so a queueing interconnect and a queueing DRAM each charge
-    // their own backlog exactly once (handing the slice the injection time
-    // would bill the network wait again as memory wait).
-    noc::IcntModel& icnt = system_.icnt();
-    const sim::TimePs req_arrive =
-        t + icnt.request_leg_ps(t, node, home);
-    const sim::TimePs data_ready =
-        req_arrive + ccm.handle(line_type, line, req_arrive);
-    const sim::TimePs line_ready =
-        data_ready +
-        icnt.response_leg_ps(data_ready, home, node, mem::kLineBytes);
-    ready = std::max(ready, line_ready);
-  }
+    return ready;
+  };
+  // On the analytic interconnect the legs inline into the loop.
+  const sim::TimePs ready = system_.analytic_icnt_
+                                ? charge_lines(*system_.analytic_icnt_)
+                                : charge_lines(*system_.icnt_);
   port_free = t + wire_ps;
   return std::max(ready, port_free);
 }
@@ -97,7 +108,16 @@ sim::TimePs WalkMemoryOracle::read_latency(vm::PhysAddr addr,
 
 // ---------------- MacoSystem ----------------
 
-MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
+MacoSystem::MacoSystem(const SystemConfig& config)
+    : config_(config),
+      l3_("l3", mem::l3_store_config(config.ccm, config.ccm_count)) {
+  // The interconnect tabulates routes between mesh positions only.
+  const unsigned mesh_nodes = config_.mesh.width * config_.mesh.height;
+  MACO_ASSERT_MSG(
+      config_.node_count <= mesh_nodes && config_.ccm_count <= mesh_nodes,
+      config_.node_count << " nodes and " << config_.ccm_count
+                         << " L3 slices on a " << mesh_nodes
+                         << "-position mesh");
   backend_ = std::make_unique<SystemMemoryBackend>(*this);
 
   drams_.reserve(config_.dram_channels);
@@ -109,12 +129,11 @@ MacoSystem::MacoSystem(const SystemConfig& config) : config_(config) {
   ccms_.reserve(config_.ccm_count);
   for (unsigned s = 0; s < config_.ccm_count; ++s) {
     // Channel interleaving: slice s drains to channel s % channels.
-    mem::DramModel& dram = *drams_[s % config_.dram_channels];
-    ccms_.push_back(std::make_unique<mem::Ccm>(
-        "ccm" + std::to_string(s), config_.ccm, dram, s, config_.ccm_count));
+    ccms_.emplace_back(config_.ccm, l3_, *drams_[s % config_.dram_channels]);
   }
 
   icnt_ = noc::make_icnt_model(config_.icnt_config());
+  analytic_icnt_ = dynamic_cast<noc::AnalyticIcnt*>(icnt_.get());
   // Per-link traffic accounting is the one observability hook that must
   // record during the run; it never feeds back into timing.
   if (config_.profile == ProfileMode::kCounters) icnt_->enable_link_stats();
@@ -245,15 +264,6 @@ sa::HostMatrix MacoSystem::read_matrix(Process& process,
     memory_.read(run.pa, row + run.offset, run.bytes);
   });
   return out;
-}
-
-mem::Ccm& MacoSystem::ccm_for(vm::PhysAddr pa) {
-  return *ccms_[ccm_home_node(pa)];
-}
-
-unsigned MacoSystem::ccm_home_node(vm::PhysAddr pa) const noexcept {
-  // Line-interleaved home slices spread traffic uniformly over the mesh.
-  return mem::home_slice(pa, config_.ccm_count);
 }
 
 }  // namespace maco::core

@@ -1,11 +1,12 @@
 // MacoSystem: the whole chip, detailed mode.
 //
 // Compute nodes, distributed L3/CCM slices, DRAM channels and the physical
-// backing store wired together. The memory backend charges NoC time through
-// the `icnt` interconnect model and per-node injection-port serialization
-// plus the CCM/DRAM costs for every cache-line transfer. Every run follows
-// the full MPAIS path (program -> MTQ/STQ -> DMA -> systolic array ->
-// memory). Operand values travel along it only when
+// backing store wired together. The slices share one L3 tag store indexed
+// by physical line (mem/ccm.hpp). The memory backend charges NoC time
+// through the `icnt` interconnect model and per-node injection-port
+// serialization plus the CCM/DRAM costs for every cache-line transfer.
+// Every run follows the full MPAIS path (program -> MTQ/STQ -> DMA ->
+// systolic array -> memory). Operand values travel along it only when
 // SystemConfig::carry_values is set: direct MacoSystem users (tests,
 // examples) keep that default and read results back, while every detailed
 // run (core::run_detailed_jobs in core/detailed_runner.hpp) switches it
@@ -20,6 +21,7 @@
 
 #include "core/compute_node.hpp"
 #include "core/config.hpp"
+#include "mem/cache.hpp"
 #include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mem/physical_memory.hpp"
@@ -101,8 +103,11 @@ class MacoSystem {
   sa::HostMatrix read_matrix(Process& process, const vm::MatrixDesc& desc);
 
   // ---- memory-system internals (used by the backend/oracle) ----
-  mem::Ccm& ccm_for(vm::PhysAddr pa);
-  unsigned ccm_home_node(vm::PhysAddr pa) const noexcept;
+  mem::Ccm& ccm_for(vm::PhysAddr pa) { return ccms_[ccm_home_node(pa)]; }
+  // Line-interleaved home slices spread traffic uniformly over the mesh.
+  unsigned ccm_home_node(vm::PhysAddr pa) const noexcept {
+    return mem::home_slice(pa, config_.ccm_count);
+  }
   // Enumeration by index (used by obs::collect's counter walk).
   unsigned dram_channel_count() const noexcept {
     return static_cast<unsigned>(drams_.size());
@@ -114,20 +119,19 @@ class MacoSystem {
     return static_cast<unsigned>(ccms_.size());
   }
   const mem::Ccm& ccm_slice(unsigned index) const {
-    return *ccms_.at(index);
+    return ccms_.at(index);
   }
   // The interconnect backend the `icnt` knob selected (charges NoC time
   // per line transfer; analytic reproduces the historic hop formula).
   noc::IcntModel& icnt() noexcept { return *icnt_; }
-  // Per-node injection port: serializes a node's outstanding transfers.
-  sim::TimePs& node_port_free(int node) { return node_port_free_.at(node); }
-  double node_link_bandwidth() const noexcept {
-    return config_.node_link_bandwidth();
-  }
 
   void run() { engine_.run(); }
 
  private:
+  // The backend's line loop reads the slices, the interconnect and the
+  // injection ports directly.
+  friend class SystemMemoryBackend;
+
   void require_values(const char* caller) const;
 
   SystemConfig config_;
@@ -136,9 +140,14 @@ class MacoSystem {
   std::unique_ptr<SystemMemoryBackend> backend_;
   std::vector<std::unique_ptr<WalkMemoryOracle>> walk_oracles_;
   std::vector<std::unique_ptr<mem::DramModel>> drams_;
-  std::vector<std::unique_ptr<mem::Ccm>> ccms_;
+  mem::SetAssocCache l3_;  // every slice's tags, indexed by physical line
+  std::vector<mem::Ccm> ccms_;
   std::unique_ptr<noc::IcntModel> icnt_;
+  // icnt_ when it is the analytic backend, whose legs the line loop
+  // inlines; null otherwise.
+  noc::AnalyticIcnt* analytic_icnt_ = nullptr;
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
+  // Per-node injection port: serializes a node's outstanding transfers.
   std::vector<sim::TimePs> node_port_free_;
   std::unordered_map<vm::Asid, std::unique_ptr<Process>> processes_;
   vm::Asid next_asid_ = 1;

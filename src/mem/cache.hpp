@@ -7,9 +7,15 @@
 // recency rank so a way costs 10 bytes of host memory. A touch ages the
 // more recent ways 16 ranks at a time, so the L3's 16 ways update as one
 // vector, and costs nothing when the way is already the most recent.
+//
+// The machine's L3 is one such store for all its slices, indexed by
+// physical line (see mem/ccm.hpp). Every DMA line goes through access(),
+// so it and the lookups it uses are defined here, where the L3 slices'
+// request handling inlines them.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -85,8 +91,14 @@ class SetAssocCache {
     explicit operator bool() const noexcept { return keys != nullptr; }
   };
 
-  std::uint64_t set_index(std::uint64_t addr) const noexcept;
-  std::uint64_t tag_of(std::uint64_t addr) const noexcept;
+  std::uint64_t set_index(std::uint64_t addr) const noexcept {
+    const std::uint64_t line = addr >> line_shift_;
+    return set_mask_ ? (line & set_mask_) : (line % sets_);
+  }
+  std::uint64_t tag_of(std::uint64_t addr) const noexcept {
+    const std::uint64_t line = addr >> line_shift_;
+    return set_mask_ ? (line >> set_shift_) : (line / sets_);
+  }
   std::uint64_t* block(std::uint64_t set) noexcept {
     return blocks_.data() + set * block_words_;
   }
@@ -117,5 +129,97 @@ class SetAssocCache {
   std::uint64_t writebacks_ = 0;
   std::uint64_t locked_count_ = 0;
 };
+
+inline void SetAssocCache::touch(std::uint64_t* keys, unsigned way) noexcept {
+  std::uint8_t* rank = ranks(keys);
+  const std::uint8_t old = rank[way];
+  if (old == 0) return;  // already the most recent way
+  // Every way more recent than `way` ages by one. GCC does not vectorize
+  // this for a way count it only learns at run time, so the ranks age in
+  // 16-byte chunks copied through a local array, each one vector
+  // compare-and-add (the L3's 16 ways are one chunk), then one at a time.
+  constexpr unsigned kChunk = 16;
+  const unsigned ways = config_.ways;
+  unsigned w = 0;
+  for (; w + kChunk <= ways; w += kChunk) {
+    std::uint8_t chunk[kChunk];
+    std::memcpy(chunk, rank + w, kChunk);
+    for (unsigned i = 0; i < kChunk; ++i) chunk[i] += chunk[i] < old;
+    std::memcpy(rank + w, chunk, kChunk);
+  }
+  for (; w < ways; ++w) rank[w] += rank[w] < old;
+  rank[way] = 0;
+}
+
+inline SetAssocCache::Way SetAssocCache::find(std::uint64_t addr) const {
+  std::uint64_t* keys =
+      const_cast<SetAssocCache*>(this)->block(set_index(addr));
+  const std::uint64_t key = tag_of(addr) + 1;
+  for (unsigned w = 0; w < config_.ways; ++w) {
+    if (keys[w] == key) return {keys, w};
+  }
+  return {};
+}
+
+inline SetAssocCache::AccessResult SetAssocCache::access(std::uint64_t addr,
+                                                         bool write) {
+  AccessResult result;
+  if (const Way hit = find(addr)) {
+    ++hits_;
+    touch(hit.keys, hit.way);
+    if (write) flags(hit.keys)[hit.way] |= kDirtyBit;
+    result.hit = true;
+    result.allocated = true;
+    return result;
+  }
+
+  ++misses_;
+  // Choose a victim: invalid way first, else LRU among unlocked lines.
+  const std::uint64_t set = set_index(addr);
+  std::uint64_t* keys = block(set);
+  std::uint8_t* flag = flags(keys);
+  const std::uint8_t* rank = ranks(keys);
+  unsigned victim = config_.ways;
+  for (unsigned w = 0; w < config_.ways; ++w) {
+    if (keys[w] == 0) {
+      victim = w;
+      break;
+    }
+  }
+  if (victim == config_.ways) {
+    int oldest = -1;
+    for (unsigned w = 0; w < config_.ways; ++w) {
+      if (!(flag[w] & kLockBit) && rank[w] > oldest) {
+        oldest = rank[w];
+        victim = w;
+      }
+    }
+  }
+  if (victim == config_.ways) {
+    // Every way is locked: the line cannot be allocated. The caller (CCM)
+    // treats this as an uncached access.
+    result.allocated = false;
+    return result;
+  }
+
+  if (keys[victim] != 0) {
+    result.evicted = true;
+    result.victim_addr =
+        ((keys[victim] - 1) * sets_ + set) * config_.line_bytes;
+    result.victim_dirty = (flag[victim] & kDirtyBit) != 0;
+    ++evictions_;
+    if (result.victim_dirty) ++writebacks_;
+  }
+
+  keys[victim] = tag_of(addr) + 1;
+  flag[victim] = write ? kDirtyBit : 0;
+  touch(keys, victim);
+  result.allocated = true;
+  return result;
+}
+
+inline bool SetAssocCache::probe(std::uint64_t addr) const {
+  return static_cast<bool>(find(addr));
+}
 
 }  // namespace maco::mem

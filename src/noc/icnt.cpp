@@ -1,6 +1,7 @@
 #include "noc/icnt.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -46,38 +47,39 @@ void IcntModel::record_link_traffic(unsigned link, std::uint64_t flits,
 
 // ---------------- AnalyticIcnt ----------------
 
+AnalyticIcnt::AnalyticIcnt(const IcntConfig& config)
+    : IcntModel(config),
+      nodes_(static_cast<std::size_t>(config.width) * config.height) {
+  // The longest route, corner to corner, must fit a table entry.
+  MACO_ASSERT(2 * (config.width + config.height - 1) <= UINT16_MAX);
+  round_trip_cycles_.resize(nodes_ * nodes_);
+  for (std::size_t node = 0; node < nodes_; ++node) {
+    for (std::size_t home = 0; home < nodes_; ++home) {
+      const unsigned hops =
+          xy_hop_count(config.width, static_cast<unsigned>(node),
+                       static_cast<unsigned>(home));
+      round_trip_cycles_[node * nodes_ + home] =
+          static_cast<std::uint16_t>(2 * (hops + 1));
+    }
+  }
+}
+
 sim::TimePs AnalyticIcnt::unloaded_round_trip_ps(
     int node, unsigned home, std::uint32_t /*bytes*/) const {
-  const unsigned hops =
-      xy_hop_count(config_.width, static_cast<unsigned>(node), home);
-  return static_cast<sim::TimePs>(2 * (hops + 1)) * config_.cycle_ps;
+  return round_trip_ps(node, home);
 }
 
-sim::TimePs AnalyticIcnt::request_leg_ps(sim::TimePs /*now*/, int /*node*/,
-                                         unsigned /*home*/) {
-  // Zero so the home slice is consulted at injection time — exactly what
-  // the pre-trait closed form did; the response leg carries the whole
-  // round trip.
-  return 0;
-}
-
-sim::TimePs AnalyticIcnt::response_leg_ps(sim::TimePs /*now*/, unsigned home,
-                                          int node, std::uint32_t bytes) {
-  if (link_stats_enabled()) {
-    // The closed form has no per-link booking, so account the transfer's
-    // route here: a header-flit request out, the payload wormhole back,
-    // each link charged one hop time.
-    const auto src = static_cast<unsigned>(node);
-    const auto payload_flits = static_cast<std::uint64_t>(util::ceil_div(
-        bytes + config_.header_bytes, config_.flit_bytes));
-    for_each_xy_link(config_.width, src, home, [&](unsigned link) {
-      record_link_traffic(link, 1, config_.cycle_ps);
-    });
-    for_each_xy_link(config_.width, home, src, [&](unsigned link) {
-      record_link_traffic(link, payload_flits, config_.cycle_ps);
-    });
-  }
-  return unloaded_round_trip_ps(node, home, bytes);
+void AnalyticIcnt::record_route(int node, unsigned home,
+                                std::uint32_t bytes) const {
+  const auto src = static_cast<unsigned>(node);
+  const auto payload_flits = static_cast<std::uint64_t>(
+      util::ceil_div(bytes + config_.header_bytes, config_.flit_bytes));
+  for_each_xy_link(config_.width, src, home, [&](unsigned link) {
+    record_link_traffic(link, 1, config_.cycle_ps);
+  });
+  for_each_xy_link(config_.width, home, src, [&](unsigned link) {
+    record_link_traffic(link, payload_flits, config_.cycle_ps);
+  });
 }
 
 // ---------------- FlitIcnt ----------------

@@ -10,6 +10,7 @@
 // LinkLoadModel; this trait covers the detailed and sampled machines.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -101,16 +102,41 @@ class IcntModel {
 // machine always used; payload size and load are invisible. The request
 // leg reports zero and the response leg the full round trip, preserving
 // the historic behavior of consulting the home slice at injection time.
+// Every line transfer asks for a round trip, so the construction tabulates
+// them, 2 (xy_hop_count + 1) cycles for each (node, home) pair of the mesh.
 class AnalyticIcnt final : public IcntModel {
  public:
-  explicit AnalyticIcnt(const IcntConfig& config) : IcntModel(config) {}
+  explicit AnalyticIcnt(const IcntConfig& config);
 
-  sim::TimePs request_leg_ps(sim::TimePs now, int node,
-                             unsigned home) override;
-  sim::TimePs response_leg_ps(sim::TimePs now, unsigned home, int node,
-                              std::uint32_t bytes) override;
+  // Zero so the home slice is consulted at injection time — exactly what
+  // the pre-trait closed form did; the response leg carries the whole
+  // round trip.
+  sim::TimePs request_leg_ps(sim::TimePs /*now*/, int /*node*/,
+                             unsigned /*home*/) override {
+    return 0;
+  }
+  sim::TimePs response_leg_ps(sim::TimePs /*now*/, unsigned home, int node,
+                              std::uint32_t bytes) override {
+    if (link_stats_enabled()) record_route(node, home, bytes);
+    return round_trip_ps(node, home);
+  }
   sim::TimePs unloaded_round_trip_ps(int node, unsigned home,
                                      std::uint32_t bytes) const override;
+
+ private:
+  // The closed form has no per-link booking, so a transfer's route is
+  // accounted here: a header-flit request out, the payload wormhole back,
+  // each link charged one hop time.
+  void record_route(int node, unsigned home, std::uint32_t bytes) const;
+  sim::TimePs round_trip_ps(int node, unsigned home) const noexcept {
+    return static_cast<sim::TimePs>(
+               round_trip_cycles_[static_cast<std::size_t>(node) * nodes_ +
+                                  home]) *
+           config_.cycle_ps;
+  }
+
+  std::size_t nodes_;
+  std::vector<std::uint16_t> round_trip_cycles_;  // row-major by node
 };
 
 // `icnt=flit`: the request rides a head flit to the home slice and the

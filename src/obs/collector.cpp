@@ -10,7 +10,6 @@
 #include "cpu/mtq.hpp"
 #include "exp/results.hpp"
 #include "isa/encoding.hpp"
-#include "mem/cache.hpp"
 #include "mem/ccm.hpp"
 #include "mem/dram.hpp"
 #include "mem/queued_dram.hpp"
@@ -51,11 +50,10 @@ void collect(core::MacoSystem& system, RunObservation& out) {
   for (unsigned s = 0; s < system.ccm_slice_count(); ++s) {
     const mem::Ccm& ccm = system.ccm_slice(s);
     const std::string base = "ccm" + std::to_string(s);
-    const mem::SetAssocCache& l3 = ccm.l3();
-    counters[base + ".l3.hits"] += l3.hits();
-    counters[base + ".l3.misses"] += l3.misses();
-    counters[base + ".l3.evictions"] += l3.evictions();
-    counters[base + ".l3.writebacks"] += l3.writebacks();
+    counters[base + ".l3.hits"] += ccm.l3_hits();
+    counters[base + ".l3.misses"] += ccm.l3_misses();
+    counters[base + ".l3.evictions"] += ccm.l3_evictions();
+    counters[base + ".l3.writebacks"] += ccm.l3_writebacks();
     counters[base + ".stash_hits"] += ccm.stash_hits();
     counters[base + ".stash_fills"] += ccm.stash_fills();
   }

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/detailed_runner.hpp"
 #include "driver/scenario_registry.hpp"
@@ -17,6 +19,7 @@
 #include "mem/dram.hpp"
 #include "mem/queued_dram.hpp"
 #include "noc/icnt.hpp"
+#include "noc/mesh_config.hpp"
 #include "store/campaign_store.hpp"
 #include "util/json.hpp"
 
@@ -173,6 +176,77 @@ TEST(Icnt, AnalyticLegsPreserveTheClosedForm) {
   }
   EXPECT_EQ(icnt.unloaded_round_trip_ps(0, 15, kLine),
             icnt.response_leg_ps(0, 15, 0, kLine));
+}
+
+noc::IcntConfig mesh_config(unsigned width, unsigned height) {
+  noc::IcntConfig config = icnt_config(noc::IcntKind::kAnalytic);
+  config.width = width;
+  config.height = height;
+  return config;
+}
+
+TEST(Icnt, AnalyticRoundTripTableMatchesTheHopFormula) {
+  // The table the construction builds must give the closed form
+  // 2 (hops + 1) cycles for every (node, home) pair, on a single node,
+  // square, oblong and the largest mesh the knobs accept.
+  for (const auto& [width, height] : {std::pair{1u, 1u}, std::pair{4u, 4u},
+                                      std::pair{3u, 5u}, std::pair{32u, 32u}}) {
+    noc::AnalyticIcnt icnt(mesh_config(width, height));
+    const sim::TimePs cycle = icnt.config().cycle_ps;
+    for (unsigned node = 0; node < width * height; ++node) {
+      for (unsigned home = 0; home < width * height; ++home) {
+        const sim::TimePs want =
+            static_cast<sim::TimePs>(
+                2 * (noc::xy_hop_count(width, node, home) + 1)) *
+            cycle;
+        ASSERT_EQ(icnt.unloaded_round_trip_ps(static_cast<int>(node), home,
+                                              kLine),
+                  want)
+            << width << "x" << height << " mesh, " << node << " -> " << home;
+        ASSERT_EQ(icnt.response_leg_ps(0, home, static_cast<int>(node), kLine),
+                  want)
+            << width << "x" << height << " mesh, " << node << " -> " << home;
+      }
+    }
+  }
+}
+
+TEST(Icnt, AnalyticLinkStatsChargeEveryRouteLink) {
+  // With link stats on, each response leg charges the request's route one
+  // header flit per link and the payload's route its flits, one hop time
+  // per link, exactly as the closed form always accounted it.
+  for (const auto& [width, height] : {std::pair{4u, 4u}, std::pair{3u, 5u}}) {
+    noc::AnalyticIcnt icnt(mesh_config(width, height));
+    icnt.enable_link_stats();
+    const noc::IcntConfig& config = icnt.config();
+    std::vector<noc::IcntModel::LinkTraffic> want(
+        static_cast<std::size_t>(width) * height * 5);
+    for (const std::uint32_t bytes : {8u, 64u, 100u}) {
+      const std::uint64_t payload_flits =
+          (bytes + config.header_bytes + config.flit_bytes - 1) /
+          config.flit_bytes;
+      for (unsigned node = 0; node < width * height; ++node) {
+        for (unsigned home = 0; home < width * height; ++home) {
+          EXPECT_EQ(icnt.request_leg_ps(0, static_cast<int>(node), home), 0);
+          icnt.response_leg_ps(0, home, static_cast<int>(node), bytes);
+          noc::for_each_xy_link(width, node, home, [&](unsigned link) {
+            want[link].flits += 1;
+            want[link].busy_ps += config.cycle_ps;
+          });
+          noc::for_each_xy_link(width, home, node, [&](unsigned link) {
+            want[link].flits += payload_flits;
+            want[link].busy_ps += config.cycle_ps;
+          });
+        }
+      }
+    }
+    const auto& got = icnt.link_stats();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t link = 0; link < want.size(); ++link) {
+      EXPECT_EQ(got[link].flits, want[link].flits) << "link " << link;
+      EXPECT_EQ(got[link].busy_ps, want[link].busy_ps) << "link " << link;
+    }
+  }
 }
 
 TEST(Icnt, FlitUnloadedRoundTripExceedsAnalyticBySerialization) {

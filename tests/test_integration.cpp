@@ -128,6 +128,20 @@ TEST(Integration, WriteMatrixThrowsWithoutValues) {
       });
 }
 
+TEST(Integration, NodesAndSlicesMustSitOnTheMesh) {
+  // The interconnect tabulates its routes between mesh positions, so a
+  // node or an L3 slice off the 4x4 mesh is refused at construction.
+  SystemConfig slices = small_config(1);
+  slices.ccm_count = 17;
+  EXPECT_DEATH(MacoSystem{slices}, "17 L3 slices on a 16-position mesh");
+  SystemConfig nodes = small_config(1);
+  nodes.mesh.width = 2;
+  nodes.mesh.height = 2;
+  nodes.ccm_count = 4;
+  nodes.node_count = 5;
+  EXPECT_DEATH(MacoSystem{nodes}, "5 nodes and 4 L3 slices");
+}
+
 TEST(Integration, MaStateReleasesViaProgram) {
   MacoSystem system(small_config(1));
   Process& process = system.create_process();

@@ -177,18 +177,21 @@ TEST(Dram, IdleBusRecovers) {
 class DirectoryTest : public ::testing::Test {
  protected:
   DirectoryTest()
-      : dram_("dram", DramConfig{}), ccm_("ccm", CcmConfig{}, dram_) {}
+      : dram_("dram", DramConfig{}),
+        l3_("l3", CcmConfig{}.l3),
+        ccm_(CcmConfig{}, l3_, dram_) {}
 
   DramController dram_;
+  SetAssocCache l3_;
   Ccm ccm_;
 };
 
 TEST_F(DirectoryTest, GetSFillsFromDramThenHits) {
   ccm_.handle(CcmReqType::kGetS, 0x1000, 0);
-  EXPECT_EQ(ccm_.l3().misses(), 1u);
+  EXPECT_EQ(ccm_.l3_misses(), 1u);
   EXPECT_EQ(dram_.requests(), 1u);
   ccm_.handle(CcmReqType::kGetS, 0x1000, 100'000);
-  EXPECT_EQ(ccm_.l3().hits(), 1u);
+  EXPECT_EQ(ccm_.l3_hits(), 1u);
   EXPECT_EQ(dram_.requests(), 1u);  // the hit reads no DRAM
 }
 
@@ -197,7 +200,7 @@ TEST_F(DirectoryTest, StashWarmsL3) {
   EXPECT_EQ(dram_.requests(), 1u);
   EXPECT_EQ(ccm_.stash_fills(), 1u);
   ccm_.handle(CcmReqType::kGetS, 0x2000, 1'000'000);
-  EXPECT_EQ(ccm_.l3().hits(), 1u);
+  EXPECT_EQ(ccm_.l3_hits(), 1u);
 }
 
 TEST_F(DirectoryTest, StashLockPinsLine) {
@@ -223,14 +226,15 @@ namespace {
 
 TEST(StreamingStore, PutFullAllocatesWithoutDramFetch) {
   DramController dram("ss.dram", DramConfig{});
-  Ccm ccm("ss.ccm", CcmConfig{}, dram);
+  SetAssocCache l3("ss.l3", CcmConfig{}.l3);
+  Ccm ccm(CcmConfig{}, l3, dram);
   ccm.handle(CcmReqType::kPutFull, 0x4000, 0);
   // No fetch: the line lands in L3 without a DRAM read.
-  EXPECT_EQ(ccm.l3().misses(), 1u);
+  EXPECT_EQ(ccm.l3_misses(), 1u);
   EXPECT_EQ(dram.requests(), 0u);
   // A later read hits the L3.
   ccm.handle(CcmReqType::kGetS, 0x4000, 1000);
-  EXPECT_EQ(ccm.l3().hits(), 1u);
+  EXPECT_EQ(ccm.l3_hits(), 1u);
   EXPECT_EQ(dram.requests(), 0u);
 }
 
@@ -240,22 +244,25 @@ TEST(StreamingStore, PartialLineStoreIsWrittenBack) {
   DramController dram("ps.dram", DramConfig{});
   CcmConfig config;
   config.l3 = CacheConfig{4096, 2, kLineBytes};
-  Ccm ccm("ps.ccm", config, dram);
+  SetAssocCache l3("ps.l3", config.l3);
+  Ccm ccm(config, l3, dram);
   const std::uint64_t stride = 32 * kLineBytes;
   ccm.handle(CcmReqType::kGetM, 0, 0);
   ccm.handle(CcmReqType::kGetS, stride, 100'000);
   ccm.handle(CcmReqType::kGetS, 2 * stride, 200'000);  // evicts line 0
-  EXPECT_EQ(ccm.l3().evictions(), 1u);
-  EXPECT_EQ(ccm.l3().writebacks(), 1u);
+  EXPECT_EQ(ccm.l3_evictions(), 1u);
+  EXPECT_EQ(ccm.l3_writebacks(), 1u);
   EXPECT_EQ(dram.requests(), 4u);  // three fills and the write-back
 }
 
 TEST(SliceInterleave, StripedAddressesUseAllSets) {
-  // A slice that only ever sees every 16th line must index its local
-  // lines, or a 16x-strided stream would collapse onto 1/16th of the sets.
+  // A slice that only ever sees every 16th line must get all of its
+  // sets, or a 16x-strided stream would collapse onto 1/16th of them: the
+  // shared store of 16 slices gives slice 0 every 16th set.
   DramController dram("il.dram", DramConfig{});
   CcmConfig config;
-  Ccm ccm("il.ccm", config, dram, /*slice=*/0, /*slices=*/16);
+  SetAssocCache l3("il.l3", l3_store_config(config, 16));
+  Ccm ccm(config, l3, dram);
 
   // Stream (slice 0's share of) a working set half the slice capacity.
   const std::uint64_t lines = config.l3.size_bytes / kLineBytes / 2;
@@ -266,8 +273,8 @@ TEST(SliceInterleave, StripedAddressesUseAllSets) {
   for (std::uint64_t i = 0; i < lines; ++i) {
     ccm.handle(CcmReqType::kGetS, i * 16 * kLineBytes, 0);
   }
-  EXPECT_EQ(ccm.l3().hits(), lines);
-  EXPECT_EQ(ccm.l3().misses(), lines);
+  EXPECT_EQ(ccm.l3_hits(), lines);
+  EXPECT_EQ(ccm.l3_misses(), lines);
 }
 
 // Records the address of every DRAM access.
@@ -289,14 +296,15 @@ TEST(SliceInterleave, DirtyVictimWritesBackItsOwnLine) {
   RecordingDram dram;
   CcmConfig config;
   config.l3 = CacheConfig{4096, 2, kLineBytes};
-  Ccm ccm("wb.ccm", config, dram, /*slice=*/11, /*slices=*/12);
+  SetAssocCache l3("wb.l3", l3_store_config(config, 12));
+  Ccm ccm(config, l3, dram);
   const auto physical = [](std::uint64_t local) {
     return (local * 12 + 11) * kLineBytes;
   };
   ccm.handle(CcmReqType::kGetM, physical(2), 0);  // local line 2, dirty
   ccm.handle(CcmReqType::kGetS, physical(34), 100'000);
   ccm.handle(CcmReqType::kGetS, physical(66), 200'000);  // evicts line 2
-  ASSERT_EQ(ccm.l3().writebacks(), 1u);
+  ASSERT_EQ(ccm.l3_writebacks(), 1u);
   // Three fills and the write-back, which goes to byte 2,240: the
   // victim's own line, not local line × 12.
   EXPECT_EQ(physical(2), 2240u);
@@ -307,7 +315,8 @@ TEST(SliceInterleave, DirtyVictimWritesBackItsOwnLine) {
 
 TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
   DramController dram("uq.dram", DramConfig{});
-  Ccm ccm("uq.ccm", CcmConfig{}, dram);
+  SetAssocCache l3("uq.l3", CcmConfig{}.l3);
+  Ccm ccm(CcmConfig{}, l3, dram);
   // Push the DRAM bus far into the future with data traffic.
   for (std::uint64_t i = 0; i < 1000; ++i) {
     dram.access(0, i * 4096, 4096);
@@ -317,7 +326,7 @@ TEST(UnqueuedLatency, PteReadsDoNotInheritBusBacklog) {
   // An unqueued miss must not see the backlog as latency.
   const sim::TimePs latency =
       ccm.handle(CcmReqType::kGetS, 0x9000, 0, /*queue_dram=*/false);
-  EXPECT_EQ(ccm.l3().misses(), 1u);
+  EXPECT_EQ(ccm.l3_misses(), 1u);
   EXPECT_LT(latency, 100'000u);  // service time, not backlog
 }
 

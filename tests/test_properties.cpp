@@ -20,6 +20,9 @@
 #include "isa/assembler.hpp"
 #include "isa/params.hpp"
 #include "mem/cache.hpp"
+#include "mem/ccm.hpp"
+#include "mem/dram.hpp"
+#include "mem/queued_dram.hpp"
 #include "noc/link_load_model.hpp"
 #include "page_entries.hpp"
 #include "sa/latency_model.hpp"
@@ -536,6 +539,235 @@ TEST(MemProperty, RankedTagStoreMatchesTickLru) {
   expect_same_as_tick_lru(mem::CacheConfig{12 * 1024, 12, 64}, 5);
   expect_same_as_tick_lru(mem::CacheConfig{32 * 1024, 32, 64}, 6);
   expect_same_as_tick_lru(mem::CacheConfig{64 * 1024, 256, 64}, 7);
+}
+
+// Reference L3: S slices, each a SetAssocCache of its own indexed by its
+// local line L / S, whose victims map back to physical line
+// local × S + slice. mem::Ccm's slices, which share one store indexed by
+// physical line, must behave exactly like it.
+class PerSliceL3 {
+ public:
+  PerSliceL3(const mem::CcmConfig& config, unsigned slices,
+             mem::DramModel& dram)
+      : config_(config), slices_(slices), dram_(dram) {
+    for (unsigned s = 0; s < slices; ++s) {
+      slice_.push_back(Slice{mem::SetAssocCache("ref.l3", config.l3), 0, 0});
+    }
+  }
+
+  sim::TimePs handle(mem::CcmReqType type, std::uint64_t addr,
+                     sim::TimePs arrival, bool queue_dram) {
+    using mem::CcmReqType;
+    const std::uint64_t line = mem::line_addr(addr);
+    const unsigned index = mem::home_slice(line, slices_);
+    Slice& slice = slice_[index];
+    const std::uint64_t local = line / kLine / slices_ * kLine;
+    sim::TimePs latency = config_.lookup_latency_ps;
+    switch (type) {
+      case CcmReqType::kGetS:
+      case CcmReqType::kGetM:
+        latency += fill(index, line, type == CcmReqType::kGetM,
+                        arrival + latency, queue_dram);
+        break;
+      case CcmReqType::kPutFull: {
+        const auto result = slice.l3.access(local, /*write=*/true);
+        unallocated += !result.allocated;
+        latency += config_.l3_latency_ps;
+        if (result.victim_dirty && queue_dram) {
+          dram_.access(arrival + latency,
+                       physical(result.victim_addr, index), kLine);
+        }
+        if (!result.allocated) {
+          const sim::TimePs at = arrival + latency;
+          latency += queue_dram ? dram_.access(at, line, kLine) - at
+                                : dram_.service_latency(kLine);
+        }
+        break;
+      }
+      case CcmReqType::kStash:
+        if (slice.l3.probe(local)) {
+          ++slice.stash_hits;
+          latency += config_.l3_latency_ps;
+        } else {
+          ++slice.stash_fills;
+          latency +=
+              fill(index, line, /*write=*/false, arrival + latency, queue_dram);
+        }
+        break;
+      case CcmReqType::kStashLock:
+        ++(slice.l3.probe(local) ? slice.stash_hits : slice.stash_fills);
+        latency +=
+            fill(index, line, /*write=*/false, arrival + latency, queue_dram);
+        slice.l3.lock(local);
+        break;
+      case CcmReqType::kUnlock:
+        slice.l3.unlock(local);
+        break;
+    }
+    return latency;
+  }
+
+  bool line_locked(std::uint64_t addr) const {
+    const std::uint64_t line = mem::line_addr(addr);
+    return slice_[mem::home_slice(line, slices_)].l3.is_locked(
+        line / kLine / slices_ * kLine);
+  }
+
+  struct Slice {
+    mem::SetAssocCache l3;
+    std::uint64_t stash_hits;
+    std::uint64_t stash_fills;
+  };
+  const Slice& slice(unsigned index) const { return slice_[index]; }
+  // Accesses that found every way of their set locked.
+  std::uint64_t unallocated = 0;
+
+ private:
+  static constexpr std::uint64_t kLine = mem::kLineBytes;
+
+  std::uint64_t physical(std::uint64_t local_addr, unsigned index) const {
+    return (local_addr / kLine * slices_ + index) * kLine;
+  }
+  sim::TimePs fill(unsigned index, std::uint64_t line, bool write,
+                   sim::TimePs now, bool queue_dram) {
+    const auto result =
+        slice_[index].l3.access(line / kLine / slices_ * kLine, write);
+    unallocated += !result.allocated;
+    if (result.hit) return config_.l3_latency_ps;
+    if (!queue_dram) {
+      sim::TimePs latency = config_.l3_latency_ps;
+      if (result.victim_dirty) latency += dram_.service_latency(kLine);
+      return latency + dram_.service_latency(kLine);
+    }
+    sim::TimePs t = now + config_.l3_latency_ps;
+    if (result.victim_dirty) {
+      t = dram_.access(t, physical(result.victim_addr, index), kLine);
+    }
+    return dram_.access(t, line, kLine) - now;
+  }
+
+  mem::CcmConfig config_;
+  unsigned slices_;
+  mem::DramModel& dram_;
+  std::vector<Slice> slice_;
+};
+
+// A banked DRAM (its latency depends on the address) that logs every
+// request's address.
+class LoggedDram final : public mem::DramModel {
+ public:
+  LoggedDram()
+      : DramModel("log.dram", queued_config()),
+        banks_("log.banks", queued_config()) {}
+  sim::TimePs access(sim::TimePs now, std::uint64_t addr,
+                     std::uint64_t bytes) override {
+    log.push_back(addr);
+    return banks_.access(now, addr, bytes);
+  }
+  sim::TimePs busy_until() const noexcept override {
+    return banks_.busy_until();
+  }
+  std::vector<std::uint64_t> log;
+
+ private:
+  static mem::DramConfig queued_config() {
+    mem::DramConfig config;
+    config.kind = mem::DramKind::kQueued;
+    return config;
+  }
+  mem::QueuedDramController banks_;
+};
+
+void expect_shared_store_matches_per_slice(const mem::CacheConfig& slice_l3,
+                                           unsigned slices,
+                                           std::uint64_t seed) {
+  using mem::CcmReqType;
+  mem::CcmConfig config;
+  config.l3 = slice_l3;
+  LoggedDram shared_dram;
+  LoggedDram reference_dram;
+  mem::SetAssocCache store("prop.l3", mem::l3_store_config(config, slices));
+  std::vector<mem::Ccm> ccms;
+  for (unsigned s = 0; s < slices; ++s) {
+    ccms.emplace_back(config, store, shared_dram);
+  }
+  PerSliceL3 reference(config, slices, reference_dram);
+
+  const std::uint64_t slice_sets =
+      slice_l3.size_bytes / slice_l3.line_bytes / slice_l3.ways;
+  ASSERT_EQ(store.sets(), slices * slice_sets);
+  util::Rng rng(seed);
+  // Three times the capacity, so sets overflow and evict; and ways + 2
+  // lines that share one set, which a burst of stash-locks every 2,000
+  // steps locks in every way.
+  const std::uint64_t lines = 3 * slices * slice_sets * slice_l3.ways;
+  const std::uint64_t hot_set = rng.next_below(store.sets());
+  const unsigned hot_lines = slice_l3.ways + 2;
+  constexpr CcmReqType kTypes[] = {
+      CcmReqType::kGetS,  CcmReqType::kGetM,      CcmReqType::kPutFull,
+      CcmReqType::kStash, CcmReqType::kStashLock, CcmReqType::kUnlock};
+  sim::TimePs now = 0;
+  std::size_t logged = 0;  // DRAM requests compared so far
+  for (int step = 0; step < 20000; ++step) {
+    CcmReqType type = kTypes[rng.next_below(6)];
+    std::uint64_t line =
+        rng.next_below(4) == 0
+            ? hot_set + rng.next_below(hot_lines) * store.sets()
+            : rng.next_below(lines);
+    if (step % 2000 < static_cast<int>(hot_lines)) {
+      type = CcmReqType::kStashLock;
+      line = hot_set + static_cast<std::uint64_t>(step % 2000) * store.sets();
+    }
+    const std::uint64_t addr =
+        line * mem::kLineBytes + rng.next_below(mem::kLineBytes);
+    const bool queue_dram = rng.next_below(8) != 0;
+    now += rng.next_below(20'000);
+    const unsigned home = mem::home_slice(addr, slices);
+    SCOPED_TRACE(testing::Message()
+                 << slices << " slices, step " << step << ", type "
+                 << static_cast<int>(type) << ", addr " << addr);
+
+    ASSERT_EQ(ccms[home].handle(type, addr, now, queue_dram),
+              reference.handle(type, addr, now, queue_dram));
+    ASSERT_EQ(ccms[home].line_locked(addr), reference.line_locked(addr));
+    ASSERT_EQ(shared_dram.log.size(), reference_dram.log.size());
+    for (; logged < shared_dram.log.size(); ++logged) {
+      ASSERT_EQ(shared_dram.log[logged], reference_dram.log[logged]);
+    }
+    for (unsigned s = 0; s < slices; ++s) {
+      const mem::Ccm& ccm = ccms[s];
+      const PerSliceL3::Slice& want = reference.slice(s);
+      ASSERT_EQ(ccm.l3_hits(), want.l3.hits());
+      ASSERT_EQ(ccm.l3_misses(), want.l3.misses());
+      ASSERT_EQ(ccm.l3_evictions(), want.l3.evictions());
+      ASSERT_EQ(ccm.l3_writebacks(), want.l3.writebacks());
+      ASSERT_EQ(ccm.stash_hits(), want.stash_hits);
+      ASSERT_EQ(ccm.stash_fills(), want.stash_fills);
+    }
+  }
+  std::uint64_t evictions = 0;
+  std::uint64_t writebacks = 0;
+  for (const mem::Ccm& ccm : ccms) {
+    evictions += ccm.l3_evictions();
+    writebacks += ccm.l3_writebacks();
+  }
+  EXPECT_GT(evictions, 1000u);
+  EXPECT_GT(writebacks, 0u);
+  EXPECT_GT(reference.unallocated, 0u);  // some set had every way locked
+}
+
+TEST(MemProperty, SharedL3StoreMatchesPerSliceCaches) {
+  // 16 sets of 4 ways per slice (a power of two) and 48 (not one), on one
+  // slice, 12 slices and 16.
+  for (const unsigned slices : {1u, 12u, 16u}) {
+    expect_shared_store_matches_per_slice(mem::CacheConfig{4096, 4, 64},
+                                          slices, 10 + slices);
+    expect_shared_store_matches_per_slice(
+        mem::CacheConfig{48 * 4 * 64, 4, 64}, slices, 20 + slices);
+  }
+  // The L3's 16 ways, on 16 slices of 16 sets.
+  expect_shared_store_matches_per_slice(mem::CacheConfig{16 * 16 * 64, 16, 64},
+                                        16, 33);
 }
 
 TEST(MemProperty, DramBandwidthLawHolds) {

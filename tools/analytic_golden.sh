@@ -8,9 +8,11 @@
 # detailed_writeback.csv, a 512 gemm on 4 nodes over 12 slices of 192 KiB,
 # whose evictions write dirty lines back through both DRAM backends (the
 # banked one prices each write-back at the victim's own address);
-# serve_detailed.csv, serve's detailed batch oracle over 1/2 instances and
-# 2/4 nodes with profile=counters (all four with their host_* wall-time
-# columns dropped); and two sampled runs, sampled_gemm.csv (a
+# detailed_scaling.csv, the 256 and 512 gemms on 1, 4 and 16 nodes that
+# macobench's detailed_scaling workload times; serve_detailed.csv, serve's
+# detailed batch oracle over 1/2 instances and 2/4 nodes with
+# profile=counters (all five with their host_* wall-time columns dropped);
+# and two sampled runs, sampled_gemm.csv (a
 # gemm beyond the detailed cap over every backend and 1/4 nodes) and
 # sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
 # Their numbers must stay bit-identical across refactors of the timing
@@ -81,6 +83,9 @@ run detailed_geometry_with_host --scenario gemm --set fidelity=detailed \
 run detailed_writeback_with_host --scenario gemm --set fidelity=detailed \
   --set size=512 --set nodes=4 --set profile=counters --set ccm_count=12 \
   --set l3_slice_kib=192 --sweep dram=simple,queued
+# Fig. 7's detailed points, macobench's detailed_scaling workload.
+run detailed_scaling_with_host --scenario gemm --set fidelity=detailed \
+  --set profile=counters --sweep size=256,512 --sweep nodes=1,4,16
 # Serve's detailed batch oracle, the third path onto the detailed machine.
 run serve_detailed_with_host --scenario serve --set fidelity=detailed \
   --set requests=300 --set profile=counters --sweep instances=1,2 \
@@ -94,7 +99,7 @@ run sampled_graph --scenario graph --set model_file=gpt3-block \
   --set phase=decode --set fidelity=sampled
 # Drop the host_* wall-time columns, which differ from run to run.
 for name in detailed_counters detailed_geometry detailed_writeback \
-  serve_detailed; do
+  detailed_scaling serve_detailed; do
   awk -F, '
     NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
     {
