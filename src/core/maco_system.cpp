@@ -95,7 +95,6 @@ sim::TimePs SystemMemoryBackend::stash(int node, vm::PhysAddr pa,
 
 sim::TimePs WalkMemoryOracle::read_latency(vm::PhysAddr addr,
                                            std::uint32_t /*bytes*/) {
-  mem::Ccm& ccm = system_.ccm_for(addr);
   const unsigned home = system_.ccm_home_node(addr);
   // The walker has no notion of current time, so the PTE read must not
   // book the shared DRAM bus or NoC links (a stale timestamp would surface
@@ -103,7 +102,8 @@ sim::TimePs WalkMemoryOracle::read_latency(vm::PhysAddr addr,
   // locality emerges across walks.
   return system_.icnt().unloaded_round_trip_ps(node_, home,
                                                mem::kLineBytes) +
-         ccm.handle(mem::CcmReqType::kGetS, addr, 0, /*queue_dram=*/false);
+         system_.ccms_[home].handle(mem::CcmReqType::kGetS, addr, 0,
+                                    /*queue_dram=*/false);
 }
 
 // ---------------- MacoSystem ----------------

@@ -103,7 +103,6 @@ class MacoSystem {
   sa::HostMatrix read_matrix(Process& process, const vm::MatrixDesc& desc);
 
   // ---- memory-system internals (used by the backend/oracle) ----
-  mem::Ccm& ccm_for(vm::PhysAddr pa) { return ccms_[ccm_home_node(pa)]; }
   // Line-interleaved home slices spread traffic uniformly over the mesh.
   unsigned ccm_home_node(vm::PhysAddr pa) const noexcept {
     return mem::home_slice(pa, config_.ccm_count);
@@ -129,8 +128,9 @@ class MacoSystem {
 
  private:
   // The backend's line loop reads the slices, the interconnect and the
-  // injection ports directly.
+  // injection ports directly; the walk oracle reads the slices.
   friend class SystemMemoryBackend;
+  friend class WalkMemoryOracle;
 
   void require_values(const char* caller) const;
 

@@ -51,7 +51,7 @@ class SetAssocCache {
   // installs it or marks it dirty.
   AccessResult access(std::uint64_t addr, bool write);
 
-  // Whether the line is resident, without LRU/stat side effects.
+  // Whether the line is resident, without touching its recency.
   bool probe(std::uint64_t addr) const;
 
   // Lock management (L3 only): returns false if the line is absent.
@@ -63,19 +63,6 @@ class SetAssocCache {
   const std::string& name() const noexcept { return name_; }
   const CacheConfig& config() const noexcept { return config_; }
   std::uint64_t sets() const noexcept { return sets_; }
-
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
-  std::uint64_t writebacks() const noexcept { return writebacks_; }
-  double hit_rate() const noexcept {
-    const std::uint64_t total = hits_ + misses_;
-    return total ? static_cast<double>(hits_) / static_cast<double>(total)
-                 : 0.0;
-  }
-  void reset_stats() noexcept {
-    hits_ = misses_ = evictions_ = writebacks_ = 0;
-  }
 
  private:
   // Each set is one block of `block_words_` words: `ways` tag keys
@@ -123,10 +110,6 @@ class SetAssocCache {
   std::uint64_t set_mask_ = 0;  // sets_ - 1 when sets_ is a power of two
   unsigned block_words_ = 0;
   std::vector<std::uint64_t> blocks_;  // sets_ blocks of block_words_
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t writebacks_ = 0;
   std::uint64_t locked_count_ = 0;
 };
 
@@ -165,7 +148,6 @@ inline SetAssocCache::AccessResult SetAssocCache::access(std::uint64_t addr,
                                                          bool write) {
   AccessResult result;
   if (const Way hit = find(addr)) {
-    ++hits_;
     touch(hit.keys, hit.way);
     if (write) flags(hit.keys)[hit.way] |= kDirtyBit;
     result.hit = true;
@@ -173,7 +155,6 @@ inline SetAssocCache::AccessResult SetAssocCache::access(std::uint64_t addr,
     return result;
   }
 
-  ++misses_;
   // Choose a victim: invalid way first, else LRU among unlocked lines.
   const std::uint64_t set = set_index(addr);
   std::uint64_t* keys = block(set);
@@ -207,8 +188,6 @@ inline SetAssocCache::AccessResult SetAssocCache::access(std::uint64_t addr,
     result.victim_addr =
         ((keys[victim] - 1) * sets_ + set) * config_.line_bytes;
     result.victim_dirty = (flag[victim] & kDirtyBit) != 0;
-    ++evictions_;
-    if (result.victim_dirty) ++writebacks_;
   }
 
   keys[victim] = tag_of(addr) + 1;

@@ -1,6 +1,7 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -13,55 +14,58 @@ DynamicBatcher::DynamicBatcher(unsigned tenants, const BatchPolicy& policy)
 }
 
 void DynamicBatcher::seal(unsigned tenant, sim::TimePs close_ps) {
-  std::deque<Waiting>& queue = queues_[tenant];
   Batch& batch = sealed_.emplace_back();
   batch.tenant = tenant;
   batch.close_ps = close_ps;
+  std::vector<Waiting>& queue = queues_[tenant];
+  batch.requests.swap(queue);
   if (!spare_.empty()) {
-    batch.requests = std::move(spare_.back());
+    queue.swap(spare_.back());
     spare_.pop_back();
-  }
-  const unsigned take =
-      std::min<unsigned>(policy_.max_batch,
-                         static_cast<unsigned>(queue.size()));
-  batch.requests.reserve(take);
-  for (unsigned i = 0; i < take; ++i) {
-    batch.requests.push_back(queue.front());
-    queue.pop_front();
   }
   ++batches_sealed_;
 }
 
-void DynamicBatcher::enqueue(std::uint32_t request_id, unsigned tenant,
+void DynamicBatcher::drop_stale() {
+  while (!deadlines_.empty()) {
+    const Deadline& top = deadlines_.front();
+    const std::vector<Waiting>& queue = queues_[top.tenant];
+    if (!queue.empty() &&
+        queue.front().arrival_ps + policy_.timeout_ps == top.at) {
+      return;
+    }
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
+    deadlines_.pop_back();
+  }
+}
+
+bool DynamicBatcher::enqueue(std::uint32_t request_id, unsigned tenant,
                              sim::TimePs now) {
   MACO_ASSERT(tenant < queues_.size());
   ++requests_admitted_;
-  queues_[tenant].push_back(Waiting{request_id, now});
-  if (queues_[tenant].size() >= policy_.max_batch ||
-      policy_.timeout_ps == 0) {
+  std::vector<Waiting>& queue = queues_[tenant];
+  queue.push_back(Waiting{request_id, now});
+  if (queue.size() >= policy_.max_batch || policy_.timeout_ps == 0) {
     seal(tenant, now);
+    drop_stale();
+    return true;
   }
-}
-
-std::optional<sim::TimePs> DynamicBatcher::next_deadline() const {
-  std::optional<sim::TimePs> deadline;
-  for (const std::deque<Waiting>& queue : queues_) {
-    if (queue.empty()) continue;
-    const sim::TimePs due = queue.front().arrival_ps + policy_.timeout_ps;
-    if (!deadline || due < *deadline) deadline = due;
+  if (queue.size() == 1) {
+    deadlines_.push_back(Deadline{now + policy_.timeout_ps, tenant});
+    std::push_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
   }
-  return deadline;
+  return false;
 }
 
 std::vector<Batch>& DynamicBatcher::collect(sim::TimePs now) {
-  for (unsigned tenant = 0; tenant < queues_.size(); ++tenant) {
-    // A seal can leave further timed-out waiters behind (more than
-    // max_batch arrived inside one window): keep sealing until the
-    // oldest survivor is within its window.
-    while (!queues_[tenant].empty() &&
-           queues_[tenant].front().arrival_ps + policy_.timeout_ps <= now) {
-      seal(tenant, queues_[tenant].front().arrival_ps + policy_.timeout_ps);
-    }
+  // The heap's top is always a waiting queue's deadline (drop_stale), and
+  // the seal empties that queue.
+  while (!deadlines_.empty() && deadlines_.front().at <= now) {
+    const Deadline due = deadlines_.front();
+    std::pop_heap(deadlines_.begin(), deadlines_.end(), std::greater<>{});
+    deadlines_.pop_back();
+    seal(due.tenant, due.at);
+    drop_stale();
   }
   // Swap rather than hand out sealed_: both buffers keep their capacity,
   // and the batches the caller moved out leave only empty shells behind.
@@ -76,11 +80,7 @@ void DynamicBatcher::recycle(std::vector<Waiting>&& members) {
 }
 
 bool DynamicBatcher::idle() const noexcept {
-  if (!sealed_.empty()) return false;
-  for (const std::deque<Waiting>& queue : queues_) {
-    if (!queue.empty()) return false;
-  }
-  return true;
+  return sealed_.empty() && deadlines_.empty();
 }
 
 }  // namespace maco::serve

@@ -61,6 +61,7 @@ class ServeLoop {
         config_(config),
         batcher_(config.arrival.tenants, config.policy),
         think_rng_(0x7417ull ^ (config.arrival.seed * 0x94d049bb133111ebull)) {
+    report_.tenants.resize(config.arrival.tenants);
     for (unsigned i = 0; i < config.instances; ++i) {
       instances_.push({0, i});
     }
@@ -137,6 +138,10 @@ class ServeLoop {
     const sim::TimePs now = std::min({t_completion, t_arrival, t_deadline});
     if (now == kNever) return false;
 
+    // Deadline events need no handler of their own: collect() seals every
+    // queue whose window expired at `now`. Only then, or after an enqueue
+    // that sealed, has it a batch to hand out.
+    bool has_batches = t_deadline == now;
     if (t_completion == now) {
       std::pop_heap(completions_.begin(), completions_.end(),
                     std::greater<>{});
@@ -146,16 +151,16 @@ class ServeLoop {
       if (config_.closed_loop) {
         const Pending admitted = pending_.top();
         pending_.pop();
-        batcher_.enqueue(admitted.id, admitted.tenant, now);
+        has_batches |= batcher_.enqueue(admitted.id, admitted.tenant, now);
       } else {
-        batcher_.enqueue(next_.id, next_.tenant, now);
+        has_batches |= batcher_.enqueue(next_.id, next_.tenant, now);
         has_next_ = stream_->next(next_);
       }
     }
-    // Deadline events need no handler of their own: collect() seals every
-    // queue whose window expired at or before `now`.
-    for (Batch& batch : batcher_.collect(now)) {
-      dispatch(std::move(batch));
+    if (has_batches) {
+      for (Batch& batch : batcher_.collect(now)) {
+        dispatch(std::move(batch));
+      }
     }
     return true;
   }
@@ -206,9 +211,6 @@ class ServeLoop {
     report_.queueing_ms.record(ps_to_ms(request.queueing_delay_ps()));
     report_.execution_ms.record(ps_to_ms(request.execution_ps()));
     ++report_.completed;
-    if (report_.tenants.size() < config_.arrival.tenants) {
-      report_.tenants.resize(config_.arrival.tenants);
-    }
     TenantReport& tenant = report_.tenants[request.tenant];
     ++tenant.completed;
     tenant.latency_ms.record(latency);
@@ -219,7 +221,6 @@ class ServeLoop {
   }
 
   ServeReport finish() {
-    report_.tenants.resize(config_.arrival.tenants);
     report_.duration_s = ps_to_s(last_completion_ps_);
     const double arrival_span_s = ps_to_s(last_arrival_ps_);
     const double completed = static_cast<double>(report_.completed);

@@ -13,9 +13,12 @@
 //
 // The loop reads arrivals one at a time and a batch carries its members,
 // so host memory grows with the requests in flight (waiting or executing),
-// not with the stream length. Each request costs O(1) and each batch
-// O(log batches in flight); the machine is only evaluated once per
-// distinct batch size (see serve/cost_model.hpp).
+// not with the stream length. Each request costs O(1): its admission, five
+// histogram records (a table lookup each) and its charge from its batch.
+// Each batch costs O(log n) over three heaps: the batcher's deadlines (one
+// per waiting tenant), the batches in flight and the instances. The
+// machine is only evaluated once per distinct batch size (see
+// serve/cost_model.hpp).
 #pragma once
 
 #include <cstdint>

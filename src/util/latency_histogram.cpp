@@ -1,39 +1,101 @@
 #include "util/latency_histogram.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/assert.hpp"
 
 namespace maco::util {
+namespace {
 
-LatencyHistogram::LatencyHistogram(double lo, double hi, unsigned per_decade)
-    : lo_(lo),
-      hi_(hi),
-      log_lo_(std::log10(lo)),
-      buckets_per_log10_(static_cast<double>(per_decade)) {
-  MACO_ASSERT(lo > 0.0 && hi > lo && per_decade > 0);
-  const double decades = std::log10(hi) - log_lo_;
-  regular_buckets_ =
-      static_cast<std::size_t>(std::ceil(decades * buckets_per_log10_));
-  bins_.assign(regular_buckets_ + 2, 0);
+// The one geometry: 13 decades of 32 buckets over [kLo, kHi).
+constexpr double kLo = 1e-6;
+constexpr double kHi = 1e7;
+constexpr double kLogLo = -6.0;  // log10(kLo)
+constexpr double kPerDecade = 32.0;
+constexpr std::size_t kRegularBuckets = 416;
+constexpr std::size_t kOverflow = kRegularBuckets + 1;  // the last bin
+
+// Lower end of regular bin `index` (1-based) on the geometric grid, which
+// quantile() interpolates over.
+double bucket_lower(std::size_t index) noexcept {
+  return std::pow(10.0, kLogLo + static_cast<double>(index - 1) / kPerDecade);
 }
 
-std::size_t LatencyHistogram::bucket_index(double sample) const noexcept {
-  if (!(sample >= lo_)) return 0;  // underflow (incl. non-positive)
-  if (sample >= hi_) return regular_buckets_ + 1;
-  const double offset = (std::log10(sample) - log_lo_) * buckets_per_log10_;
+// The bin of a sample by its logarithm: the formula that defines the bins.
+// record() reads the same bins from the table below.
+std::size_t log10_bin(double sample) noexcept {
+  if (!(sample >= kLo)) return 0;  // underflow (incl. non-positive)
+  if (sample >= kHi) return kOverflow;
+  const double offset = (std::log10(sample) - kLogLo) * kPerDecade;
   std::size_t index = static_cast<std::size_t>(offset);
   // Floating-point edge guard: log10 rounding can land exactly-on-edge
   // samples one bucket high at the top of the range.
-  if (index >= regular_buckets_) index = regular_buckets_ - 1;
+  if (index >= kRegularBuckets) index = kRegularBuckets - 1;
   return index + 1;
 }
 
-double LatencyHistogram::bucket_lower(std::size_t index) const noexcept {
-  return std::pow(10.0, log_lo_ + static_cast<double>(index - 1) /
-                                      buckets_per_log10_);
+// A cell is the doubles that share an exponent and the top 6 mantissa
+// bits, at most 1/64 = 1.6% wide; a bucket is 10^(1/32) = 7.5% wide, so a
+// cell holds at most one bin edge.
+constexpr unsigned kCellShift = 52 - 6;
+constexpr std::uint64_t cell_of(double sample) noexcept {
+  return std::bit_cast<std::uint64_t>(sample) >> kCellShift;
 }
+constexpr std::uint64_t kFirstCell = cell_of(kLo);
+constexpr std::size_t kCells = cell_of(kHi) - kFirstCell + 1;
+
+struct Cell {
+  double edge;        // the bin edge inside the cell; +inf when none is
+  std::uint32_t bin;  // the bin of the cell's smallest double
+};
+using BinTable = std::array<Cell, kCells>;
+
+// Built at run time, not folded into a constant: GCC evaluates log10 of a
+// constant with MPFR, which can differ from the C library's in the last
+// ulp.
+BinTable build_bin_table() {
+  // edges[b]: the smallest double log10_bin puts in bin b, found by
+  // stepping ulps from b's lower edge on the grid.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::array<double, kOverflow + 1> edges{};
+  for (std::size_t b = 1; b <= kOverflow; ++b) {
+    double x = bucket_lower(b);
+    while (log10_bin(x) >= b) x = std::nextafter(x, 0.0);
+    while (log10_bin(x) < b) x = std::nextafter(x, kInf);
+    MACO_ASSERT(log10_bin(x) == b);
+    edges[b] = x;
+  }
+  BinTable table;
+  std::size_t bin = 0;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const double start = std::bit_cast<double>((kFirstCell + c) << kCellShift);
+    const double end =
+        std::bit_cast<double>((kFirstCell + c + 1) << kCellShift);
+    while (bin < kOverflow && edges[bin + 1] <= start) ++bin;
+    table[c] = Cell{kInf, static_cast<std::uint32_t>(bin)};
+    if (bin < kOverflow && edges[bin + 1] < end) {
+      MACO_ASSERT(bin + 1 == kOverflow || edges[bin + 2] >= end);
+      table[c].edge = edges[bin + 1];
+    }
+  }
+  return table;
+}
+
+std::size_t bucket_index(double sample) noexcept {
+  if (!(sample >= kLo)) return 0;
+  if (sample >= kHi) return kOverflow;
+  static const BinTable table = build_bin_table();
+  const Cell& cell = table[cell_of(sample) - kFirstCell];
+  return cell.bin + (sample >= cell.edge);
+}
+
+}  // namespace
+
+LatencyHistogram::LatencyHistogram() : bins_(kOverflow + 1, 0) {}
 
 void LatencyHistogram::record(double sample) noexcept {
   ++bins_[bucket_index(sample)];
@@ -49,8 +111,6 @@ void LatencyHistogram::record(double sample) noexcept {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  MACO_ASSERT(bins_.size() == other.bins_.size() && lo_ == other.lo_ &&
-              hi_ == other.hi_);
   for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
   if (other.count_ > 0) {
     min_ = count_ > 0 ? std::min(min_, other.min_) : other.min_;
@@ -73,11 +133,11 @@ double LatencyHistogram::quantile(double q) const noexcept {
     if (rank <= next || i + 1 == bins_.size()) {
       double lower;
       double upper;
-      if (i == 0) {  // underflow: everything below lo_
+      if (i == 0) {  // underflow: everything below kLo
         lower = min_;
-        upper = lo_;
-      } else if (i == regular_buckets_ + 1) {  // overflow
-        lower = hi_;
+        upper = kLo;
+      } else if (i == kOverflow) {
+        lower = kHi;
         upper = max_;
       } else {
         lower = bucket_lower(i);

@@ -8,9 +8,10 @@
 // geometrically: every bucket spans the same RATIO, giving a constant
 // relative error bound (~2.2% at 32 buckets per decade) from 1 ns-scale
 // values to 10^4 seconds in a few hundred fixed-size bins. Recording is
-// O(1) with no allocation after construction; quantiles interpolate
-// geometrically inside the landing bucket and are exact at the recorded
-// min/max.
+// O(1) with no allocation after construction: a sample's bin comes from a
+// table built once per process, not from a logarithm. Quantiles
+// interpolate geometrically inside the landing bucket and are exact at the
+// recorded min/max.
 #pragma once
 
 #include <cstdint>
@@ -20,17 +21,15 @@ namespace maco::util {
 
 class LatencyHistogram {
  public:
-  // Buckets cover [lo, hi) geometrically with `per_decade` buckets per
-  // factor of 10, plus underflow/overflow bins. The defaults span 1e-6 to
-  // 1e+7 in the caller's unit (e.g. milliseconds: 1 ns .. 10^4 s) at
+  // Buckets cover [1e-6, 1e7) geometrically with 32 buckets per factor of
+  // 10, plus underflow/overflow bins: in milliseconds, 1 ns .. 10^4 s at
   // ~2.2% relative resolution.
-  explicit LatencyHistogram(double lo = 1e-6, double hi = 1e7,
-                            unsigned per_decade = 32);
+  LatencyHistogram();
 
   // Samples must be finite; non-positive samples land in the underflow
   // bin (and still count toward quantiles as `min()`).
   void record(double sample) noexcept;
-  // Pools another histogram's samples; geometries must match (asserted).
+  // Pools another histogram's samples.
   void merge(const LatencyHistogram& other);
 
   std::uint64_t count() const noexcept { return count_; }
@@ -52,15 +51,6 @@ class LatencyHistogram {
   void reset() noexcept;
 
  private:
-  std::size_t bucket_index(double sample) const noexcept;
-  // [lower, upper) value range of a regular (non-under/overflow) bucket.
-  double bucket_lower(std::size_t index) const noexcept;
-
-  double lo_;
-  double hi_;
-  double log_lo_;
-  double buckets_per_log10_;  // per_decade as a double
-  std::size_t regular_buckets_;
   std::vector<std::uint64_t> bins_;  // [underflow, b0..bn-1, overflow]
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

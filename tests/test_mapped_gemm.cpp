@@ -157,9 +157,7 @@ TEST(MappedGemm, StashLockWarmsL3ForTheGemmWave) {
 
   std::uint64_t stash_fills = 0;
   for (unsigned slice = 0; slice < system.config().ccm_count; ++slice) {
-    stash_fills += system.ccm_for(static_cast<vm::PhysAddr>(slice) *
-                                  mem::kLineBytes)
-                       .stash_fills();
+    stash_fills += system.ccm_slice(slice).stash_fills();
   }
   EXPECT_GT(stash_fills, 0u);
 }

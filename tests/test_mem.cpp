@@ -51,29 +51,50 @@ TEST(PhysicalMemory, Fill) {
   EXPECT_EQ(byte, 0);
 }
 
+// Access outcomes summed from their AccessResults, as mem::Ccm counts its
+// slice's: the tag store keeps no totals of its own.
+struct Outcomes {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t writebacks = 0;
+
+  SetAssocCache::AccessResult add(const SetAssocCache::AccessResult& result) {
+    ++(result.hit ? hits : misses);
+    evictions += result.evicted;
+    writebacks += result.victim_dirty;
+    return result;
+  }
+};
+
 TEST(Cache, HitAfterMiss) {
   SetAssocCache cache("c", CacheConfig{4096, 4, 64});
-  const auto miss = cache.access(0x1000, false);
+  Outcomes outcomes;
+  const auto miss = outcomes.add(cache.access(0x1000, false));
   EXPECT_FALSE(miss.hit);
   EXPECT_TRUE(miss.allocated);
-  const auto hit = cache.access(0x1000, false);
+  const auto hit = outcomes.add(cache.access(0x1000, false));
   EXPECT_TRUE(hit.hit);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(outcomes.hits, 1u);
+  EXPECT_EQ(outcomes.misses, 1u);
 }
 
 TEST(Cache, WriteSetsModified) {
   // A write dirties the line whether it installs it or hits it; only a
   // dirty victim needs a write-back. Direct-mapped: 64 sets of one way.
   SetAssocCache cache("c", CacheConfig{4096, 1, 64});
+  Outcomes outcomes;
   const std::uint64_t conflict = 64 * 64;
-  cache.access(0x1000, false);
-  EXPECT_FALSE(cache.access(0x1000 + conflict, false).victim_dirty);
-  cache.access(0x1000, false);  // evicts the clean conflicting line
-  cache.access(0x1000, true);   // write hit
+  outcomes.add(cache.access(0x1000, false));
+  EXPECT_FALSE(
+      outcomes.add(cache.access(0x1000 + conflict, false)).victim_dirty);
+  // Evicts the clean conflicting line, then hits with a write.
+  outcomes.add(cache.access(0x1000, false));
+  outcomes.add(cache.access(0x1000, true));
   EXPECT_TRUE(cache.probe(0x1000));
-  EXPECT_TRUE(cache.access(0x1000 + conflict, false).victim_dirty);
-  EXPECT_EQ(cache.writebacks(), 1u);
+  EXPECT_TRUE(
+      outcomes.add(cache.access(0x1000 + conflict, false)).victim_dirty);
+  EXPECT_EQ(outcomes.writebacks, 1u);
 }
 
 TEST(Cache, LruEvictionWithinSet) {
@@ -91,11 +112,13 @@ TEST(Cache, LruEvictionWithinSet) {
 
 TEST(Cache, DirtyVictimNeedsWriteback) {
   SetAssocCache cache("c", CacheConfig{4096, 2, 64});
+  Outcomes outcomes;
   const std::uint64_t stride = 32 * 64;
-  cache.access(0 * stride, true);  // modified
-  cache.access(1 * stride, false);
-  cache.access(2 * stride, false);  // evicts way LRU = the modified line
-  EXPECT_EQ(cache.writebacks(), 1u);
+  outcomes.add(cache.access(0 * stride, true));  // modified
+  outcomes.add(cache.access(1 * stride, false));
+  // Evicts way LRU = the modified line.
+  outcomes.add(cache.access(2 * stride, false));
+  EXPECT_EQ(outcomes.writebacks, 1u);
 }
 
 TEST(Cache, LockedLinesSurviveEviction) {
@@ -123,15 +146,16 @@ TEST(Cache, AllWaysLockedFailsAllocation) {
 
 TEST(Cache, UnlockRestoresEvictability) {
   SetAssocCache cache("c", CacheConfig{4096, 2, 64});
+  Outcomes outcomes;
   const std::uint64_t stride = 32 * 64;
-  cache.access(0 * stride, false);
+  outcomes.add(cache.access(0 * stride, false));
   cache.lock(0 * stride);
   cache.unlock(0 * stride);
   EXPECT_EQ(cache.locked_lines(), 0u);
-  cache.access(1 * stride, false);
-  cache.access(2 * stride, false);
+  outcomes.add(cache.access(1 * stride, false));
+  outcomes.add(cache.access(2 * stride, false));
   // With no locks, one of the first two lines has been evicted.
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(outcomes.evictions, 1u);
 }
 
 TEST(Cache, FullyAssociativeUpTo256Ways) {
@@ -139,10 +163,11 @@ TEST(Cache, FullyAssociativeUpTo256Ways) {
   // rejects anything wider.
   SetAssocCache cache("c", CacheConfig{256 * 64, 256, 64});
   ASSERT_EQ(cache.sets(), 1u);
+  Outcomes outcomes;
   for (std::uint64_t line = 0; line <= 256; ++line) {
-    cache.access(line * 64, false);
+    outcomes.add(cache.access(line * 64, false));
   }
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(outcomes.evictions, 1u);
   EXPECT_FALSE(cache.probe(0));  // the least recent line went
   EXPECT_TRUE(cache.probe(256 * 64));
   EXPECT_DEATH(SetAssocCache("c", CacheConfig{257 * 64, 257, 64}),

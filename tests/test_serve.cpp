@@ -70,6 +70,68 @@ TEST(LatencyHistogram, MergeEqualsRecordingEverySample) {
   EXPECT_DOUBLE_EQ(separate_a.quantile(0.95), pooled.quantile(0.95));
 }
 
+// The logarithm formula that defines the histogram's bins: 32 per decade
+// over [1e-6, 1e7), bin 0 below, bin 417 at and above. The volatile read
+// keeps GCC from folding log10 of a constant sample with MPFR, which can
+// differ from the C library in the last ulp.
+std::size_t log10_bin(double sample) {
+  const volatile double opaque = sample;
+  const double x = opaque;
+  if (!(x >= 1e-6)) return 0;
+  if (x >= 1e7) return 417;
+  const double offset = (std::log10(x) - (-6.0)) * 32.0;
+  std::size_t index = static_cast<std::size_t>(offset);
+  if (index >= 416) index = 415;
+  return index + 1;
+}
+
+TEST(LatencyHistogram, TableBinsEqualTheLog10Formula) {
+  util::LatencyHistogram h;
+  ASSERT_EQ(h.buckets().size(), 418u);
+  // Exactly one bin grows per sample, so the formula's bin growing by one
+  // places the sample there.
+  const auto expect_formula_bin = [&h](double sample) {
+    const std::size_t want = log10_bin(sample);
+    const std::uint64_t before = h.buckets()[want];
+    h.record(sample);
+    return h.buckets()[want] == before + 1;
+  };
+  // Every double within 64 ulps of each grid edge 10^(-6 + i/32), a window
+  // wide enough to hold the formula's own edge.
+  for (int i = 0; i <= 416; ++i) {
+    const double grid = std::pow(10.0, -6.0 + i / 32.0);
+    double x = grid;
+    for (int step = 0; step < 64; ++step) x = std::nextafter(x, 0.0);
+    ASSERT_EQ(log10_bin(x), static_cast<std::size_t>(i)) << grid;
+    for (int step = 0; step <= 128; ++step) {
+      ASSERT_TRUE(expect_formula_bin(x)) << x << " near edge " << i;
+      x = std::nextafter(x, std::numeric_limits<double>::infinity());
+    }
+    ASSERT_EQ(log10_bin(x), static_cast<std::size_t>(i + 1)) << grid;
+  }
+  // Log-uniform samples over 16 decades, most of them inside the range.
+  util::Rng rng(2024);
+  for (int i = 0; i < 1000000; ++i) {
+    const double x = std::pow(10.0, rng.next_double(-8.0, 8.0));
+    ASSERT_TRUE(expect_formula_bin(x)) << x;
+  }
+  // The underflow and overflow boundaries and the extremes.
+  const double lo = 1e-6;
+  const double hi = 1e7;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x :
+       {0.0, -1.0, std::numeric_limits<double>::denorm_min(), lo,
+        std::nextafter(lo, 0.0), std::nextafter(lo, inf), hi,
+        std::nextafter(hi, 0.0), std::nextafter(hi, inf),
+        std::numeric_limits<double>::max()}) {
+    EXPECT_TRUE(expect_formula_bin(x)) << x;
+  }
+  EXPECT_EQ(log10_bin(std::nextafter(lo, 0.0)), 0u);
+  EXPECT_EQ(log10_bin(lo), 1u);
+  EXPECT_EQ(log10_bin(std::nextafter(hi, 0.0)), 416u);
+  EXPECT_EQ(log10_bin(hi), 417u);
+}
+
 // ---- load generator ----
 
 ArrivalConfig poisson_config(std::uint64_t seed, unsigned tenants = 2) {
@@ -921,8 +983,11 @@ TEST(LoadGenerator, ScheduleIsTheDrainedStreamAndMatchesTheReference) {
 }
 
 // Poisson, uniform, the shuffled trace and the closed loop at think 0 and
-// 1 ms, each over tenants {1, 3} x max_batch {1, 4} x timeout {0, 200 us}
-// x instances {1, 2} x record_trace {off, on}.
+// 1 ms, each over tenants {1, 3, 64} x max_batch {1, 4} x timeout {0,
+// 200 us} x instances {1, 2} x record_trace {off, on}. The reference
+// batcher scans every tenant in order, and 64 tenants on the trace's 100 us
+// grid close many windows at one instant, so this also checks that equal
+// deadlines seal in tenant order.
 TEST(Serve, StreamingLoopMatchesTheMaterializedReference) {
   const std::unique_ptr<BatchCostModel> costs[] = {tiny_analytic_model(1),
                                                    tiny_analytic_model(2)};
@@ -946,25 +1011,28 @@ TEST(Serve, StreamingLoopMatchesTheMaterializedReference) {
             ? config.arrival.requests
             : config.arrival.trace.size();
     // Bit b of `point` selects the second value of the b-th knob.
-    for (unsigned point = 0; point < 32; ++point) {
-      config.arrival.tenants = (point & 1) != 0 ? 3 : 1;
-      config.policy.max_batch = (point & 2) != 0 ? 4 : 1;
-      config.policy.timeout_ps = (point & 4) != 0 ? 200 * sim::kPsPerUs : 0;
-      config.instances = (point & 8) != 0 ? 2 : 1;
-      config.record_trace = (point & 16) != 0;
-      SCOPED_TRACE(::testing::Message()
-                   << arrival_kind_name(config.arrival.kind)
-                   << " closed=" << config.closed_loop
-                   << " think=" << config.think_s << " point=" << point);
-      BatchCostModel& cost = *costs[config.instances - 1];
-      const ServeReport expected = reference::ServeLoop(cost, config).run();
-      const ServeReport actual = serve(cost, config);
-      EXPECT_EQ(actual.completed, requests);
-      expect_reports_equal(expected, actual);
-      ++runs;
+    for (const unsigned tenants : {1u, 3u, 64u}) {
+      for (unsigned point = 0; point < 16; ++point) {
+        config.arrival.tenants = tenants;
+        config.policy.max_batch = (point & 1) != 0 ? 4 : 1;
+        config.policy.timeout_ps = (point & 2) != 0 ? 200 * sim::kPsPerUs : 0;
+        config.instances = (point & 4) != 0 ? 2 : 1;
+        config.record_trace = (point & 8) != 0;
+        SCOPED_TRACE(::testing::Message()
+                     << arrival_kind_name(config.arrival.kind)
+                     << " closed=" << config.closed_loop
+                     << " think=" << config.think_s << " tenants=" << tenants
+                     << " point=" << point);
+        BatchCostModel& cost = *costs[config.instances - 1];
+        const ServeReport expected = reference::ServeLoop(cost, config).run();
+        const ServeReport actual = serve(cost, config);
+        EXPECT_EQ(actual.completed, requests);
+        expect_reports_equal(expected, actual);
+        ++runs;
+      }
     }
   }
-  EXPECT_EQ(runs, 160);
+  EXPECT_EQ(runs, 240);
 }
 
 // ---- metric direction inference ----

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Writes the golden CSVs: one CSV per paper figure, table or sensitivity
-# study that an analytic `macosim` command reproduces; detailed_counters.csv,
+# study that an analytic `macosim` command reproduces; serve.csv, the
+# analytic serve loop over its arrival kinds, tenant counts up to 1,024,
+# batch policies, instance counts and two loads; detailed_counters.csv,
 # a detailed gemm sweep over every DRAM and interconnect backend with
 # profile=counters; detailed_geometry.csv, the same sweep on 4 nodes over
 # 12 slices of 1,536 sets, so a slice count and an L3 set count other than
@@ -17,9 +19,10 @@
 # sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
 # Their numbers must stay bit-identical across refactors of the timing
 # model, the TLB, the page enumeration, the detailed machine, the OS
-# scheduler and the sampled estimator. The sampled files are as portable as the
-# analytic ones: the estimator's only libm call is sqrt, which is correctly
-# rounded, and its estimates do not depend on the worker count.
+# scheduler, the serve loop and the sampled estimator. The sampled files
+# are as portable as the analytic ones: the estimator's only libm call is
+# sqrt, which is correctly rounded, and its estimates do not depend on the
+# worker count.
 #
 # Usage: analytic_golden.sh MACOSIM OUTDIR
 #
@@ -70,6 +73,12 @@ run area_power --scenario area_power
 run ext_sparsity --scenario ext_sparsity \
   --sweep k=64,128,256,1024 --sweep kept=2,1
 run tables --scenario tables
+# The analytic serve loop: every arrival kind over 1 to 1,024 tenants,
+# unbatched and batched, on 1 and 4 instances, lightly and over-loaded.
+run serve --scenario serve --set requests=20000 \
+  --sweep arrival=poisson,uniform,closed --sweep tenants=1,3,64,1024 \
+  --sweep max_batch=1,8 --sweep batch_timeout_us=0,200 \
+  --sweep instances=1,4 --sweep arrival_rate_rps=200,20000
 # The detailed machine and its counter-derived metrics, on every backend.
 run detailed_counters_with_host --scenario gemm --set fidelity=detailed \
   --set size=256 --set profile=counters --sweep nodes=1,4 \
