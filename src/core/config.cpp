@@ -22,7 +22,7 @@ SystemConfig SystemConfig::maco_default() {
   // whole platform.
   config.node_count = 16;
 
-  config.cpu.frequency_hz = 2.2e9;
+  config.cpu.kernels.frequency_hz = 2.2e9;
   config.cpu.issue_width = 4;
   config.cpu.mmu.l2_tlb_entries = 1024;
 

@@ -78,7 +78,7 @@ struct SystemConfig {
     return 2.0 * mmae_peak_macs(p);
   }
   double cpu_peak_flops(sa::Precision p) const noexcept {
-    return 2.0 * cpu.frequency_hz * cpu.kernels.macs_per_cycle(p);
+    return cpu.kernels.peak_flops(p);
   }
   std::uint64_t l3_total_bytes() const noexcept {
     return static_cast<std::uint64_t>(ccm_count) * ccm.l3.size_bytes;

@@ -47,14 +47,14 @@ void check_machine_supported(const SystemConfig& config,
     unsupported(fidelity,
                 "does not support the analytic baseline overrides");
   }
-  if (options.tile_rows > 65535 || options.tile_cols > 65535 ||
-      options.inner > 65535) {
+  if (options.tile > 65535 || options.inner > 65535) {
     unsupported(fidelity, "encodes tile sizes in 16-bit MPAIS fields");
   }
   if (config.node_count == 0) unsupported(fidelity, "needs at least one node");
 }
 
 void check_supported(const SystemConfig& config,
+                     const std::vector<sa::TileShape>& layers,
                      const TimingOptions& options) {
   if (options.cooperative) {
     unsupported("detailed",
@@ -63,19 +63,21 @@ void check_supported(const SystemConfig& config,
                 "fidelity=sampled which estimates cooperative runs)");
   }
   check_machine_supported(config, options, "detailed");
-  const std::uint64_t largest =
-      std::max({options.shape.m, options.shape.n, options.shape.k});
-  if (largest > kDetailedMaxDim) {
-    unsupported("detailed",
-                "caps each GEMM dimension at " +
-                    std::to_string(kDetailedMaxDim) + " (got " +
-                    std::to_string(largest) +
-                    "); use fidelity=sampled for statistically-estimated "
-                    "detailed numbers at this scale, or fidelity=analytic "
-                    "for the closed-form model");
-  }
-  if (options.shape.m == 0 || options.shape.n == 0 || options.shape.k == 0) {
-    unsupported("detailed", "needs a non-empty GEMM shape");
+  if (layers.empty()) unsupported("detailed", "needs at least one GEMM");
+  for (const sa::TileShape& layer : layers) {
+    const std::uint64_t largest = std::max({layer.m, layer.n, layer.k});
+    if (largest > kDetailedMaxDim) {
+      unsupported("detailed",
+                  "caps each GEMM dimension at " +
+                      std::to_string(kDetailedMaxDim) + " (got " +
+                      std::to_string(largest) +
+                      "); use fidelity=sampled for statistically-estimated "
+                      "detailed numbers at this scale, or fidelity=analytic "
+                      "for the closed-form model");
+    }
+    if (layer.m == 0 || layer.n == 0 || layer.k == 0) {
+      unsupported("detailed", "needs a non-empty GEMM shape");
+    }
   }
 }
 
@@ -139,9 +141,8 @@ isa::GemmParams build_detailed_gemm_task(
   gemm.k = static_cast<std::uint32_t>(shape.k);
   gemm.precision = options.precision;
   gemm.tile_rows = static_cast<std::uint16_t>(
-      std::min<std::uint64_t>(options.tile_rows, 65535));
-  gemm.tile_cols = static_cast<std::uint16_t>(
-      std::min<std::uint64_t>(options.tile_cols, 65535));
+      std::min<std::uint64_t>(options.tile, 65535));
+  gemm.tile_cols = gemm.tile_rows;
   gemm.inner_tile_rows = static_cast<std::uint16_t>(options.inner);
   gemm.inner_tile_cols = static_cast<std::uint16_t>(options.inner);
   return gemm;
@@ -189,52 +190,58 @@ DetailedRun run_detailed_jobs(const SystemConfig& config,
 }
 
 SystemTiming run_detailed_gemm(const SystemConfig& config,
+                               const std::vector<sa::TileShape>& layers,
                                const TimingOptions& options,
                                obs::RunObservation* observation) {
-  check_supported(config, options);
+  check_supported(config, layers, options);
 
-  // One independent GEMM per node (Fig. 7's independent mode), each in
-  // its own process and address space.
+  // One independent copy of the layer list per node (Fig. 7's independent
+  // mode), each in its own process and address space.
   const unsigned nodes =
       std::max(1u, std::min(options.active_nodes, config.node_count));
-  const DetailedJob job{{DetailedTask{options.shape}}};
+  const auto tiles_along = [&](std::uint64_t extent) {
+    return (extent + options.inner - 1) / options.inner;
+  };
+  DetailedJob job;
+  std::uint64_t inner_tiles = 0;
+  for (const sa::TileShape& layer : layers) {
+    job.tasks.push_back(DetailedTask{layer});
+    inner_tiles +=
+        tiles_along(layer.m) * tiles_along(layer.n) * tiles_along(layer.k);
+  }
   const DetailedRun run = run_detailed_jobs(
       config, options, nodes, std::vector<DetailedJob>(nodes, job), "detailed");
   MacoSystem& system = *run.system;
   const os::SchedulerStats& sched_stats = run.stats;
   obs::ScopedPhase collect_phase("collect");
 
+  // A node's numbers sum its tasks: one per layer, all completed (a failed
+  // task has made run_detailed_jobs throw).
   const double peak_macs = config.mmae_peak_macs(options.precision);
-  const auto tiles_along = [&](std::uint64_t extent) {
-    return (extent + options.inner - 1) / options.inner;
-  };
-  const double inner_tiles = static_cast<double>(
-      tiles_along(options.shape.m) * tiles_along(options.shape.n) *
-      tiles_along(options.shape.k));
-
   SystemTiming timing;
   double walks = 0.0;
   double predicted = 0.0;
   double stall_ps = 0.0;
   std::uint64_t total_macs = 0;
   for (unsigned n = 0; n < nodes; ++n) {
-    const mmae::TaskReport& report = last_report(system, n);
     NodeTiming node;
-    node.span_ps = report.end - report.start;
-    node.compute_ps = report.sa_busy_ps;
-    node.translation_exposed_ps = report.translation_stall_ps;
-    node.macs = report.macs;
-    node.efficiency = report.efficiency(peak_macs);
-    node.gflops = report.duration_seconds() > 0.0
-                      ? 2.0 * static_cast<double>(report.macs) /
-                            report.duration_seconds() / 1e9
-                      : 0.0;
-    timing.makespan_ps = std::max(timing.makespan_ps, report.end);
+    for (const mmae::TaskReport& report : system.node(n).mmae().reports()) {
+      node.span_ps += report.end - report.start;
+      node.compute_ps += report.sa_busy_ps;
+      node.translation_exposed_ps += report.translation_stall_ps;
+      node.macs += report.macs;
+      timing.makespan_ps = std::max(timing.makespan_ps, report.end);
+      walks += static_cast<double>(report.blocking_walks);
+      predicted += static_cast<double>(report.matlb_hits);
+      stall_ps += static_cast<double>(report.translation_stall_ps);
+    }
+    const double span_s = sim::to_seconds(node.span_ps);
+    if (span_s > 0.0) {
+      node.efficiency = static_cast<double>(node.macs) / span_s / peak_macs;
+      node.gflops = 2.0 * static_cast<double>(node.macs) / span_s / 1e9;
+    }
     timing.mean_efficiency += node.efficiency;
-    total_macs += report.macs;
-    walks += static_cast<double>(report.blocking_walks);
-    predicted += static_cast<double>(report.matlb_hits);
-    stall_ps += static_cast<double>(report.translation_stall_ps);
+    total_macs += node.macs;
     timing.nodes.push_back(node);
   }
   timing.mean_efficiency /= static_cast<double>(nodes);
@@ -244,7 +251,7 @@ SystemTiming run_detailed_gemm(const SystemConfig& config,
           ? 2.0 * static_cast<double>(total_macs) / makespan_s / 1e9
           : 0.0;
 
-  const double total_tiles = inner_tiles * static_cast<double>(nodes);
+  const double total_tiles = static_cast<double>(inner_tiles * nodes);
   timing.translation.walks_per_tile = walks / total_tiles;
   timing.translation.pages_per_tile = (walks + predicted) / total_tiles;
   timing.translation.stall_per_tile_ps =

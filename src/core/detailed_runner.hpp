@@ -6,12 +6,13 @@
 // the real MPAIS path (MA_CFG -> MTQ -> STQ -> DMA -> systolic array ->
 // memory, completions collected with MA_STATE), as a program reaches the
 // MMAE in the paper (Section III.C). run_detailed_gemm runs one
-// independent GEMM per active node and condenses the per-node TaskReports
-// into the same SystemTiming record the analytic SystemTimingModel
-// produces, so the two fidelities are interchangeable behind
-// exp::ExecutionBackend; run_detailed_tiles runs a subset of first-level
-// tiles for the fidelity=sampled estimator in src/sampling/; serve's
-// detailed batch-cost oracle runs each model instance's layers. Timing
+// independent copy of a layer list per active node (one GEMM task per
+// layer, in order) and condenses the per-node TaskReports into the same
+// SystemTiming record the analytic SystemTimingModel produces, so the two
+// fidelities are interchangeable behind exp::ExecutionBackend;
+// run_detailed_tiles runs a subset of first-level tiles for the
+// fidelity=sampled estimator in src/sampling/; serve's detailed
+// batch-cost oracle runs each model instance's layers. Timing
 // never reads an operand value, so the machine is built with
 // SystemConfig::carry_values off: the traffic, translation and compute
 // timeline are the same, without the host cost of generating, copying and
@@ -38,12 +39,17 @@ namespace maco::core {
 // detailed node at this size already simulates hundreds of inner tiles).
 inline constexpr std::uint64_t kDetailedMaxDim = 2048;
 
-// Throws std::invalid_argument when `options` asks for something the
-// detailed machine cannot honor (cooperative splitting, stash_lock=false,
-// tlb/overlap baseline overrides, a dimension beyond kDetailedMaxDim).
-// Execution is driven through os::Scheduler (one single-task job per
-// active node), so the returned SystemTiming carries the OS counters in
-// `timing.os`.
+// Runs `layers` (a gemm point passes one shape; options.shape is not
+// read) back to back on one machine: one job per active node, each in its
+// own process and address space, holding one GEMM task per layer. A node's
+// NodeTiming sums its tasks' reports, the makespan is the last task's end,
+// and walks_per_tile and pages_per_tile are the run's translations over
+// its inner tiles. Throws std::invalid_argument when the list is empty or
+// `options` asks for something the detailed machine cannot honor
+// (cooperative splitting, stash_lock=false, tlb/overlap baseline
+// overrides, a dimension beyond kDetailedMaxDim). Execution is driven
+// through os::Scheduler, so the returned SystemTiming carries the OS
+// counters in `timing.os`.
 //
 // With a non-null `observation` the run additionally captures what its
 // want_* flags ask for — component counters and NoC traffic
@@ -51,6 +57,7 @@ inline constexpr std::uint64_t kDetailedMaxDim = 2048;
 // MMAE task spans plus OS job spans (want_trace). Capture happens after
 // the engine quiesces and never changes the returned timing.
 SystemTiming run_detailed_gemm(const SystemConfig& config,
+                               const std::vector<sa::TileShape>& layers,
                                const TimingOptions& options,
                                obs::RunObservation* observation = nullptr);
 

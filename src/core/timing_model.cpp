@@ -39,6 +39,23 @@ void validate_options(const TimingOptions& options, unsigned node_count) {
   }
 }
 
+// The GEMM each node runs: the whole shape in independent mode, its
+// choose_grid element block in cooperative mode.
+sa::TileShape node_shape_of(const TimingOptions& options) {
+  sa::TileShape node_shape = options.shape;
+  if (options.cooperative && options.active_nodes > 1) {
+    const auto [gr, gc] = choose_grid(options.active_nodes);
+    node_shape.m = util::ceil_div(options.shape.m, gr);
+    node_shape.n = util::ceil_div(options.shape.n, gc);
+  }
+  return node_shape;
+}
+
+std::uint64_t inner_tiles(const sa::TileShape& shape, std::uint64_t inner) {
+  return util::ceil_div(shape.m, inner) * util::ceil_div(shape.n, inner) *
+         util::ceil_div(shape.k, inner);
+}
+
 }  // namespace
 
 SystemTimingModel::SystemTimingModel(const SystemConfig& config)
@@ -223,13 +240,7 @@ TranslationEstimate SystemTimingModel::simulate_translation(
 SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
   validate_options(options, config_.node_count);
 
-  // Per-node shape.
-  sa::TileShape node_shape = options.shape;
-  if (options.cooperative && options.active_nodes > 1) {
-    const auto [gr, gc] = choose_grid(options.active_nodes);
-    node_shape.m = util::ceil_div(options.shape.m, gr);
-    node_shape.n = util::ceil_div(options.shape.n, gc);
-  }
+  const sa::TileShape node_shape = node_shape_of(options);
 
   const std::uint64_t i = options.inner;
   const unsigned ways = effective_ways(options);
@@ -242,9 +253,7 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
   const std::uint64_t total_cycles = aggregate_sa_cycles(node_shape, options);
   const double compute_ps_total =
       static_cast<double>(total_cycles) * 1e12 / mmae_hz;
-  const std::uint64_t n_tiles = util::ceil_div(node_shape.m, i) *
-                                util::ceil_div(node_shape.n, i) *
-                                util::ceil_div(node_shape.k, i);
+  const std::uint64_t n_tiles = inner_tiles(node_shape, i);
   const double compute_tile_ps =
       compute_ps_total / static_cast<double>(n_tiles);
 
@@ -265,9 +274,9 @@ SystemTiming SystemTimingModel::run(const TimingOptions& options) const {
   // traffic re-streams from DRAM.
   const double panel_ws =
       static_cast<double>(elem) *
-      (static_cast<double>(options.tile_rows) * node_shape.k +
-       static_cast<double>(node_shape.k) * options.tile_cols +
-       static_cast<double>(options.tile_rows) * options.tile_cols);
+      (static_cast<double>(options.tile) * node_shape.k +
+       static_cast<double>(node_shape.k) * options.tile +
+       static_cast<double>(options.tile) * options.tile);
   const double l3_share = static_cast<double>(config_.l3_total_bytes()) /
                           options.active_nodes;
   double dram_fraction;
@@ -429,18 +438,35 @@ SystemTiming SystemTimingModel::run_layers(
     throw std::invalid_argument("run_layers: empty layer list");
   }
   // Cooperative: the nodes share each layer; independent: each node runs
-  // its own copy, as run() counts it.
+  // its own copy, as run() counts it. Every node runs a layer's node shape,
+  // so a layer's per-tile translations weigh by that shape's inner tiles.
   const double copies = options.cooperative ? 1.0 : options.active_nodes;
   double total_ps = 0.0;
   double total_flops = 0.0;
+  double tiles = 0.0;
+  double walks = 0.0;
+  double pages = 0.0;
+  double stall_ps = 0.0;
   SystemTiming last;
   for (const sa::TileShape& layer : layers) {
     options.shape = layer;
     last = run(options);
     total_ps += static_cast<double>(last.makespan_ps);
     total_flops += 2.0 * static_cast<double>(layer.macs()) * copies;
+    const sa::TileShape node_shape = node_shape_of(options);
+    const double layer_tiles =
+        static_cast<double>(inner_tiles(node_shape, options.inner));
+    tiles += layer_tiles;
+    walks += last.translation.walks_per_tile * layer_tiles;
+    pages += last.translation.pages_per_tile * layer_tiles;
+    stall_ps +=
+        static_cast<double>(last.translation.stall_per_tile_ps) * layer_tiles;
   }
   SystemTiming result = last;
+  result.translation.walks_per_tile = walks / tiles;
+  result.translation.pages_per_tile = pages / tiles;
+  result.translation.stall_per_tile_ps =
+      static_cast<sim::TimePs>(stall_ps / tiles);
   result.makespan_ps = static_cast<sim::TimePs>(total_ps);
   result.total_gflops = total_flops / (total_ps * 1e-12) / 1e9;
   const sa::SaConfig sa = sa_config_for(options);

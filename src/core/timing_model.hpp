@@ -37,9 +37,8 @@ struct TimingOptions {
   bool use_matlb = true;      // predictive address translation (Fig. 4/6)
   bool use_stash_lock = true; // L3 prefetch + lock mapping scheme (§IV.B)
 
-  // First/second-level tiling (paper: <1024,1024> / <64,64>).
-  std::uint64_t tile_rows = 1024;
-  std::uint64_t tile_cols = 1024;
+  // First/second-level square tiles (paper: <1024,1024> / <64,64>).
+  std::uint64_t tile = 1024;
   std::uint64_t inner = 64;
   // Translation page size (what-if studies; the paper and hardware use 4 KiB).
   std::uint64_t page_bytes = 4096;
@@ -138,7 +137,9 @@ class SystemTimingModel {
 
   // Runs a sequence of GEMM layers (a DNN) back to back on the active
   // nodes, split across them or one copy per node as options.cooperative
-  // says. Returns aggregate throughput over the whole network.
+  // says. Returns aggregate throughput over the whole network, and its
+  // translations per inner tile: each layer's per-tile estimate weighted
+  // by its inner-tile count. `nodes` describes the last layer.
   // Throws std::invalid_argument on an empty list or a bad layer.
   SystemTiming run_layers(const std::vector<sa::TileShape>& layers,
                           TimingOptions options) const;

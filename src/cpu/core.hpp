@@ -28,7 +28,6 @@
 namespace maco::cpu {
 
 struct CpuConfig {
-  double frequency_hz = 2.2e9;   // Table IV
   unsigned issue_width = 4;      // Table I: four-issue
   MmuConfig mmu;
   unsigned mtq_entries = 8;
@@ -87,11 +86,6 @@ class CpuCore {
 
   // Convenience: assemble and execute MPAIS source (asserts clean assembly).
   ExecStats execute_source(std::string_view source);
-
-  sim::TimePs cycles_to_ps(sim::Cycles cycles) const noexcept {
-    return static_cast<sim::TimePs>(
-        static_cast<double>(cycles) * 1e12 / config_.frequency_hz);
-  }
 
  private:
   int node_id_;

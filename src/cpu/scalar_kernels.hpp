@@ -21,7 +21,7 @@
 namespace maco::cpu {
 
 struct CpuKernelModel {
-  double frequency_hz = 2.2e9;
+  double frequency_hz = 2.2e9;    // the core clock (Table IV)
   unsigned fp64_fmacs = 8;        // per cycle; FP32 doubles, FP16 quadruples
   unsigned vector_lanes_fp64 = 8; // element-wise ops per cycle
   unsigned load_bytes_per_cycle = 64;   // 2×256-bit load ports

@@ -163,8 +163,7 @@ core::TimingOptions timing_options_from(const ScenarioRequest& request) {
   options.cooperative = request.params.flag("cooperative");
   options.use_matlb = request.params.flag("matlb");
   options.use_stash_lock = request.params.flag("stash_lock");
-  options.tile_rows = request.params.u64("tile");
-  options.tile_cols = options.tile_rows;
+  options.tile = request.params.u64("tile");
   options.inner = request.params.u64("inner");
   options.page_bytes = request.params.u64("page_bytes");
   options.sample_frac = request.params.f64("sample_frac");
@@ -478,7 +477,7 @@ Scenario tables_scenario() {
     const core::SystemConfig& config = request.config;
     ScenarioResult result;
     result.add("node_count", config.node_count);
-    result.add("cpu_ghz", config.cpu.frequency_hz / 1e9, "GHz");
+    result.add("cpu_ghz", config.cpu.kernels.frequency_hz / 1e9, "GHz");
     result.add("cpu_issue_width", config.cpu.issue_width);
     result.add("mtq_entries", config.cpu.mtq_entries);
     result.add("mmae_ghz", config.mmae.frequency_hz / 1e9, "GHz");

@@ -15,6 +15,7 @@
 #include "obs/host_profile.hpp"
 #include "store/campaign_store.hpp"
 #include "store/fingerprint.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace maco::driver {
@@ -322,13 +323,13 @@ void write_csv(std::ostream& out, const SweepResults& results) {
 }
 
 void write_json(std::ostream& out, const SweepResults& results) {
-  out << "{\"scenario\":\"" << exp::json_escape(results.scenario)
+  out << "{\"scenario\":\"" << util::json_escape(results.scenario)
       << "\",\"columns\":[";
   bool first = true;
   for (const MetricColumn& column : results.metric_columns) {
     if (!first) out << ',';
-    out << "{\"name\":\"" << exp::json_escape(column.name)
-        << "\",\"unit\":\"" << exp::json_escape(column.unit)
+    out << "{\"name\":\"" << util::json_escape(column.name)
+        << "\",\"unit\":\"" << util::json_escape(column.unit)
         << "\",\"higher_is_better\":"
         << (column.higher_is_better ? "true" : "false") << '}';
     first = false;
@@ -342,15 +343,15 @@ void write_json(std::ostream& out, const SweepResults& results) {
     first = true;
     for (const auto& [key, value] : row.params) {
       if (!first) out << ',';
-      out << '"' << exp::json_escape(key) << "\":\""
-          << exp::json_escape(value) << '"';
+      out << '"' << util::json_escape(key) << "\":\""
+          << util::json_escape(value) << '"';
       first = false;
     }
     out << "},\"metrics\":{";
     first = true;
     for (const exp::Metric& metric : row.result.metrics) {
       if (!first) out << ',';
-      out << '"' << exp::json_escape(metric.name) << "\":";
+      out << '"' << util::json_escape(metric.name) << "\":";
       if (std::isfinite(metric.value)) {
         out << exp::format_metric_value(metric.value);
       } else {
@@ -360,7 +361,7 @@ void write_json(std::ostream& out, const SweepResults& results) {
     }
     out << '}';
     if (!row.ok()) {
-      out << ",\"error\":\"" << exp::json_escape(row.error) << '"';
+      out << ",\"error\":\"" << util::json_escape(row.error) << '"';
     }
     out << '}';
   }

@@ -45,88 +45,15 @@ class DetailedBackend final : public ExecutionBackend {
 
   core::SystemTiming run(const core::TimingOptions& options,
                          obs::RunObservation* observation) override {
-    return core::run_detailed_gemm(config_, options, observation);
+    return core::run_detailed_gemm(config_, {options.shape}, options,
+                                   observation);
   }
 
   core::SystemTiming run_layers(
       const std::vector<sa::TileShape>& layers,
       const core::TimingOptions& options,
       obs::RunObservation* observation) override {
-    // Layers execute back to back. Per-node spans/work and translation
-    // stats accumulate over the whole sequence (translation weighted by
-    // each layer's makespan), so the aggregate SystemTiming is internally
-    // consistent rather than describing only the last layer.
-    if (layers.empty()) {
-      throw std::invalid_argument("run_layers: empty layer list");
-    }
-    core::TimingOptions layer_options = options;
-    core::SystemTiming result;
-    double total_ps = 0.0;
-    double walks_weighted = 0.0;
-    double pages_weighted = 0.0;
-    double stall_weighted = 0.0;
-    for (const sa::TileShape& layer : layers) {
-      layer_options.shape = layer;
-      obs::RunObservation layer_observation;
-      obs::RunObservation* layer_obs_ptr = nullptr;
-      if (observation != nullptr) {
-        layer_observation.want_counters = observation->want_counters;
-        layer_observation.want_trace = observation->want_trace;
-        layer_obs_ptr = &layer_observation;
-      }
-      const core::SystemTiming timing =
-          core::run_detailed_gemm(config_, layer_options, layer_obs_ptr);
-      if (observation != nullptr) {
-        // Shift this layer's spans past the layers already accumulated so
-        // the merged trace shows the back-to-back sequence.
-        observation->merge(layer_observation,
-                           static_cast<sim::TimePs>(total_ps));
-      }
-      if (result.nodes.empty()) result.nodes.resize(timing.nodes.size());
-      for (std::size_t i = 0; i < timing.nodes.size(); ++i) {
-        result.nodes[i].span_ps += timing.nodes[i].span_ps;
-        result.nodes[i].compute_ps += timing.nodes[i].compute_ps;
-        result.nodes[i].dma_tile_ps += timing.nodes[i].dma_tile_ps;
-        result.nodes[i].translation_exposed_ps +=
-            timing.nodes[i].translation_exposed_ps;
-        result.nodes[i].macs += timing.nodes[i].macs;
-      }
-      const double weight = static_cast<double>(timing.makespan_ps);
-      total_ps += weight;
-      walks_weighted += timing.translation.walks_per_tile * weight;
-      pages_weighted += timing.translation.pages_per_tile * weight;
-      stall_weighted +=
-          static_cast<double>(timing.translation.stall_per_tile_ps) *
-          weight;
-    }
-    const double peak_macs = config_.mmae_peak_macs(options.precision);
-    std::uint64_t total_macs = 0;
-    for (core::NodeTiming& node : result.nodes) {
-      const double span_s = sim::to_seconds(node.span_ps);
-      node.gflops = span_s > 0.0
-                        ? 2.0 * static_cast<double>(node.macs) / span_s / 1e9
-                        : 0.0;
-      node.efficiency =
-          span_s > 0.0 && peak_macs > 0.0
-              ? static_cast<double>(node.macs) / span_s / peak_macs
-              : 0.0;
-      result.mean_efficiency += node.efficiency;
-      total_macs += node.macs;
-    }
-    result.mean_efficiency /= static_cast<double>(result.nodes.size());
-    result.makespan_ps = static_cast<sim::TimePs>(total_ps);
-    result.total_gflops =
-        total_ps > 0.0
-            ? 2.0 * static_cast<double>(total_macs) / (total_ps * 1e-12) /
-                  1e9
-            : 0.0;
-    if (total_ps > 0.0) {
-      result.translation.walks_per_tile = walks_weighted / total_ps;
-      result.translation.pages_per_tile = pages_weighted / total_ps;
-      result.translation.stall_per_tile_ps =
-          static_cast<sim::TimePs>(stall_weighted / total_ps);
-    }
-    return result;
+    return core::run_detailed_gemm(config_, layers, options, observation);
   }
 
  private:

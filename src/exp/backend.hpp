@@ -44,9 +44,9 @@ class ExecutionBackend {
                                  obs::RunObservation* observation =
                                      nullptr) = 0;
 
-  // A layer sequence (a DNN / HPL trailing updates) back to back; layer
-  // observations fold into `observation` with spans offset so the trace
-  // reads as one run.
+  // A layer sequence (a DNN / HPL trailing updates) back to back. The
+  // detailed rung runs every layer on one machine, so `observation` holds
+  // that machine's counters and timeline.
   virtual core::SystemTiming run_layers(
       const std::vector<sa::TileShape>& layers,
       const core::TimingOptions& options,

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "util/json.hpp"
-
 namespace maco::exp {
 
 namespace {
@@ -50,10 +48,6 @@ std::string format_metric_value(double value) {
   out.precision(10);
   out << value;
   return out.str();
-}
-
-std::string json_escape(const std::string& text) {
-  return util::json_escape(text);
 }
 
 }  // namespace maco::exp

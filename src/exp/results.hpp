@@ -56,7 +56,4 @@ struct ScenarioResult {
 // a decimal point, everything else at 10 significant digits.
 std::string format_metric_value(double value);
 
-// JSON string escaping (quotes, backslash, control characters).
-std::string json_escape(const std::string& text);
-
 }  // namespace maco::exp

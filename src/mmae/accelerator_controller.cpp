@@ -227,13 +227,10 @@ TaskReport AcceleratorController::execute_gemm(const StqEntry& entry,
             dma_t = prev_load_end;
           }
 
-          // The C store counts its bytes and stall, not its translations:
-          // walks_per_tile and pages_per_tile leave them out.
           const DmaResult c_store =
               store_tile(c_desc, c_t, c_tile, ctx, sa_free);
           if (c_store.fault) return fail(cpu::ExceptionType::kPageFault);
-          report.dma_bytes += c_store.bytes;
-          report.translation_stall_ps += c_store.translation_stall_ps;
+          report.add(c_store);
           last_end = std::max(last_end, c_store.end_time);
         }
       }

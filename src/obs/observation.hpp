@@ -58,8 +58,8 @@ struct RunObservation {
 
   // Accumulates `other` into this observation: counters and link traffic
   // sum, spans append shifted by `span_offset_ps`, windows add. Used when
-  // one sweep point runs several machines back to back (per-layer
-  // detailed runs, the serve oracle's per-batch-size measurements).
+  // one sweep point runs several machines (the serve oracle's
+  // per-batch-size measurements).
   void merge(const RunObservation& other, sim::TimePs span_offset_ps);
 };
 

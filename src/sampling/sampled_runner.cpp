@@ -21,15 +21,12 @@ core::SystemTiming run_sampled_layers(
     const core::SystemConfig& config,
     const std::vector<sa::TileShape>& layers,
     const core::TimingOptions& options) {
-  const std::uint64_t tile = options.tile_rows;
+  const std::uint64_t tile = options.tile;
   if (tile == 0 || tile > core::kDetailedMaxDim) {
     unsupported("simulates one first-level tile per task, so tile must be "
                 "in [1, " +
                 std::to_string(core::kDetailedMaxDim) + "] (got " +
                 std::to_string(tile) + "); shrink --set tile=...");
-  }
-  if (options.tile_cols != options.tile_rows) {
-    unsupported("uses square first-level tiles (tile_rows == tile_cols)");
   }
   if (!(options.sample_frac > 0.0) || options.sample_frac > 1.0) {
     unsupported("wants sample_frac in (0, 1]");

@@ -23,7 +23,6 @@ void DynamicBatcher::seal(unsigned tenant, sim::TimePs close_ps) {
     queue.swap(spare_.back());
     spare_.pop_back();
   }
-  ++batches_sealed_;
 }
 
 void DynamicBatcher::drop_stale() {
@@ -42,7 +41,6 @@ void DynamicBatcher::drop_stale() {
 bool DynamicBatcher::enqueue(std::uint32_t request_id, unsigned tenant,
                              sim::TimePs now) {
   MACO_ASSERT(tenant < queues_.size());
-  ++requests_admitted_;
   std::vector<Waiting>& queue = queues_[tenant];
   queue.push_back(Waiting{request_id, now});
   if (queue.size() >= policy_.max_batch || policy_.timeout_ps == 0) {
@@ -77,10 +75,6 @@ std::vector<Batch>& DynamicBatcher::collect(sim::TimePs now) {
 void DynamicBatcher::recycle(std::vector<Waiting>&& members) {
   members.clear();
   spare_.push_back(std::move(members));
-}
-
-bool DynamicBatcher::idle() const noexcept {
-  return sealed_.empty() && deadlines_.empty();
 }
 
 }  // namespace maco::serve

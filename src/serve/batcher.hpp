@@ -85,15 +85,6 @@ class DynamicBatcher {
   // Returns a finished batch's member buffer for reuse as a queue.
   void recycle(std::vector<Waiting>&& members);
 
-  // True when no request is waiting and no sealed batch is uncollected.
-  bool idle() const noexcept;
-
-  // Lifetime counters for the serve report.
-  std::uint64_t batches_sealed() const noexcept { return batches_sealed_; }
-  std::uint64_t requests_admitted() const noexcept {
-    return requests_admitted_;
-  }
-
  private:
   // A tenant's forced-close deadline: its oldest waiter's arrival plus
   // timeout_ps.
@@ -118,8 +109,6 @@ class DynamicBatcher {
   std::vector<Batch> sealed_;     // sealed since the last collect()
   std::vector<Batch> collected_;  // what the last collect() returned
   std::vector<std::vector<Waiting>> spare_;  // recycled member buffers
-  std::uint64_t batches_sealed_ = 0;
-  std::uint64_t requests_admitted_ = 0;
 };
 
 }  // namespace maco::serve

@@ -34,9 +34,6 @@ class AnalyticCostModel final : public BatchCostModel {
     options_.precision = model_.precision;
     options_.active_nodes = nodes_per_instance(options);
     options_.cooperative = options_.active_nodes > 1;
-    options_.tile_rows = options.tile;
-    options_.tile_cols = options.tile;
-    options_.inner = options.inner;
   }
 
   sim::TimePs batch_makespan_ps(unsigned batch) override {
@@ -105,9 +102,6 @@ class DetailedCostModel final : public BatchCostModel {
     core::TimingOptions task_options;
     task_options.precision = model_.precision;
     task_options.use_matlb = config_.mmae.use_matlb;
-    task_options.tile_rows = options_.tile;
-    task_options.tile_cols = options_.tile;
-    task_options.inner = options_.inner;
     core::DetailedJob job;
     for (const sa::TileShape& layer : layers) {
       job.tasks.push_back(core::DetailedTask{layer});

@@ -21,7 +21,6 @@
 //    the serve report.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "core/config.hpp"
@@ -55,10 +54,8 @@ class BatchCostModel {
 };
 
 struct CostModelOptions {
-  unsigned nodes = 16;        // active compute nodes shared by all instances
-  unsigned instances = 1;     // concurrent model instances (>= 1)
-  std::uint64_t tile = 1024;  // first-level tile (analytic)
-  std::uint64_t inner = 64;   // systolic tile (both)
+  unsigned nodes = 16;     // active compute nodes shared by all instances
+  unsigned instances = 1;  // concurrent model instances (>= 1)
 };
 
 // Each instance runs the model cooperatively on nodes/instances nodes

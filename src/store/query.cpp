@@ -7,13 +7,14 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace maco::store {
 namespace {
 
 using exp::format_metric_value;
-using exp::json_escape;
+using util::json_escape;
 
 std::string param_or_empty(const CampaignRecord& record,
                            const std::string& key) {

@@ -291,12 +291,13 @@ TEST(BackendCrossValidation, QueuedAgreesWithSimpleAtLowLoad) {
   // the banked model reproduces the flat model within 5% when the DRAM is
   // far from saturation (the ISSUE's agreement acceptance bound).
   core::SystemConfig config = core::SystemConfig::maco_default();
+  const core::TimingOptions options = detailed_options(512);
   config.dram.kind = mem::DramKind::kSimple;
   const core::SystemTiming simple =
-      core::run_detailed_gemm(config, detailed_options(512));
+      core::run_detailed_gemm(config, {options.shape}, options);
   config.dram.kind = mem::DramKind::kQueued;
   const core::SystemTiming queued =
-      core::run_detailed_gemm(config, detailed_options(512));
+      core::run_detailed_gemm(config, {options.shape}, options);
   ASSERT_GT(simple.makespan_ps, 0);
   const double ratio = static_cast<double>(queued.makespan_ps) /
                        static_cast<double>(simple.makespan_ps);
@@ -310,9 +311,10 @@ TEST(BackendCrossValidation, FlitIcntAddsContentionOverAnalytic) {
   options.active_nodes = 4;
   config.icnt = noc::IcntKind::kAnalytic;
   const core::SystemTiming analytic =
-      core::run_detailed_gemm(config, options);
+      core::run_detailed_gemm(config, {options.shape}, options);
   config.icnt = noc::IcntKind::kFlit;
-  const core::SystemTiming flit = core::run_detailed_gemm(config, options);
+  const core::SystemTiming flit =
+      core::run_detailed_gemm(config, {options.shape}, options);
   // Booked links can only delay transfers, and four nodes sharing mesh
   // links must observe some contention — but not runaway queueing.
   EXPECT_GE(flit.makespan_ps, analytic.makespan_ps);

@@ -218,6 +218,49 @@ TEST_F(TimingModelTest, LayersAggregateThroughput) {
   EXPECT_GT(timing.makespan_ps, 0u);
 }
 
+TEST_F(TimingModelTest, LayerTranslationsWeighEachLayerByItsInnerTiles) {
+  // A run's walks and pages per tile are every layer's translations over
+  // every layer's inner tiles, as the sampled estimator counts them, not
+  // the last layer's. The last layer here is small and translates
+  // differently from the others.
+  const std::vector<sa::TileShape> layers = {
+      sa::TileShape{2048, 4096, 4096}, sa::TileShape{512, 512, 512},
+      sa::TileShape{64, 1000, 2048}};
+  for (const bool cooperative : {false, true}) {
+    TimingOptions options;
+    options.active_nodes = cooperative ? 16 : 1;
+    options.cooperative = cooperative;
+    double tiles = 0.0;
+    double walks = 0.0;
+    double pages = 0.0;
+    const auto along = [&](std::uint64_t extent) {
+      return (extent + options.inner - 1) / options.inner;
+    };
+    for (const sa::TileShape& layer : layers) {
+      sa::TileShape node = layer;  // the GEMM each node runs
+      if (cooperative) {
+        const auto [rows, cols] = choose_grid(options.active_nodes);
+        node.m = (layer.m + rows - 1) / rows;
+        node.n = (layer.n + cols - 1) / cols;
+      }
+      const double layer_tiles =
+          static_cast<double>(along(node.m) * along(node.n) * along(node.k));
+      options.shape = layer;
+      const TranslationEstimate alone = model_.run(options).translation;
+      tiles += layer_tiles;
+      walks += alone.walks_per_tile * layer_tiles;
+      pages += alone.pages_per_tile * layer_tiles;
+    }
+    ASSERT_GT(walks, 0.0) << cooperative;
+    const TranslationEstimate rolled =
+        model_.run_layers(layers, options).translation;
+    EXPECT_DOUBLE_EQ(rolled.walks_per_tile, walks / tiles) << cooperative;
+    EXPECT_DOUBLE_EQ(rolled.pages_per_tile, pages / tiles) << cooperative;
+    const double last = model_.run(options).translation.pages_per_tile;
+    EXPECT_NE(rolled.pages_per_tile, last) << cooperative;
+  }
+}
+
 }  // namespace
 }  // namespace maco::core
 

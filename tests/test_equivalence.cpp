@@ -235,7 +235,7 @@ void expect_detailed_gemm_point(core::SystemConfig config, std::uint64_t size,
   obs::RunObservation observation;
   observation.want_counters = true;
   const core::SystemTiming timing =
-      core::run_detailed_gemm(config, options, &observation);
+      core::run_detailed_gemm(config, {options.shape}, options, &observation);
   EXPECT_EQ(timing.makespan_ps, on.makespan_ps);
   EXPECT_EQ(observation.counters, on.counters);
   ASSERT_EQ(timing.nodes.size(), nodes);
@@ -291,8 +291,7 @@ TEST(ValuesEquivalence, TileBatchWithOffsetsAndWarmup) {
   core::SystemConfig config = core::SystemConfig::maco_default();
   config.node_count = static_cast<unsigned>(tiles.size());
   core::TimingOptions options;
-  options.tile_rows = 128;
-  options.tile_cols = 128;
+  options.tile = 128;
 
   const MachineRun on = expect_values_never_reach_timing(
       config, [&](core::MacoSystem& system) {
@@ -337,9 +336,6 @@ TEST(ValuesEquivalence, ServeDetailedOracleBatch) {
         os::Scheduler scheduler(system, sched_options);
         core::TimingOptions task_options;
         task_options.precision = model.precision;
-        task_options.tile_rows = cost_options.tile;
-        task_options.tile_cols = cost_options.tile;
-        task_options.inner = cost_options.inner;
         std::uint64_t seed = 0;
         for (unsigned i = 0; i < cost_options.instances; ++i) {
           core::Process& process = system.create_process();

@@ -10,6 +10,7 @@
 #include "exp/param_schema.hpp"
 #include "exp/param_value.hpp"
 #include "exp/results.hpp"
+#include "util/json.hpp"
 
 namespace maco::exp {
 namespace {
@@ -305,6 +306,17 @@ TEST(Backend, DetailedRunLayersAccumulatesAcrossLayers) {
   EXPECT_NEAR(twice.translation.pages_per_tile,
               once.translation.pages_per_tile,
               0.01 * once.translation.pages_per_tile + 0.01);
+  // One machine runs the whole list: its scheduler completes every
+  // layer's task on every node.
+  ASSERT_TRUE(twice.os.present);
+  EXPECT_EQ(once.os.tasks_completed, 1u);
+  EXPECT_EQ(twice.os.tasks_completed, 2u);
+  options.active_nodes = 2;
+  const core::SystemTiming wide =
+      detailed->run_layers({layer, layer, layer}, options);
+  ASSERT_EQ(wide.nodes.size(), 2u);
+  EXPECT_EQ(wide.nodes[1].macs, 3 * once.nodes[0].macs);
+  EXPECT_EQ(wide.os.tasks_completed, 6u);
 }
 
 // ---- structured results + golden serialization ----
@@ -367,8 +379,8 @@ TEST(Results, GoldenJson) {
 }
 
 TEST(Results, JsonEscapesControlCharacters) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(util::json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(util::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 }  // namespace

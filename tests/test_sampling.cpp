@@ -364,8 +364,7 @@ core::TimingOptions sampled_options(std::uint64_t size, std::uint64_t tile) {
   core::TimingOptions options;
   options.shape = sa::TileShape{size, size, size};
   options.active_nodes = 1;
-  options.tile_rows = tile;
-  options.tile_cols = tile;
+  options.tile = tile;
   options.sample_frac = 1.0;
   return options;
 }
@@ -375,10 +374,9 @@ TEST(SampledRunner, MatchesExhaustiveDetailedWithinTheReportedCi) {
   const core::TimingOptions options = sampled_options(384, 128);
   const core::SystemTiming sampled = run_sampled_gemm(config, options);
   core::TimingOptions exhaustive = options;
-  exhaustive.tile_rows = 1024;
-  exhaustive.tile_cols = 1024;
+  exhaustive.tile = 1024;
   const core::SystemTiming detailed =
-      core::run_detailed_gemm(config, exhaustive);
+      core::run_detailed_gemm(config, {exhaustive.shape}, exhaustive);
   ASSERT_GT(sampled.makespan_ps, 0u);
   ASSERT_TRUE(sampled.sampling.present());
   EXPECT_EQ(sampled.sampling.sampled_tiles, 27u);
@@ -444,7 +442,7 @@ TEST(SampledRunner, LiftsTheDetailedSizeCap) {
   core::TimingOptions options = sampled_options(2176, 128);  // 17^3 tiles
   options.sample_frac = 1e-6;  // floor: 2 sampled tiles
   ASSERT_GT(options.shape.m, core::kDetailedMaxDim);
-  EXPECT_THROW(core::run_detailed_gemm(config, options),
+  EXPECT_THROW(core::run_detailed_gemm(config, {options.shape}, options),
                std::invalid_argument);
   const core::SystemTiming sampled = run_sampled_gemm(config, options);
   EXPECT_GT(sampled.makespan_ps, 0u);
@@ -496,11 +494,7 @@ TEST(SampledRunner, LayerSequencesAccumulateAndCollapseDuplicates) {
 TEST(SampledRunner, RejectsUnusableConfigurations) {
   const core::SystemConfig config = core::SystemConfig::maco_default();
   core::TimingOptions options = sampled_options(512, 256);
-  options.tile_rows = core::kDetailedMaxDim + 1;
-  options.tile_cols = options.tile_rows;
-  EXPECT_THROW(run_sampled_gemm(config, options), std::invalid_argument);
-  options = sampled_options(512, 256);
-  options.tile_cols = 128;  // non-square first-level tile
+  options.tile = core::kDetailedMaxDim + 1;
   EXPECT_THROW(run_sampled_gemm(config, options), std::invalid_argument);
   options = sampled_options(512, 256);
   options.sample_frac = 0.0;

@@ -305,16 +305,16 @@ TEST(DynamicBatcher, SealsBySizeAndByTimeout) {
   EXPECT_EQ(at_50[0].tenant, 0u);
   EXPECT_EQ(at_50[0].size(), 3u);
   EXPECT_EQ(at_50[0].close_ps, 2u);
-  EXPECT_FALSE(batcher.idle());
+  ASSERT_TRUE(batcher.next_deadline().has_value());
+  EXPECT_EQ(*batcher.next_deadline(), 105u);
 
   const std::vector<Batch> at_200 = batcher.collect(200);
   ASSERT_EQ(at_200.size(), 1u);
   EXPECT_EQ(at_200[0].tenant, 1u);
   EXPECT_EQ(at_200[0].size(), 1u);
   EXPECT_EQ(at_200[0].close_ps, 105u);  // arrival + timeout, not `now`
-  EXPECT_TRUE(batcher.idle());
-  EXPECT_EQ(batcher.batches_sealed(), 2u);
-  EXPECT_EQ(batcher.requests_admitted(), 4u);
+  EXPECT_FALSE(batcher.next_deadline().has_value());
+  EXPECT_TRUE(batcher.collect(300).empty());
 }
 
 TEST(DynamicBatcher, ZeroTimeoutDegeneratesToNoBatching) {

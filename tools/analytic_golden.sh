@@ -11,9 +11,11 @@
 # whose evictions write dirty lines back through both DRAM backends (the
 # banked one prices each write-back at the victim's own address);
 # detailed_scaling.csv, the 256 and 512 gemms on 1, 4 and 16 nodes that
-# macobench's detailed_scaling workload times; serve_detailed.csv, serve's
+# macobench's detailed_scaling workload times; detailed_graph.csv, the
+# tiny and moe-mlp manifests at fidelity=detailed, every layer of a point
+# on one machine, with profile=counters; serve_detailed.csv, serve's
 # detailed batch oracle over 1/2 instances and 2/4 nodes with
-# profile=counters (all five with their host_* wall-time columns dropped);
+# profile=counters (all six with their host_* wall-time columns dropped);
 # and two sampled runs, sampled_gemm.csv (a
 # gemm beyond the detailed cap over every backend and 1/4 nodes) and
 # sampled_graph.csv (gpt3-block decode, macobench's sampled_llm point).
@@ -95,6 +97,10 @@ run detailed_writeback_with_host --scenario gemm --set fidelity=detailed \
 # Fig. 7's detailed points, macobench's detailed_scaling workload.
 run detailed_scaling_with_host --scenario gemm --set fidelity=detailed \
   --set profile=counters --sweep size=256,512 --sweep nodes=1,4,16
+# A DNN's layer list on the detailed machine: one machine per point.
+run detailed_graph_with_host --scenario graph --set fidelity=detailed \
+  --set cooperative=false --set profile=counters \
+  --sweep model_file=tiny,moe-mlp
 # Serve's detailed batch oracle, the third path onto the detailed machine.
 run serve_detailed_with_host --scenario serve --set fidelity=detailed \
   --set requests=300 --set profile=counters --sweep instances=1,2 \
@@ -108,7 +114,7 @@ run sampled_graph --scenario graph --set model_file=gpt3-block \
   --set phase=decode --set fidelity=sampled
 # Drop the host_* wall-time columns, which differ from run to run.
 for name in detailed_counters detailed_geometry detailed_writeback \
-  detailed_scaling serve_detailed; do
+  detailed_scaling detailed_graph serve_detailed; do
   awk -F, '
     NR == 1 { for (i = 1; i <= NF; i++) keep[i] = $i !~ /^host_/ }
     {
